@@ -13,16 +13,16 @@ from .bounds import (FisherReport, FisherScore, MinpLimit, conservative_single,
                      fisher_bounds, fisher_critical, fisher_report, fisher_score,
                      h_bound, minp_bound, minp_limit_check)
 from .coupling import (ConditionalLaw, SingularRow, SyntheticPPPModel, TransportInfeasible,
-                       TransportPlan, UniformMixRow, continuize, explicit_p2alpha_coupling,
+                       TransportPlan, UniformMixRow, explicit_p2alpha_coupling,
                        martingale_transport, mod1_family, synthesize_ppp, uniform_coupling)
 from .distributions import (SubUniformDist, as_p2alpha, atom_frequencies,
-                            continuous_part_ks, discretize, is_sub_uniform, ks_distance,
+                            continuous_part_ks, discretize, ks_distance,
                             p2alpha)
 from .estimators import (EstimatorScheme, PosteriorSampler, estimate_p_hat,
                          estimate_r_hat, iid_sampler, markov_sampler,
                          marginal_estimator_run)
 from .idf import (DominanceResult, IntegratedDF, ValidationReport, beta22_idf,
-                  dominates_cx, mean_of, uniform_idf)
+                  dominates_cx, uniform_idf)
 from .models import (FrequencyRun, G_FAMILIES, GenerativeModel, SurvivalG, exact_ppp,
                      frequency_run, lasso_model, load_port_pmfs, port_model, power_g,
                      ruschendorf_sample, simplex_atom, simplex_model, uniform_g)
@@ -33,8 +33,8 @@ __version__ = "0.1.0"
 __all__ = [
     "EmpiricalSample", "RngStream", "chi2_quantile", "chi2_sf", "ks_statistic",
     "IntegratedDF", "DominanceResult", "ValidationReport", "dominates_cx",
-    "uniform_idf", "beta22_idf", "mean_of",
-    "SubUniformDist", "p2alpha", "as_p2alpha", "is_sub_uniform", "ks_distance",
+    "uniform_idf", "beta22_idf",
+    "SubUniformDist", "p2alpha", "as_p2alpha", "ks_distance",
     "atom_frequencies", "continuous_part_ks", "discretize",
     "conservative_single", "h_bound", "FisherScore", "FisherReport", "fisher_score",
     "fisher_bounds", "fisher_report", "fisher_critical", "minp_bound", "MinpLimit",
@@ -46,7 +46,7 @@ __all__ = [
     "estimate_p_hat", "estimate_r_hat", "marginal_estimator_run",
     "SingularRow", "UniformMixRow", "ConditionalLaw", "uniform_coupling",
     "explicit_p2alpha_coupling", "TransportPlan", "TransportInfeasible",
-    "martingale_transport", "continuize", "mod1_family", "SyntheticPPPModel",
+    "martingale_transport", "mod1_family", "SyntheticPPPModel",
     "synthesize_ppp",
     "__version__",
 ]

@@ -4,6 +4,7 @@ Single p-value: if P precedes the uniform law in the convex order, then
 P(P <= alpha) <= min(1, 2*alpha), and more generally F_X(alpha) <= h where
 
     h = min(1, max{w >= 0 : w*(x - alpha) <= phi_Y(x) for all x})
+      = min(1, min over x > alpha of phi_Y(x) / (x - alpha)),
 
 for any X preceding Y in the convex order with IDF phi_Y.  The uniform
 target recovers the 2*alpha rule exactly.
@@ -57,52 +58,41 @@ def conservative_single(p: float) -> float:
     return min(1.0, 2.0 * p)
 
 
-def h_bound(alpha: float, target_idf: IntegratedDF, tol: float = 1e-10) -> float:
+def h_bound(alpha: float, target_idf: IntegratedDF) -> float:
     """Sharp bound on F_X(alpha) over all X convex-order dominated by Y.
 
-    h = min(1, w*) where w* is the largest slope w such that the line
-    w*(x - alpha) stays below phi_Y everywhere.  For the uniform target the
-    answer is min(1, 2*alpha).
+    h = min(1, w*) where w* = min over x > alpha of phi_Y(x) / (x - alpha) is
+    the slope of the tangent to phi_Y from (alpha, 0).  Exact rule: the
+    ratio falls while F(x)(x - alpha) < phi(x) and rises after (phi is
+    convex), so its minimum lies at a breakpoint or at the root of
+    F(x)(x - alpha) = phi(x), which has a closed form on every segment:
 
-    Found by bisection on w; each feasibility check minimizes the convex
-    function phi_Y(x) - w*(x - alpha) by ternary search over the support
-    (beyond the support phi_Y continues as the line x - mean, whose gap to
-    any feasible w-line is non-decreasing, so the support suffices).
+        uniform01   x = 2*alpha, so h = min(1, 2*alpha);
+        beta22      x = ((2 + 2a) - sqrt((2 + 2a)^2 - 18a)) / 3, a = alpha;
+        piecewise   x = alpha + sqrt(u^2 + 2*(phi(x0) - F(x0)*u) / s) on a
+                    segment from x0 with CDF slope s, u = x0 - alpha.
+
+    Beyond the support phi_Y continues as x - mean, whose ratio tends
+    monotonically to 1, so the support suffices.  Float rounding is the only
+    error.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0,1), got {alpha!r}")
-    lo, hi = target_idf.support
-
-    def min_gap(w: float) -> float:
-        a, b = lo, hi
-        for _ in range(120):
-            m1 = a + (b - a) / 3.0
-            m2 = b - (b - a) / 3.0
-            g1 = target_idf.evaluate(m1) - w * (m1 - alpha)
-            g2 = target_idf.evaluate(m2) - w * (m2 - alpha)
-            if g1 < g2:
-                b = m2
-            else:
-                a = m1
-        x = (a + b) / 2.0
-        inner = target_idf.evaluate(x) - w * (x - alpha)
-        edge = min(target_idf.evaluate(lo) - w * (lo - alpha),
-                   target_idf.evaluate(hi) - w * (hi - alpha))
-        return min(inner, edge)
-
-    def feasible(w: float) -> bool:
-        return min_gap(w) >= -1e-15
-
-    if feasible(1.0):
-        return 1.0
-    w_lo, w_hi = 0.0, 1.0
-    while w_hi - w_lo > tol:
-        w_mid = (w_lo + w_hi) / 2.0
-        if feasible(w_mid):
-            w_lo = w_mid
-        else:
-            w_hi = w_mid
-    return (w_lo + w_hi) / 2.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if target_idf.kind == "piecewise":
+            bx, f = target_idf.breakpoints, target_idf.cdf
+            x0, u = bx[:-1], bx[:-1] - alpha
+            roots = alpha + np.sqrt(u * u + 2.0 * (target_idf.evaluate(x0) - f[:-1] * u)
+                                    / (np.diff(f) / np.diff(bx)))
+            x = np.concatenate([bx, np.clip(roots, x0, bx[1:])])
+        elif target_idf.family == "uniform01":
+            x = np.array([2.0 * alpha, 1.0])
+        else:  # beta22
+            b = 2.0 + 2.0 * alpha
+            x = np.array([(b - np.sqrt(b * b - 18.0 * alpha)) / 3.0, 1.0])
+    x = x[(x > alpha) & (x <= target_idf.support[1])]
+    ratio = target_idf.evaluate(x) / (x - alpha)
+    return float(min(1.0, ratio.min(initial=1.0)))
 
 
 class FisherScore(NamedTuple):

@@ -167,10 +167,7 @@ def _cmd_simulate(args) -> None:
         model_id = f"ruschendorf(alpha={args.alpha:g})"
         ks_ref_alpha = args.alpha
     else:
-        try:
-            model = _build_model(args)
-        except ValueError as exc:
-            raise _DomainError(str(exc)) from exc
+        model = _build_model(args)
         if args.estimator == "exact":
             run = frequency_run(model, args.n, rng)
         else:
@@ -222,10 +219,7 @@ def _cmd_construct(args) -> None:
     except (ValueError, KeyError, json.JSONDecodeError) as exc:
         raise _DomainError(f"invalid target spec: {exc}") from exc
     rng = RngStream(seed=args.seed)
-    try:
-        model = synthesize_ppp(target, g_name=args.g, rng=rng)
-    except ValueError as exc:
-        raise _DomainError(str(exc)) from exc
+    model = synthesize_ppp(target, g_name=args.g, rng=rng)
     gen = rng.generator()
     pvals, svals = model.draw_joint(gen, args.n)
     sample = EmpiricalSample(pvals)
@@ -363,16 +357,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except _DomainError as exc:
+    except (_DomainError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except _IOErrorExit as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (_IOErrorExit, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as _sparse
@@ -32,8 +32,8 @@ import scipy.special as _sp
 from scipy.optimize import linprog
 
 from .distributions import SubUniformDist, as_p2alpha, discretize
-from .idf import IntegratedDF, dominates_cx, uniform_idf
-from .numerics import EmpiricalSample, RngStream
+from .idf import IntegratedDF, dominates_cx
+from .numerics import RngStream
 
 __all__ = [
     "SingularRow",
@@ -44,7 +44,6 @@ __all__ = [
     "TransportPlan",
     "TransportInfeasible",
     "martingale_transport",
-    "continuize",
     "mod1_family",
     "G_CHOICES",
     "SyntheticPPPModel",
@@ -315,162 +314,6 @@ def martingale_transport(source: tuple[np.ndarray, np.ndarray],
     joint = np.maximum(res.x.reshape(ns, nd), 0.0)
     return TransportPlan(source_values=sv, source_masses=sm,
                          dest_values=dv, dest_masses=dm, joint=joint)
-
-
-# ------------------------------------------------------------------ continuization
-
-def _chord_feasible(x0: float, y0: float, x1: float, y1: float,
-                    nu_idf: IntegratedDF, slack: float = 1e-12) -> bool:
-    """Is the chord from (x0,y0) to (x1,y1) below nu's IDF on [x0,x1]?
-
-    nu's IDF is convex and the chord is affine, so their difference is convex
-    and a ternary search finds its minimum.
-    """
-    if x1 <= x0:
-        return True
-    slope = (y1 - y0) / (x1 - x0)
-
-    def gap(x: float) -> float:
-        return float(nu_idf.evaluate(x)) - (y0 + slope * (x - x0))
-
-    lo, hi = x0, x1
-    for _ in range(200):
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        if gap(m1) <= gap(m2):
-            hi = m2
-        else:
-            lo = m1
-    worst = min(gap(x0), gap(x1), gap((lo + hi) / 2.0))
-    return worst >= -slack
-
-
-def _interp_points(l_n: float, u_n: float, mu_idf: IntegratedDF, nu_idf: IntegratedDF,
-                   atom_set: set, beta: float, max_points: int = 10_000) -> list[float]:
-    """Recursive interpolation points inside one strict-dominance interval.
-
-    Each step takes the supremum x' of chord-feasible right endpoints, then
-    retreats into [x' - beta*(x' - x_j), x'] and picks the largest grid point
-    (resolution 2^-20 of the interval length) that is not an atom of mu.
-    """
-    length = u_n - l_n
-    grid_step = length * 2.0 ** -20
-    pts = [l_n]
-    x_j = l_n
-    for _ in range(max_points):
-        y_j = float(mu_idf.evaluate(x_j))
-        if u_n - x_j <= 1e-9 * length:
-            break
-        if _chord_feasible(x_j, y_j, u_n, float(mu_idf.evaluate(u_n)), nu_idf):
-            pts.append(u_n)
-            break
-        lo_x, hi_x = x_j, u_n
-        for _ in range(80):
-            mid = 0.5 * (lo_x + hi_x)
-            if _chord_feasible(x_j, y_j, mid, float(mu_idf.evaluate(mid)), nu_idf):
-                lo_x = mid
-            else:
-                hi_x = mid
-        x_sup = lo_x
-        retreat_lo = x_sup - beta * (x_sup - x_j)
-        k_hi = int(np.floor((x_sup - l_n) / grid_step))
-        k_lo = int(np.ceil((retreat_lo - l_n) / grid_step))
-        choice = None
-        for k in range(k_hi, max(k_lo - 1, 0) - 1, -1):
-            cand = l_n + k * grid_step
-            if cand <= x_j:
-                break
-            if not any(abs(cand - a) <= grid_step * 0.5 for a in atom_set):
-                choice = cand
-                break
-        if choice is None or choice <= x_j + grid_step * 0.5:
-            pts.append(u_n)
-            break
-        pts.append(choice)
-        x_j = choice
-    else:
-        raise RuntimeError("interpolation did not terminate within the point budget")
-    if pts[-1] != u_n:
-        pts.append(u_n)
-    return pts
-
-
-def continuize(mu: tuple[np.ndarray, np.ndarray], nu_idf: IntegratedDF,
-               beta: float = 0.5):
-    """Mean-preserving continuization of a finite discrete law under nu.
-
-    Splits {phi_mu < phi_nu} into maximal open intervals, lays interpolation
-    points by the recursive chord construction, and pushes each mu-atom
-    strictly inside an interpolation subinterval (l, u) through the uniform
-    kernel centered at the atom with half-width min(x - l, u - x).  Returns
-    (interpolation points per interval, kernel spread specs, mu_tilde) with
-    the sandwich phi_mu <= phi_mu_tilde <= phi_nu.
-    """
-    if not 0.0 < beta < 1.0:
-        raise ValueError(f"beta must lie in (0, 1), got {beta!r}")
-    values, masses = (np.asarray(a, dtype=float) for a in mu)
-    order = np.argsort(values)
-    values, masses = values[order], masses[order]
-    mu_idf = _idf_from_atoms(values, masses)
-    check = dominates_cx(mu_idf, nu_idf)
-    if not check:
-        raise ValueError(
-            f"mu is not below nu in the convex order "
-            f"(max violation {check.max_violation:.3g} at x={check.witness!r})")
-
-    lo = min(values[0], nu_idf.breakpoints[0])
-    hi = max(values[-1], nu_idf.breakpoints[-1])
-    grid = np.union1d(np.union1d(values, nu_idf.breakpoints), np.linspace(lo, hi, 4097))
-    gaps = nu_idf.evaluate(grid) - mu_idf.evaluate(grid)
-    strict = gaps > 1e-12
-
-    intervals: list[tuple[float, float]] = []
-    i = 0
-    while i < grid.size:
-        if strict[i]:
-            j = i
-            while j + 1 < grid.size and strict[j + 1]:
-                j += 1
-            left = grid[i - 1] if i > 0 else grid[i]
-            right = grid[j + 1] if j + 1 < grid.size else grid[j]
-            intervals.append((float(left), float(right)))
-            i = j + 1
-        i += 1
-
-    atom_set = set(float(v) for v in values)
-    all_points: list[list[float]] = []
-    spreads: list[tuple[float, float, float]] = []  # (atom value, lo, hi)
-    new_atoms: list[tuple[float, float]] = []
-    new_pieces: list[tuple[float, float, float]] = []
-
-    for l_n, u_n in intervals:
-        pts = _interp_points(l_n, u_n, mu_idf, nu_idf, atom_set, beta)
-        all_points.append(pts)
-
-    for v, m in zip(values, masses):
-        spread = None
-        for (l_n, u_n), pts in zip(intervals, all_points):
-            if not l_n < v < u_n:
-                continue
-            k = int(np.searchsorted(pts, v, side="right")) - 1
-            k = min(max(k, 0), len(pts) - 2)
-            seg_lo, seg_hi = pts[k], pts[k + 1]
-            if not seg_lo < v < seg_hi:
-                continue
-            d = min(v - seg_lo, seg_hi - v)
-            if d > 0.0:
-                spread = (v - d, v + d)
-            break
-        if spread is None:
-            new_atoms.append((float(v), float(m)))
-        else:
-            spreads.append((float(v), spread[0], spread[1]))
-            new_pieces.append((spread[0], spread[1], float(m)))
-
-    mu_tilde = SubUniformDist("mixture",
-                              atoms=tuple(new_atoms),
-                              pieces=tuple(sorted(new_pieces)))
-    return all_points, spreads, mu_tilde
 
 
 # ------------------------------------------------------------------ mod-1 family

@@ -30,10 +30,6 @@ from .numerics import EmpiricalSample, RngStream
 __all__ = [
     "SubUniformDist",
     "p2alpha",
-    "cdf",
-    "sample",
-    "idf_of",
-    "is_sub_uniform",
     "ks_distance",
     "atom_frequencies",
     "continuous_part_ks",
@@ -235,24 +231,6 @@ def as_p2alpha(dist: SubUniformDist) -> float | None:
               and hi == 1.0 and abs(pmass - (1.0 - 2.0 * loc)) < 1e-12)
         return loc if ok else None
     return None
-
-
-# ------------------------------------------------------------------ functional API
-
-def cdf(dist: SubUniformDist, x):
-    return dist.cdf(x)
-
-
-def sample(dist: SubUniformDist, rng, n: int) -> EmpiricalSample:
-    return dist.sample(rng, n)
-
-
-def idf_of(dist: SubUniformDist) -> IntegratedDF:
-    return dist.idf()
-
-
-def is_sub_uniform(dist: SubUniformDist, tol: float = 1e-9) -> DominanceResult:
-    return dist.is_sub_uniform(tol=tol)
 
 
 # ------------------------------------------------------------------ sample-vs-law fit

@@ -320,8 +320,6 @@ def load_port_pmfs(path: str) -> np.ndarray:
     """Load port pmfs from CSV: one row per application, one column per port."""
     try:
         h = np.loadtxt(path, delimiter=",", ndmin=2)
-    except OSError:
-        raise
     except ValueError as exc:
         raise ValueError(f"malformed pmf CSV {path!r}: {exc}") from exc
     return h
@@ -385,10 +383,15 @@ def _thread_count(threads: int | None) -> int:
     if threads is not None:
         return max(1, int(threads))
     env = os.environ.get("PPP_THREADS", "")
-    try:
-        return max(1, int(env)) if env else 1
-    except ValueError:
+    if not env:
         return 1
+    try:
+        count = int(env)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise ValueError(f"PPP_THREADS must be a positive integer, got {env!r}")
+    return count
 
 
 def frequency_run(model, n: int, rng: RngStream, threads: int | None = None) -> FrequencyRun:

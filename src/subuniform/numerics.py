@@ -17,7 +17,6 @@ from scipy.optimize import brentq
 __all__ = [
     "RngStream",
     "EmpiricalSample",
-    "log_gamma",
     "chi2_sf",
     "chi2_quantile",
     "ks_statistic",
@@ -114,13 +113,6 @@ class EmpiricalSample:
 
     def ecdf(self, x: np.ndarray) -> np.ndarray:
         return np.searchsorted(self.values, x, side="right") / self.n
-
-
-def log_gamma(x: float) -> float:
-    """Natural log of the gamma function for x > 0."""
-    if not x > 0:
-        raise ValueError(f"log_gamma requires x > 0, got {x!r}")
-    return float(_sp.gammaln(x))
 
 
 def chi2_sf(x: float, k: float) -> float:

@@ -6,9 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from subuniform import (RngStream, SubUniformDist, beta22_idf, conservative_single,
-                        fisher_bounds, fisher_critical, fisher_report, fisher_score,
-                        h_bound, minp_bound, minp_limit_check, p2alpha, uniform_idf)
+from subuniform import (IntegratedDF, RngStream, SubUniformDist, beta22_idf,
+                        conservative_single, fisher_bounds, fisher_critical, fisher_report,
+                        fisher_score, h_bound, minp_bound, minp_limit_check, p2alpha,
+                        uniform_idf)
 
 
 # ------------------------------------------------------------------ conservative_single
@@ -27,6 +28,27 @@ def test_h_bound_uniform_closed_form():
     assert h_bound(0.6, uniform_idf()) == 1.0
     for a in np.linspace(0.001, 0.999, 100):
         assert h_bound(float(a), uniform_idf()) == pytest.approx(min(1.0, 2.0 * a), abs=1e-9)
+
+
+def test_h_bound_uniform_exact_to_rounding():
+    as_piecewise = IntegratedDF.piecewise([0.0, 1.0], [0.0, 1.0])
+    for a in np.linspace(1e-6, 1.0 - 1e-6, 501):
+        cap = min(1.0, 2.0 * a)
+        assert abs(h_bound(float(a), uniform_idf()) - cap) <= 1e-12
+        assert abs(h_bound(float(a), as_piecewise) - cap) <= 1e-12
+
+
+def test_h_bound_beta22_tangent_point():
+    # F(x)(x - alpha) = phi(x) at x = ((2 + 2a) - sqrt((2 + 2a)^2 - 18a)) / 3
+    for alpha in (0.001, 0.05, 0.1, 0.2, 0.3, 0.45):
+        b = 2.0 + 2.0 * alpha
+        x = (b - math.sqrt(b * b - 18.0 * alpha)) / 3.0
+        assert h_bound(alpha, beta22_idf()) == pytest.approx(3 * x**2 - 2 * x**3, abs=1e-12)
+
+
+def test_h_bound_zero_below_the_support():
+    # p2alpha(0.25) puts no mass below its atom, so h vanishes there
+    assert h_bound(0.1, p2alpha(0.25).idf()) == 0.0
 
 
 def _h_oracle(alpha, phi, x_step=1e-4):

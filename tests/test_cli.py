@@ -177,6 +177,21 @@ def test_simulate_thread_count_does_not_change_output(tmp_path):
     assert one.returncode == 0 and one.stdout == four.stdout
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "-2"])
+def test_simulate_rejects_bad_thread_count(value):
+    proc = run_cli("simulate", "--model", "simplex", "--n", "1000", "--seed", "507",
+                   env_extra={"PPP_THREADS": value})
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ")
+    assert "PPP_THREADS" in proc.stderr and repr(value) in proc.stderr
+
+
+def test_simulate_empty_thread_count_means_one():
+    args = ("simulate", "--model", "simplex", "--n", "1000", "--seed", "507")
+    empty, unset = run_cli(*args, env_extra={"PPP_THREADS": ""}), run_cli(*args)
+    assert empty.returncode == 0 and empty.stdout == unset.stdout
+
+
 def test_simulate_rejects_bad_alpha():
     proc = run_cli("simulate", "--model", "simplex", "--alpha", "0.6",
                    "--n", "100", "--seed", "505")

@@ -6,12 +6,10 @@ from scipy.special import expit
 
 from subuniform import (EmpiricalSample, IntegratedDF, RngStream, SingularRow,
                         SubUniformDist, SyntheticPPPModel, TransportInfeasible,
-                        UniformMixRow, continuize, discretize, dominates_cx,
+                        UniformMixRow, dominates_cx,
                         explicit_p2alpha_coupling, ks_distance, ks_statistic,
                         martingale_transport, mod1_family, p2alpha, synthesize_ppp,
                         uniform_coupling, uniform_idf)
-
-GRID = np.linspace(0.0, 1.0, 4097)
 
 
 # ------------------------------------------------------------------ rows and explicit couplings
@@ -123,53 +121,6 @@ def test_transport_rejects_wrong_order():
     assert err.value.witness is not None
 
 
-# ------------------------------------------------------------------ continuize
-
-def test_continuize_point_mass_to_uniform():
-    mu = (np.array([0.5]), np.array([1.0]))
-    points, spreads, mu_tilde = continuize(mu, uniform_idf())
-    assert len(points) == 1 and len(points[0]) >= 3  # one gap interval, chord points inside
-    assert len(spreads) >= 1
-    phi = mu_tilde.idf()
-    lower = IntegratedDF.from_atoms(*mu)
-    assert np.all(phi.evaluate(GRID) <= GRID ** 2 / 2.0 + 1e-9)
-    assert np.all(phi.evaluate(GRID) >= lower.evaluate(GRID) - 1e-9)
-    assert mu_tilde.mean() == pytest.approx(0.5, abs=1e-9)
-
-
-def test_continuize_no_op_when_equal():
-    vals = np.array([0.25, 0.75])
-    masses = np.array([0.5, 0.5])
-    points, spreads, mu_tilde = continuize((vals, masses), IntegratedDF.from_atoms(vals, masses))
-    assert mu_tilde.atoms == ((0.25, 0.5), (0.75, 0.5))
-    assert not mu_tilde.pieces
-
-
-def test_continuize_extremal_atoms_terminates_with_finite_points():
-    mu = discretize(p2alpha(0.25), 64)
-    points, _spreads, mu_tilde = continuize(mu, uniform_idf())
-    assert len(points) < 10_000
-    phi = mu_tilde.idf()
-    lower = IntegratedDF.from_atoms(*mu)
-    assert np.all(phi.evaluate(GRID) <= GRID ** 2 / 2.0 + 1e-9)
-    assert np.all(phi.evaluate(GRID) >= lower.evaluate(GRID) - 1e-9)
-
-
-def test_continuize_sandwich_beta22_discretization():
-    mu = discretize(SubUniformDist("beta22"), 32)
-    _points, _spreads, mu_tilde = continuize(mu, uniform_idf())
-    phi = mu_tilde.idf()
-    lower = IntegratedDF.from_atoms(*mu)
-    assert np.all(phi.evaluate(GRID) <= GRID ** 2 / 2.0 + 1e-9)
-    assert np.all(phi.evaluate(GRID) >= lower.evaluate(GRID) - 1e-9)
-
-
-def test_continuize_requires_dominance():
-    mu = (np.array([0.0, 1.0]), np.array([0.5, 0.5]))  # above uniform in convex order
-    with pytest.raises(ValueError):
-        continuize(mu, uniform_idf())
-
-
 # ------------------------------------------------------------------ synthesizer
 
 def test_synthesize_uniform_target():
@@ -209,6 +160,14 @@ def test_synthesize_rejects_non_sub_uniform():
     bad = SubUniformDist("mixture", atoms=((0.9, 1.0),), pieces=())
     with pytest.raises(ValueError, match="not sub-uniform"):
         synthesize_ppp(bad, rng=RngStream(seed=98))
+
+
+def test_synthesize_rejects_violation_between_nodes_up_front():
+    # sub-uniform everywhere except near x = 0.5, where the gap is 1e-7
+    bad = SubUniformDist("mixture", atoms=((0.25 - 2e-7, 0.5), (0.75 + 2e-7, 0.5)))
+    with pytest.raises(ValueError, match="not sub-uniform") as info:
+        synthesize_ppp(bad, rng=RngStream(seed=98))
+    assert not isinstance(info.value, TransportInfeasible)
 
 
 def test_synthetic_model_exact_ppp_and_conditional_sf():

@@ -7,7 +7,7 @@ import pytest
 
 from subuniform import (EmpiricalSample, RngStream, SubUniformDist, as_p2alpha,
                         atom_frequencies, continuous_part_ks, discretize, dominates_cx,
-                        IntegratedDF, is_sub_uniform, ks_distance, ks_statistic, p2alpha,
+                        IntegratedDF, ks_distance, ks_statistic, p2alpha,
                         uniform_idf)
 
 BUILTINS = [SubUniformDist("uniform01"), SubUniformDist("beta22"),
@@ -101,19 +101,19 @@ def test_idf_beta22_closed_form():
 # ------------------------------------------------------------------ certification
 
 def test_is_sub_uniform_family():
-    assert is_sub_uniform(p2alpha(0.2)).holds
-    assert is_sub_uniform(SubUniformDist("beta22")).holds
-    assert is_sub_uniform(SubUniformDist("uniform01")).holds
+    assert p2alpha(0.2).is_sub_uniform().holds
+    assert SubUniformDist("beta22").is_sub_uniform().holds
+    assert SubUniformDist("uniform01").is_sub_uniform().holds
 
 
 def test_is_sub_uniform_rejects_off_mean_mass():
-    res = is_sub_uniform(SubUniformDist("mixture", atoms=((0.9, 1.0),), pieces=()))
+    res = SubUniformDist("mixture", atoms=((0.9, 1.0),), pieces=()).is_sub_uniform()
     assert not res.holds
 
 
 def test_every_builtin_certifies_and_sample_behaves():
     for i, dist in enumerate(BUILTINS):
-        assert is_sub_uniform(dist).holds, dist
+        assert dist.is_sub_uniform().holds, dist
         samp = dist.sample(RngStream(seed=100 + i).generator(), 1_000_000)
         n = samp.n
         assert samp.mean() == pytest.approx(0.5, abs=3.0 * 0.3 / np.sqrt(n))

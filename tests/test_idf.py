@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subuniform import (IntegratedDF, RngStream, SubUniformDist, beta22_idf, dominates_cx,
-                        mean_of, p2alpha, uniform_idf)
+                        p2alpha, uniform_idf)
 
 GRID = np.linspace(0.0, 1.0, 2049)
 
@@ -94,6 +94,66 @@ def test_dominance_both_ways_implies_near_equality():
     assert gap.max() <= 2.0 * tol
 
 
+def test_dominates_cx_finds_violation_between_nodes():
+    # the gap peaks at 0.5, where the flat CDF of the two atoms crosses x
+    eps = 2e-7
+    res = SubUniformDist("mixture", atoms=((0.25 - eps, 0.5), (0.75 + eps, 0.5))).is_sub_uniform()
+    assert not res.holds
+    assert res.max_violation == pytest.approx(1e-7, abs=1e-12)
+    assert res.witness == pytest.approx(0.5, abs=1e-9)
+    eps = 1e-6
+    res = SubUniformDist("mixture", atoms=((0.25 - eps, 0.5), (0.75 + eps, 0.5))).is_sub_uniform()
+    assert res.max_violation == pytest.approx(5e-7, abs=1e-12)
+
+
+_DENSE = np.linspace(-0.25, 1.25, 100_001)
+_weights = st.floats(min_value=0.01, max_value=1.0)
+_atoms = st.lists(st.tuples(st.floats(min_value=0.0, max_value=1.0), _weights),
+                  min_size=1, max_size=8)
+_pieces = st.lists(st.tuples(st.floats(min_value=0.0, max_value=0.9),
+                             st.floats(min_value=1e-3, max_value=0.5), _weights), max_size=3)
+
+
+def _mixture_idf(atoms, pieces):
+    total = sum(w for _x, w in atoms) + sum(w for _lo, _len, w in pieces)
+    return SubUniformDist(
+        "mixture",
+        atoms=tuple((x, w / total) for x, w in atoms),
+        pieces=tuple((lo, min(1.0, lo + length), w / total) for lo, length, w in pieces),
+    ).idf()
+
+
+def _atoms_idf(atoms):
+    values = sorted({x for x, _w in atoms})
+    masses = np.array([sum(w for x, w in atoms if x == v) for v in values])
+    return IntegratedDF.from_atoms(values, masses / masses.sum())
+
+
+def _assert_exact_max(lower, upper):
+    res = dominates_cx(lower, upper, tol=0.0)
+    sampled = (lower.evaluate(_DENSE) - upper.evaluate(_DENSE)).max()
+    assert res.max_violation >= sampled - 1e-15
+    if sampled > 0.0:  # the gap check fails, so the witness is the argmax
+        at_witness = lower.evaluate(res.witness) - upper.evaluate(res.witness)
+        assert at_witness == pytest.approx(res.max_violation, abs=1e-15)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_atoms, _pieces, st.sampled_from(["uniform01", "beta22"]), st.booleans())
+def test_dominates_cx_exact_against_analytic(atoms, pieces, family, swap):
+    mixture, analytic = _mixture_idf(atoms, pieces), IntegratedDF.analytic(family)
+    if swap:
+        _assert_exact_max(analytic, mixture)
+    else:
+        _assert_exact_max(mixture, analytic)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_atoms, _atoms)
+def test_dominates_cx_exact_between_atom_lists(first, second):
+    _assert_exact_max(_atoms_idf(first), _atoms_idf(second))
+
+
 def test_from_samples_small_cases():
     phi = IntegratedDF.from_samples([0.5])
     for x in (-1.0, 0.25, 0.5, 0.75, 2.0):
@@ -129,10 +189,10 @@ def test_from_samples_matches_analytic_for_every_family_member():
 
 
 def test_mean_of():
-    assert mean_of(uniform_idf()) == pytest.approx(0.5, abs=1e-12)
-    assert mean_of(p2alpha(0.1).idf()) == pytest.approx(0.5, abs=1e-12)
-    assert mean_of(beta22_idf()) == pytest.approx(0.5, abs=1e-12)
-    assert mean_of(IntegratedDF.from_atoms([0.37], [1.0])) == pytest.approx(0.37, abs=1e-12)
+    assert uniform_idf().mean() == pytest.approx(0.5, abs=1e-12)
+    assert p2alpha(0.1).idf().mean() == pytest.approx(0.5, abs=1e-12)
+    assert beta22_idf().mean() == pytest.approx(0.5, abs=1e-12)
+    assert IntegratedDF.from_atoms([0.37], [1.0]).mean() == pytest.approx(0.37, abs=1e-12)
 
 
 def test_right_derivative_monotone():

@@ -8,30 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subuniform import EmpiricalSample, RngStream, chi2_quantile, chi2_sf, ks_statistic
-from subuniform.numerics import log_gamma
-
-
-# ------------------------------------------------------------------ log_gamma
-
-def test_log_gamma_known_values():
-    assert log_gamma(1.0) == pytest.approx(0.0, abs=1e-12)
-    assert log_gamma(0.5) == pytest.approx(math.log(math.sqrt(math.pi)), rel=1e-12)
-    # Gamma(10) = 9! exactly
-    assert log_gamma(10.0) == pytest.approx(math.log(362880.0), rel=1e-12)
-
-
-def test_log_gamma_domain():
-    with pytest.raises(ValueError):
-        log_gamma(0.0)
-    with pytest.raises(ValueError):
-        log_gamma(-3.0)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.floats(min_value=0.5, max_value=50.0))
-def test_log_gamma_recurrence(x):
-    # ln G(x+1) = ln G(x) + ln x
-    assert abs(log_gamma(x + 1.0) - (log_gamma(x) + math.log(x))) <= 1e-11
 
 
 # ------------------------------------------------------------------ chi2_sf
@@ -82,7 +58,7 @@ def test_chi2_quantile_round_trip():
 
 def _chi2_pdf(x, k):
     return math.exp((k / 2.0 - 1.0) * math.log(x) - x / 2.0
-                    - log_gamma(k / 2.0) - (k / 2.0) * math.log(2.0))
+                    - math.lgamma(k / 2.0) - (k / 2.0) * math.log(2.0))
 
 
 def test_chi2_quantile_inverts_sf_on_grid():
