@@ -13,8 +13,8 @@ from .bounds import (FisherReport, FisherScore, MinpLimit, conservative_single,
                      fisher_bounds, fisher_critical, fisher_report, fisher_score,
                      h_bound, minp_bound, minp_limit_check)
 from .coupling import (ConditionalLaw, SingularRow, SyntheticPPPModel, TransportInfeasible,
-                       TransportPlan, UniformMixRow, explicit_p2alpha_coupling,
-                       martingale_transport, mod1_family, synthesize_ppp, uniform_coupling)
+                       UniformMixRow, explicit_p2alpha_coupling, left_curtain_coupling,
+                       mod1_family, synthesize_ppp, uniform_coupling)
 from .distributions import (SubUniformDist, as_p2alpha, atom_frequencies,
                             continuous_part_ks, discretize, ks_distance,
                             p2alpha)
@@ -45,8 +45,8 @@ __all__ = [
     "PosteriorSampler", "iid_sampler", "markov_sampler", "EstimatorScheme",
     "estimate_p_hat", "estimate_r_hat", "marginal_estimator_run",
     "SingularRow", "UniformMixRow", "ConditionalLaw", "uniform_coupling",
-    "explicit_p2alpha_coupling", "TransportPlan", "TransportInfeasible",
-    "martingale_transport", "mod1_family", "SyntheticPPPModel",
+    "explicit_p2alpha_coupling", "left_curtain_coupling", "TransportInfeasible",
+    "mod1_family", "SyntheticPPPModel",
     "synthesize_ppp",
     "__version__",
 ]

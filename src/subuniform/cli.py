@@ -232,6 +232,8 @@ def _cmd_construct(args) -> None:
         "s_marginal_ks": ks_distance(uniform, s_sample),
         "martingale_residual": model.coupling.martingale_residual(),
     }
+    if "discretization_ks" in model.meta:
+        comparison["discretization_ks"] = model.meta["discretization_ks"]
     singular_only = not model.coupling.atom_rows
     payload = {
         "target": json.loads(target.to_json()),

@@ -14,10 +14,12 @@ Bayesian model whose exact posterior predictive p-value has law nu:
   averaging U_theta over theta ~ G returns the row mean, i.e. P itself.
 
 The coupling is explicit for the uniform target and for the extremal
-atom-plus-uniform mixtures; any other sub-uniform target is first reduced to
-a finite mean-preserving atom list, transported onto a binned uniform law by
-a small linear program, and the bins are then spread uniformly so the rows
-come out absolutely continuous and the S-marginal exactly uniform.
+atom-plus-uniform mixtures.  Any other sub-uniform target is first reduced to
+a finite mean-preserving atom list, which the left-curtain coupling
+(Beiglboeck & Juillet 2016) joins to the uniform law in closed form: each
+atom, taken left to right, is spread uniformly over the one window of the
+still-free part of [0, 1] that has its mass and its mean.  The rows come out
+absolutely continuous and the S-marginal exactly uniform.
 """
 
 from __future__ import annotations
@@ -27,12 +29,10 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as _sparse
 import scipy.special as _sp
-from scipy.optimize import linprog
 
-from .distributions import SubUniformDist, as_p2alpha, discretize
-from .idf import IntegratedDF, dominates_cx
+from .distributions import SubUniformDist, as_p2alpha, discretize, _step_cdf_gap
+from .idf import IntegratedDF, dominates_cx, uniform_idf
 from .numerics import RngStream
 
 __all__ = [
@@ -41,14 +41,17 @@ __all__ = [
     "ConditionalLaw",
     "explicit_p2alpha_coupling",
     "uniform_coupling",
-    "TransportPlan",
+    "left_curtain_coupling",
     "TransportInfeasible",
-    "martingale_transport",
     "mod1_family",
     "G_CHOICES",
     "SyntheticPPPModel",
     "synthesize_ppp",
 ]
+
+
+# the number of equal-mass quantile cells a general target is reduced to
+_N_CELLS = 256
 
 
 # ------------------------------------------------------------------ row laws
@@ -219,101 +222,86 @@ def explicit_p2alpha_coupling(alpha: float) -> ConditionalLaw:
                           singular_spans=((2.0 * alpha, 1.0),))
 
 
-# ------------------------------------------------------------------ discrete transport
+# ------------------------------------------------------------------ left-curtain coupling
 
 class TransportInfeasible(ValueError):
-    """No feasible martingale plan; carries a convex-order witness."""
+    """No martingale coupling exists; carries a convex-order witness."""
 
     def __init__(self, message: str, witness: float | None = None):
         super().__init__(message)
         self.witness = witness
 
 
-@dataclass(frozen=True)
-class TransportPlan:
-    """A discrete martingale coupling: joint mass over source x dest atoms."""
+def _shadow_start(lo: np.ndarray, hi: np.ndarray, cum: np.ndarray,
+                  v: float, m: float) -> float:
+    """The free level u at which the window [u, u+m] of the free set has mean v.
 
-    source_values: np.ndarray
-    source_masses: np.ndarray
-    dest_values: np.ndarray
-    dest_masses: np.ndarray
-    joint: np.ndarray  # (n_source, n_dest)
-
-    def row_means(self) -> np.ndarray:
-        num = self.joint @ self.dest_values
-        return num / self.source_masses
-
-    def max_residual(self) -> float:
-        row = np.max(np.abs(self.joint.sum(axis=1) - self.source_masses))
-        col = np.max(np.abs(self.joint.sum(axis=0) - self.dest_masses))
-        mart = np.max(np.abs(self.row_means() - self.source_values))
-        return float(max(row, col, mart))
-
-
-def _idf_from_atoms(values: np.ndarray, masses: np.ndarray) -> IntegratedDF:
-    order = np.argsort(values)
-    v, m = np.asarray(values, dtype=float)[order], np.asarray(masses, dtype=float)[order]
-    uv, inv = np.unique(v, return_inverse=True)
-    um = np.zeros_like(uv)
-    np.add.at(um, inv, m)
-    return IntegratedDF.from_atoms(uv, um)
-
-
-def martingale_transport(source: tuple[np.ndarray, np.ndarray],
-                         dest: tuple[np.ndarray, np.ndarray]) -> TransportPlan:
-    """Joint plan with the given marginals and row-conditional means equal to
-    the source values (discrete martingale constraint), found by linear
-    programming with a transport-cost objective to pin down one plan.
+    With Q the quantile of the free set (density one on the slabs lo-hi,
+    cum their cumulative lengths) and G(w) the integral of Q over [0, w],
+    H(u) = G(u+m) - G(u) has slope Q(u+m) - Q(u) >= m, constant between the
+    free levels c and c - m.  So H is piecewise linear and increasing, and
+    H(u) = m*v is solved by one search and one linear interpolation.
     """
-    sv, sm = (np.asarray(a, dtype=float) for a in source)
-    dv, dm = (np.asarray(a, dtype=float) for a in dest)
-    if sv.shape != sm.shape or dv.shape != dm.shape or sv.ndim != 1 or dv.ndim != 1:
-        raise ValueError("source and dest must each be (values, masses) 1-d pairs")
-    if np.any(sm <= 0) or np.any(dm <= 0):
-        raise ValueError("masses must be positive")
-    if abs(sm.sum() - 1.0) > 1e-9 or abs(dm.sum() - 1.0) > 1e-9:
-        raise ValueError("masses must sum to 1")
-    mean_gap = float(sv @ sm - dv @ dm)
-    check = dominates_cx(_idf_from_atoms(sv, sm), _idf_from_atoms(dv, dm))
+    top = cum[-1] - m
+    if top <= 0.0:
+        return 0.0
+    g_nodes = np.concatenate([[0.0], np.cumsum((hi - lo) * (hi + lo) / 2.0)])
+
+    def g(w: np.ndarray) -> np.ndarray:
+        j = np.clip(np.searchsorted(cum, w, side="right") - 1, 0, lo.size - 1)
+        d = w - cum[j]
+        return g_nodes[j] + d * (lo[j] + d / 2.0)
+
+    u = np.unique(np.clip(np.concatenate([cum, cum - m]), 0.0, top))
+    h = g(u + m) - g(u)
+    k = int(np.clip(np.searchsorted(h, m * v), 1, u.size - 1))
+    dh = h[k] - h[k - 1]  # zero only when two levels differ by rounding
+    t = (m * v - h[k - 1]) / dh if dh > 0.0 else 0.0
+    return float(np.clip(u[k - 1] + t * (u[k] - u[k - 1]), 0.0, top))
+
+
+def left_curtain_coupling(values, masses) -> ConditionalLaw:
+    """The left-curtain martingale coupling of a discrete law with the uniform.
+
+    values: strictly increasing atom locations; masses: positive, summing to 1.
+    The atoms are taken left to right, and each one takes the shadow of its
+    point mass in the part of [0, 1] still free: the one window of free
+    measure m whose mean is the atom's location v (Beiglboeck & Juillet 2016).
+    Its row is uniform on the window's slabs, so every row is absolutely
+    continuous and the rows tile [0, 1]: the S-marginal is exactly uniform.
+    Raises TransportInfeasible with the witness when the atoms are not below
+    the uniform law in the convex order.
+    """
+    values = np.asarray(values, dtype=float)
+    masses = np.asarray(masses, dtype=float)
+    check = dominates_cx(IntegratedDF.from_atoms(values, masses), uniform_idf())
     if not check:
         raise TransportInfeasible(
-            f"source is not below dest in the convex order "
-            f"(max violation {check.max_violation:.3g} at x={check.witness!r}, "
-            f"mean gap {mean_gap:.3g})",
+            f"atoms are not below the uniform law in the convex order "
+            f"(max violation {check.max_violation:.3g} at x={check.witness!r})",
             witness=check.witness)
-
-    ns, nd = sv.size, dv.size
-    n_var = ns * nd
-
-    def var(i: int, b: int) -> int:
-        return i * nd + b
-
-    rows_i, cols_i, data = [], [], []
-    rhs = []
-    r = 0
-    for i in range(ns):  # row sums
-        for b in range(nd):
-            rows_i.append(r); cols_i.append(var(i, b)); data.append(1.0)
-        rhs.append(sm[i]); r += 1
-    for b in range(nd):  # column sums
-        for i in range(ns):
-            rows_i.append(r); cols_i.append(var(i, b)); data.append(1.0)
-        rhs.append(dm[b]); r += 1
-    for i in range(ns):  # row first moments
-        for b in range(nd):
-            rows_i.append(r); cols_i.append(var(i, b)); data.append(dv[b])
-        rhs.append(sm[i] * sv[i]); r += 1
-    a_eq = _sparse.csr_matrix((data, (rows_i, cols_i)), shape=(r, n_var))
-    cost = np.abs(dv[None, :] - sv[:, None]).ravel()
-    res = linprog(cost, A_eq=a_eq, b_eq=np.array(rhs), bounds=(0.0, None), method="highs")
-    if res.status != 0:
-        raise TransportInfeasible(
-            f"linear program reported no feasible martingale plan ({res.message}); "
-            f"the convex-order margin is thinner than the solver tolerance",
-            witness=None)
-    joint = np.maximum(res.x.reshape(ns, nd), 0.0)
-    return TransportPlan(source_values=sv, source_masses=sm,
-                         dest_values=dv, dest_masses=dm, joint=joint)
+    lo, hi = np.array([0.0]), np.array([1.0])  # the free part of [0, 1]
+    rows = []
+    for i, (v, m) in enumerate(zip(values, masses)):
+        cum = np.concatenate([[0.0], np.cumsum(hi - lo)])
+        if i == values.size - 1:  # the last atom takes what is left
+            a, b = 0.0, cum[-1]
+        else:
+            a = _shadow_start(lo, hi, cum, v, m)
+            b = a + m
+        cut_lo = np.clip(lo + (a - cum[:-1]), lo, hi)
+        cut_hi = np.clip(lo + (b - cum[:-1]), lo, hi)
+        take = cut_hi > cut_lo
+        width = cut_hi[take] - cut_lo[take]
+        rows.append((float(v), float(m), UniformMixRow(tuple(
+            (float(l), float(h), float(w)) for l, h, w
+            in zip(cut_lo[take], cut_hi[take], width / width.sum())))))
+        # each free slab splits into the parts left and right of its cut
+        lo = np.stack([lo, np.where(take, cut_hi, hi)], axis=1).ravel()
+        hi = np.stack([np.where(take, cut_lo, hi), hi], axis=1).ravel()
+        keep = hi > lo
+        lo, hi = lo[keep], hi[keep]
+    return ConditionalLaw(atom_rows=tuple(rows))
 
 
 # ------------------------------------------------------------------ mod-1 family
@@ -468,24 +456,17 @@ class SyntheticPPPModel:
                    meta=payload.get("meta", {}))
 
 
-def _binned_uniform(n_bins: int) -> tuple[np.ndarray, np.ndarray]:
-    edges = np.linspace(0.0, 1.0, n_bins + 1)
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    return centers, np.full(n_bins, 1.0 / n_bins)
-
-
 def synthesize_ppp(target: SubUniformDist, g_name: str = "logistic",
-                   rng: RngStream | None = None,
-                   n_cells: int = 256, n_bins: int = 64) -> SyntheticPPPModel:
+                   rng: RngStream | None = None) -> SyntheticPPPModel:
     """Build a model whose exact posterior predictive p-value has law target.
 
     Uniform and extremal atom-plus-uniform targets get closed-form couplings.
-    Any other sub-uniform target is discretized to at most n_cells
-    conditional-mean atoms, transported onto the n_bins binned uniform law by
-    a martingale linear program, and each destination bin is spread uniformly
-    over its interval, which makes the S-marginal exactly uniform and every
-    row absolutely continuous.  The bin count doubles (up to 1024) if the
-    discretized target is too tight against the binned uniform law.
+    Any other sub-uniform target is discretized to at most 256
+    conditional-mean atoms (a convex-order reduction) and coupled to the
+    uniform law by the left-curtain coupling, whose rows are absolutely
+    continuous and whose S-marginal is exactly uniform.  The realized
+    p-value law is the discretized one; meta["discretization_ks"] is its
+    exact sup CDF distance from the target.
     """
     if rng is None:
         rng = RngStream(seed=0)
@@ -505,36 +486,10 @@ def synthesize_ppp(target: SubUniformDist, g_name: str = "logistic",
                                  g_name=g_name, seed=rng.seed, stream_id=rng.stream_id,
                                  meta={"path": "explicit-p2alpha", "alpha": alpha})
 
-    values, masses = discretize(target, n_cells)
-    src_idf = _idf_from_atoms(values, masses)
-    bins = n_bins
-    while True:
-        centers, bin_masses = _binned_uniform(bins)
-        if dominates_cx(src_idf, _idf_from_atoms(centers, bin_masses)):
-            break
-        if bins >= 1024:
-            break  # let martingale_transport raise with the witness
-        bins *= 2
-    plan = martingale_transport((values, masses), _binned_uniform(bins))
-
-    edges = np.linspace(0.0, 1.0, bins + 1)
-    rows = []
-    for i in range(values.size):
-        weights = plan.joint[i] / masses[i]
-        keep = weights > 1e-13
-        slabs = tuple((float(edges[b]), float(edges[b + 1]), float(w))
-                      for b, w in zip(np.nonzero(keep)[0], weights[keep]))
-        total = sum(w for _l, _h, w in slabs)
-        slabs = tuple((l, h, w / total) for l, h, w in slabs)
-        rows.append((float(values[i]), float(masses[i]), UniformMixRow(slabs)))
-    coupling = ConditionalLaw(atom_rows=tuple(rows))
-    # discretization gap between the coupled atoms and the requested target
-    grid = np.linspace(0.0, 1.0, 2049)
+    values, masses = discretize(target, _N_CELLS)
     cum = np.concatenate([[0.0], np.cumsum(masses)])
-    atom_cdf = cum[np.searchsorted(np.sort(values), grid, side="right")]
-    disc_ks = float(np.max(np.abs(atom_cdf - target.cdf(grid))))
+    disc_ks = _step_cdf_gap(target, values, lambda k: cum[k])
     return SyntheticPPPModel(
-        target=target, coupling=coupling, g_name=g_name,
+        target=target, coupling=left_curtain_coupling(values, masses), g_name=g_name,
         seed=rng.seed, stream_id=rng.stream_id,
-        meta={"path": "lp-transport", "n_cells": int(values.size), "n_bins": int(bins),
-              "lp_residual": plan.max_residual(), "discretization_ks": disc_ks})
+        meta={"path": "left-curtain", "n_cells": int(values.size), "discretization_ks": disc_ks})

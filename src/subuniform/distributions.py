@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy import special as _sp
@@ -245,15 +245,27 @@ def ks_distance(dist: SubUniformDist, samp: EmpiricalSample,
     atom through float arithmetic land a few ulp off, and without snapping the
     sup distance would report the whole atom mass as missing.
     """
-    values = samp.values
+    return _step_cdf_gap(dist, samp.values, lambda k: k / samp.n, atom_window)
+
+
+def _step_cdf_gap(dist: SubUniformDist, locs: np.ndarray,
+                  level: Callable[[np.ndarray], np.ndarray],
+                  atom_window: float = 1e-9) -> float:
+    """Exact sup_x |E(x) - F(x)| for a step CDF E that jumps only at locs.
+
+    locs is sorted and E(x) = level(number of locs <= x).
+    Locs within atom_window of an atom of dist are snapped onto it, as in
+    ks_distance.  Between consecutive points of locs, dist's atoms and piece
+    ends, E is constant and F monotone, so the sup is attained in the left or
+    right limits at those points.
+    """
     if dist.atoms:
-        values = values.copy()
+        locs = locs.copy()
         for loc, _ in dist.atoms:
-            values[np.abs(values - loc) <= atom_window] = loc
-        values = np.sort(values)
-        samp = EmpiricalSample(values)
+            locs[np.abs(locs - loc) <= atom_window] = loc
+        locs = np.sort(locs)
     cand = np.unique(np.concatenate([
-        samp.values,
+        locs,
         np.array([loc for loc, _ in dist.atoms], dtype=float),
         np.array([e for lo, hi, _ in dist.pieces for e in (lo, hi)], dtype=float),
         np.array([0.0, 1.0]),
@@ -263,8 +275,8 @@ def ks_distance(dist: SubUniformDist, samp: EmpiricalSample,
     for loc, mass in dist.atoms:
         atom_mass[cand == loc] += mass
     f_left = f - atom_mass
-    e_right = samp.ecdf(cand)
-    e_left = np.searchsorted(samp.values, cand, side="left") / samp.n
+    e_right = level(np.searchsorted(locs, cand, side="right"))
+    e_left = level(np.searchsorted(locs, cand, side="left"))
     d = np.maximum(np.abs(e_right - f), np.abs(e_left - f_left))
     return float(d.max())
 
@@ -325,19 +337,14 @@ def discretize(dist: SubUniformDist, n_cells: int) -> tuple[np.ndarray, np.ndarr
         vals = np.diff(M1) / masses
     else:
         vals, masses = _discretize_mixture(dist, levels)
-    # merge cells that collapsed onto the same point (atoms spanning cells)
-    out_v: list[float] = []
-    out_m: list[float] = []
-    for v, m in zip(vals, masses):
-        if out_v and v - out_v[-1] <= 1e-15:
-            tot = out_m[-1] + m
-            out_v[-1] = (out_v[-1] * out_m[-1] + v * m) / tot
-            out_m[-1] = tot
-        else:
-            out_v.append(float(v))
-            out_m.append(float(m))
-    masses = np.array(out_m)
-    return np.array(out_v), masses / masses.sum()
+    # merge cells that collapsed onto the same point (atoms spanning cells);
+    # each group's mean is taken once, from sums, and kept inside the group's
+    # own range, so the merged values stay strictly increasing
+    starts = np.flatnonzero(np.concatenate([[True], np.diff(vals) > 1e-15]))
+    masses_out = np.add.reduceat(masses, starts)
+    vals_out = np.clip(np.add.reduceat(vals * masses, starts) / masses_out,
+                       np.minimum.reduceat(vals, starts), np.maximum.reduceat(vals, starts))
+    return vals_out, masses_out / masses_out.sum()
 
 
 def _discretize_mixture(dist: SubUniformDist, levels: np.ndarray):

@@ -139,13 +139,12 @@ class EstimatorScheme:
 
 
 def marginal_estimator_run(model: GenerativeModel, scheme: str, m_draws: int, n: int,
-                           rng: RngStream, sampler: PosteriorSampler | None = None,
-                           threads: int | None = None) -> FrequencyRun:
+                           rng: RngStream, sampler: PosteriorSampler | None = None) -> FrequencyRun:
     """Marginal law of the estimator over fresh (theta, data, posterior draws)."""
     if sampler is None:
         sampler = iid_sampler()
     wired = EstimatorScheme(model=model, scheme=scheme, m_draws=m_draws, sampler=sampler)
-    return frequency_run(wired, n, rng, threads=threads)
+    return frequency_run(wired, n, rng)
 
 
 def estimate_p_hat(model: GenerativeModel, data, m_draws: int,

@@ -381,7 +381,9 @@ class FrequencyRun:
 
 def _thread_count(threads: int | None) -> int:
     if threads is not None:
-        return max(1, int(threads))
+        if threads < 1:
+            raise ValueError(f"threads must be a positive integer, got {threads!r}")
+        return int(threads)
     env = os.environ.get("PPP_THREADS", "")
     if not env:
         return 1
@@ -399,7 +401,8 @@ def frequency_run(model, n: int, rng: RngStream, threads: int | None = None) -> 
 
     Work is split into fixed-size blocks, each with its own derived RNG
     stream; the block partition does not depend on the worker count, so the
-    result is bit-identical for any PPP_THREADS setting.
+    result is bit-identical for any thread count (threads if given, else
+    PPP_THREADS, else 1).
     """
     if n <= 0:
         raise ValueError("n must be positive")

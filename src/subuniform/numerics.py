@@ -12,7 +12,6 @@ from typing import Callable, Iterable
 
 import numpy as np
 from scipy import special as _sp
-from scipy.optimize import brentq
 
 __all__ = [
     "RngStream",
@@ -134,22 +133,14 @@ def chi2_sf(x: float, k: float) -> float:
 def chi2_quantile(p: float, k: float) -> float:
     """Upper-tail chi-square quantile: the t with chi2_sf(t, k) = p.
 
-    Bracketed root-finding on chi2_sf; the initial bracket
-    [0, k + 40*sqrt(2k) + 100] is widened by doubling in the (extreme-tail)
-    cases where it does not contain the root.
+    Closed form: t = 2 * Q^-1(k/2, p), with Q^-1 the inverse of the
+    regularized upper incomplete gamma that chi2_sf evaluates.
     """
     if not k > 0:
         raise ValueError(f"chi2_quantile requires k > 0, got {k!r}")
     if not 0.0 < p < 1.0:
         raise ValueError(f"chi2_quantile requires 0 < p < 1, got {p!r}")
-    hi = k + 40.0 * np.sqrt(2.0 * k) + 100.0
-    while chi2_sf(hi, k) > p:
-        hi *= 2.0
-        if hi > 1e300:
-            raise ValueError("chi2_quantile bracket expansion failed")
-    t = brentq(lambda u: chi2_sf(u, k) - p, 0.0, hi,
-               xtol=1e-14, rtol=4 * np.finfo(float).eps, maxiter=300)
-    return float(t)
+    return float(2.0 * _sp.gammainccinv(k / 2.0, p))
 
 
 def ks_statistic(sample: EmpiricalSample, cdf: Callable[[np.ndarray], np.ndarray]) -> float:

@@ -26,6 +26,15 @@ def payload(proc):
     return json.loads(proc.stdout)
 
 
+def test_cli_import_needs_no_solver():
+    # every computation has a closed form: no optimizer, no sparse matrices
+    code = ("import sys, subuniform.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith(('scipy.optimize', 'scipy.sparse'))))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 # ------------------------------------------------------------------ calibrate
 
 def test_calibrate_doubles():
@@ -222,6 +231,7 @@ def test_construct_p2alpha(tmp_path):
     assert comp["atom_expected"]["0.1"] == pytest.approx(0.2, abs=1e-12)
     assert comp["s_marginal_ks"] <= 0.01
     assert comp["martingale_residual"] <= 1e-9
+    assert "discretization_ks" not in comp  # explicit paths are exact
     vals = np.loadtxt(out)
     assert vals.size == 40000
     model = SyntheticPPPModel.from_json(model_out.read_text())
@@ -235,6 +245,18 @@ def test_construct_uniform_is_singular(tmp_path):
                           "--seed", "508"))
     assert doc["coupling"] == "singular"
     assert doc["path"] == "explicit-uniform"
+
+
+def test_construct_beta22_reports_discretization_ks(tmp_path):
+    target = tmp_path / "target.json"
+    target.write_text(SubUniformDist("beta22").to_json())
+    doc = payload(run_cli("construct", "--target", str(target), "--n", "20000",
+                          "--seed", "511"))
+    assert doc["path"] == "left-curtain"
+    comp = doc["comparison"]
+    assert comp["discretization_ks"] == doc["model"]["meta"]["discretization_ks"]
+    assert comp["ks_vs_target"] <= comp["discretization_ks"] + 2.0 / np.sqrt(20000)
+    assert comp["martingale_residual"] <= 1e-12
 
 
 def test_construct_rejects_super_uniform_target(tmp_path):

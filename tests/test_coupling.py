@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from subuniform import (EmpiricalSample, IntegratedDF, RngStream, SingularRow,
                         SubUniformDist, SyntheticPPPModel, TransportInfeasible,
-                        UniformMixRow, dominates_cx,
+                        UniformMixRow, discretize, dominates_cx,
                         explicit_p2alpha_coupling, ks_distance, ks_statistic,
-                        martingale_transport, mod1_family, p2alpha, synthesize_ppp,
+                        left_curtain_coupling, mod1_family, p2alpha, synthesize_ppp,
                         uniform_coupling, uniform_idf)
 
 
@@ -83,42 +86,63 @@ def test_mod1_output_over_t_has_row_law():
     assert ks_statistic(EmpiricalSample(vals), row.cdf) <= 0.01
 
 
-# ------------------------------------------------------------------ martingale transport
+# ------------------------------------------------------------------ left-curtain coupling
+
+def _assert_exact_coupling(law):
+    """S-marginal uniform and rows centred on their atoms, to rounding."""
+    slabs = sorted((lo, hi) for _p, _m, row in law.atom_rows for lo, hi, _w in row.intervals)
+    ends = np.array(sorted({e for slab in slabs for e in slab}))
+    s_cdf = sum(mass * row.cdf(ends) for _p, mass, row in law.atom_rows)
+    assert np.max(np.abs(s_cdf - ends)) <= 1e-12
+    assert law.martingale_residual() <= 1e-12
+    # slabs of different rows are disjoint (and so are a row's own slabs)
+    assert all(prev[1] <= nxt[0] for prev, nxt in zip(slabs, slabs[1:]))
+
 
 def test_transport_forced_split():
-    plan = martingale_transport((np.array([0.5]), np.array([1.0])),
-                                (np.array([0.0, 1.0]), np.array([0.5, 0.5])))
-    assert np.allclose(plan.joint, [[0.5, 0.5]])
-    assert plan.row_means() == pytest.approx([0.5])
-    assert plan.max_residual() <= 1e-8
+    law = left_curtain_coupling([0.5], [1.0])
+    assert law.atom_rows == ((0.5, 1.0, UniformMixRow(((0.0, 1.0, 1.0),))),)
 
 
-def test_transport_identity_feasible():
-    vals = np.array([0.2, 0.5, 0.8])
-    masses = np.array([0.3, 0.4, 0.3])
-    plan = martingale_transport((vals, masses), (vals, masses))
-    assert plan.max_residual() <= 1e-8
-    assert np.allclose(plan.row_means(), vals, atol=1e-8)
-
-
-def test_transport_two_point_source_to_binned_uniform():
-    src = (np.array([0.25, 0.75]), np.array([0.5, 0.5]))
-    edges = np.linspace(0.0, 1.0, 65)
-    dest = ((edges[:-1] + edges[1:]) / 2.0, np.full(64, 1.0 / 64.0))
-    plan = martingale_transport(src, dest)
-    assert plan.max_residual() <= 1e-8
-    assert np.allclose(plan.joint.sum(axis=1), src[1], atol=1e-9)
-    assert np.allclose(plan.joint.sum(axis=0), dest[1], atol=1e-9)
-    assert np.allclose(plan.row_means(), src[0], atol=1e-8)
+def test_transport_two_point_source_to_uniform():
+    law = left_curtain_coupling([0.25, 0.75], [0.5, 0.5])
+    assert [row.intervals for _p, _m, row in law.atom_rows] == [((0.0, 0.5, 1.0),),
+                                                                ((0.5, 1.0, 1.0),)]
+    _assert_exact_coupling(law)
 
 
 def test_transport_rejects_wrong_order():
-    # destination strictly below the source in convex order: no coupling exists
-    src = (np.array([0.0, 1.0]), np.array([0.5, 0.5]))
-    dest = (np.array([0.5]), np.array([1.0]))
+    # atoms at 0 and 1 are above the uniform law in convex order: no coupling exists
     with pytest.raises(TransportInfeasible) as err:
-        martingale_transport(src, dest)
+        left_curtain_coupling([0.0, 1.0], [0.5, 0.5])
     assert err.value.witness is not None
+
+
+def test_transport_tight_mixture():
+    # the atom and the first piece use up [0, 0.6] exactly
+    tight = SubUniformDist("mixture", atoms=((0.1, 0.2),),
+                           pieces=((0.2, 0.6, 0.4), (0.6, 1.0, 0.4)))
+    model = synthesize_ppp(tight, rng=RngStream(seed=104))
+    assert model.meta["path"] == "left-curtain"
+    _assert_exact_coupling(model.coupling)
+
+
+@settings(max_examples=40, deadline=None)
+@given(cuts=st.lists(st.floats(0.01, 0.99), min_size=1, max_size=6, unique=True),
+       as_atom=st.lists(st.booleans(), min_size=7, max_size=7))
+def test_transport_collapsed_cell_mixtures(cuts, as_atom):
+    # collapsing cells of [0, 1] to atoms at their midpoints is a convex-order
+    # reduction of the uniform law, so these are sub-uniform and often tight
+    edges = [0.0]
+    for c in sorted(cuts):
+        if c - edges[-1] >= 1e-3:
+            edges.append(c)
+    edges.append(1.0)
+    cells = list(zip(edges[:-1], edges[1:], as_atom))
+    dist = SubUniformDist("mixture",
+                          atoms=tuple(((lo + hi) / 2.0, hi - lo) for lo, hi, a in cells if a),
+                          pieces=tuple((lo, hi, hi - lo) for lo, hi, a in cells if not a))
+    _assert_exact_coupling(left_curtain_coupling(*discretize(dist, 64)))
 
 
 # ------------------------------------------------------------------ synthesizer
@@ -142,10 +166,10 @@ def test_synthesize_p2alpha_target():
 
 def test_synthesize_beta22_target_via_transport():
     model = synthesize_ppp(SubUniformDist("beta22"), rng=RngStream(seed=96))
-    assert model.meta["path"] == "lp-transport"
-    assert model.meta["lp_residual"] <= 1e-8
+    assert model.meta["path"] == "left-curtain"
     assert model.meta["discretization_ks"] <= 0.005
-    assert model.coupling.martingale_residual() <= 1e-6
+    assert model.coupling.martingale_residual() <= 1e-12
+    _assert_exact_coupling(model.coupling)
     gen = RngStream(seed=97).generator()
     pvals, svals = model.draw_joint(gen, 200_000)
     beta_cdf = SubUniformDist("beta22").cdf
@@ -154,6 +178,18 @@ def test_synthesize_beta22_target_via_transport():
     # realized p-values stay sub-uniform even after discretization
     emp = IntegratedDF.from_samples(pvals)
     assert dominates_cx(emp, uniform_idf()).holds
+
+
+def test_synthesize_beta22_discretization_ks_is_exact():
+    model = synthesize_ppp(SubUniformDist("beta22"), rng=RngStream(seed=96))
+    assert model.meta["discretization_ks"] == pytest.approx(0.0021665, abs=1e-7)
+    # a grid misses the CDF jumps at the atoms and reads lower
+    values, masses = discretize(SubUniformDist("beta22"), 256)
+    grid = np.linspace(0.0, 1.0, 2049)
+    cum = np.concatenate([[0.0], np.cumsum(masses)])
+    on_grid = np.max(np.abs(cum[np.searchsorted(values, grid, side="right")]
+                            - SubUniformDist("beta22").cdf(grid)))
+    assert model.meta["discretization_ks"] >= on_grid
 
 
 def test_synthesize_rejects_non_sub_uniform():

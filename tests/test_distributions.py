@@ -163,9 +163,14 @@ def test_ks_distance_snaps_float_jitter():
 # ------------------------------------------------------------------ discretize
 
 def test_discretize_preserves_mean_and_order():
-    for dist in (SubUniformDist("beta22"), p2alpha(0.1)):
-        values, masses = discretize(dist, 64)
-        assert len(values) <= 64
+    # the wide atom at 0.43498916387718006 spans ~222 of 256 cells; merging
+    # them one by one used to drift off the atom and split it in two
+    for dist, n_cells in ((SubUniformDist("beta22"), 64), (p2alpha(0.1), 64),
+                          (p2alpha(0.43498916387718006), 256)):
+        values, masses = discretize(dist, n_cells)
+        assert len(values) <= n_cells
+        if dist.atoms:
+            assert values[0] == pytest.approx(dist.atoms[0][0], abs=1e-15)
         assert np.sum(masses) == pytest.approx(1.0, abs=1e-12)
         assert np.dot(values, masses) == pytest.approx(0.5, abs=1e-9)
         # conditional-mean coarsening sits below the original in convex order

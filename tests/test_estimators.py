@@ -173,16 +173,16 @@ def test_infinite_m_proxy_matches_frequency_run():
 
 # ------------------------------------------------------------------ plumbing
 
-def test_marginal_run_metadata_and_determinism():
+def test_marginal_run_metadata_and_determinism(monkeypatch):
     run = marginal_estimator_run(lasso_model(0.1), "r_hat", 4, 50_000,
                                  RngStream(seed=79), sampler=markov_sampler(0.5))
     assert "r_hat" in run.model_id and "M=4" in run.model_id and "markov" in run.model_id
     again = marginal_estimator_run(lasso_model(0.1), "r_hat", 4, 50_000,
                                    RngStream(seed=79), sampler=markov_sampler(0.5))
     assert np.array_equal(run.pvalues.values, again.pvalues.values)
+    monkeypatch.setenv("PPP_THREADS", "4")
     threaded = marginal_estimator_run(lasso_model(0.1), "r_hat", 4, 50_000,
-                                      RngStream(seed=79), sampler=markov_sampler(0.5),
-                                      threads=4)
+                                      RngStream(seed=79), sampler=markov_sampler(0.5))
     assert np.array_equal(run.pvalues.values, threaded.pvalues.values)
 
 

@@ -229,6 +229,13 @@ def test_frequency_run_deterministic_across_thread_counts():
         assert np.array_equal(base.pvalues.values, again.pvalues.values)
 
 
+def test_frequency_run_rejects_nonpositive_threads():
+    # the same rule as PPP_THREADS: no silent clamp to one thread
+    for threads in (0, -2):
+        with pytest.raises(ValueError, match="threads must be a positive integer"):
+            frequency_run(lasso_model(0.1), 1_000, RngStream(seed=42), threads=threads)
+
+
 def test_frequency_run_env_thread_override(monkeypatch):
     model = simplex_model(0.1)
     base = frequency_run(model, 80_000, RngStream(seed=43))

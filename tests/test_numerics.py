@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -81,6 +82,19 @@ def test_chi2_quantile_huge_df():
     # the Fisher figure needs 2m = 2e9 degrees of freedom
     q = chi2_quantile(1e-5, 2_000_000_000)
     assert abs(chi2_sf(q, 2_000_000_000) - 1e-5) <= 1e-9
+
+
+def test_chi2_quantile_matches_mpmath_in_x():
+    # x-space oracle: the root of Q(k/2, x/2) = p at 40 digits; p-space
+    # round trips are loose where the tail is flat
+    for k in (2, 40, 1024, 2e6, 2e9):
+        for p in (1e-5, 1e-3, 0.05):
+            q = chi2_quantile(p, k)
+            with mp.workdps(40):
+                exact = float(mp.findroot(
+                    lambda x: mp.gammainc(mp.mpf(k) / 2, x / 2, mp.inf, regularized=True) - p,
+                    mp.mpf(q)))
+            assert abs(q - exact) <= 4 * math.ulp(exact), (k, p)
 
 
 def test_chi2_quantile_domain():
