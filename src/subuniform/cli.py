@@ -26,7 +26,7 @@ from .estimators import PosteriorSampler, marginal_estimator_run
 from .idf import IntegratedDF, beta22_idf, dominates_cx, uniform_idf
 from .models import (G_FAMILIES, frequency_run, lasso_model, load_port_pmfs, port_model,
                      ruschendorf_sample, simplex_atom, simplex_model)
-from .numerics import EmpiricalSample, RngStream
+from .numerics import EmpiricalSample, RngStream, _write_values
 
 _TAIL_GRID = (0.01, 0.05, 0.1, 0.25)
 
@@ -147,8 +147,16 @@ def _build_model(args):
     raise _DomainError(f"unknown model {args.model!r}")
 
 
+def _write_sample(path: str, sample: EmpiricalSample) -> None:
+    try:
+        with open(path, "w") as fh:
+            _write_values(fh, sample.values)
+    except OSError as exc:
+        raise _IOErrorExit(f"cannot write {path!r}: {exc}") from exc
+
+
 def _sub_uniformity_payload(sample: EmpiricalSample) -> dict:
-    emp = IntegratedDF.from_samples(sample.values)
+    emp = IntegratedDF.from_samples(sample)
     res = dominates_cx(emp, uniform_idf())
     return {"holds": bool(res), "max_violation": res.max_violation, "tol": res.tol}
 
@@ -181,6 +189,11 @@ def _cmd_simulate(args) -> None:
                 ks_ref_alpha = args.alpha
             elif args.model == "simplex":
                 ks_ref_alpha = simplex_atom(args.alpha)
+    if args.out is not None:
+        _write_sample(args.out, sample)
+    if args.format == "csv":  # the sample itself; the summary below is JSON-only
+        _write_values(sys.stdout, sample.values)
+        return
     payload = {
         "model": model_id,
         "n": args.n,
@@ -194,16 +207,7 @@ def _cmd_simulate(args) -> None:
         ref = p2alpha(ks_ref_alpha)
         payload["ks_vs_p2alpha"] = ks_distance(ref, sample)
         payload["p2alpha_alpha"] = ks_ref_alpha
-    if args.out is not None:
-        try:
-            np.savetxt(args.out, sample.values, fmt="%.17g")
-        except OSError as exc:
-            raise _IOErrorExit(f"cannot write {args.out!r}: {exc}") from exc
-    if args.format == "csv":
-        for v in sample.values:
-            sys.stdout.write(f"{v:.17g}\n")
-    else:
-        _emit(payload, args.format)
+    _emit(payload, args.format)
 
 
 def _cmd_construct(args) -> None:
@@ -245,10 +249,7 @@ def _cmd_construct(args) -> None:
         "model": json.loads(model.to_json()),
     }
     if args.out is not None:
-        try:
-            np.savetxt(args.out, sample.values, fmt="%.17g")
-        except OSError as exc:
-            raise _IOErrorExit(f"cannot write {args.out!r}: {exc}") from exc
+        _write_sample(args.out, sample)
     if args.model_out is not None:
         try:
             with open(args.model_out, "w") as fh:

@@ -399,12 +399,14 @@ class SyntheticPPPModel:
         cum[-1] = 1.0
         idx = np.searchsorted(cum, gen.random(n), side="right")
         means = np.array([row.mean() for _p, _mass, row in atom_rows])
+        # the draws of each row, in draw order: one stable sort of the labels
+        order = np.argsort(idx, kind="stable")
+        bounds = np.concatenate([[0], np.cumsum(np.bincount(idx, minlength=len(atom_rows)))])
         svals = np.empty(n)
         for k, (_p, _mass, row) in enumerate(atom_rows):
-            sel = idx == k
-            cnt = int(np.count_nonzero(sel))
-            if cnt:
-                svals[sel] = row.sample(gen, cnt)
+            lo, hi = bounds[k], bounds[k + 1]
+            if hi > lo:
+                svals[order[lo:hi]] = row.sample(gen, int(hi - lo))
         return means[idx], svals
 
     def draw_pvalues(self, gen: np.random.Generator, n: int) -> np.ndarray:

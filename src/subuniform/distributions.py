@@ -25,7 +25,7 @@ import numpy as np
 from scipy import special as _sp
 
 from .idf import IntegratedDF, DominanceResult, dominates_cx, uniform_idf, beta22_idf
-from .numerics import EmpiricalSample, RngStream
+from .numerics import EmpiricalSample, RngStream, _run_blocks
 
 __all__ = [
     "SubUniformDist",
@@ -257,28 +257,47 @@ def _step_cdf_gap(dist: SubUniformDist, locs: np.ndarray,
     Locs within atom_window of an atom of dist are snapped onto it, as in
     ks_distance.  Between consecutive points of locs, dist's atoms and piece
     ends, E is constant and F monotone, so the sup is attained in the left or
-    right limits at those points.
+    right limits at those points.  At a run of equal locs from index i to j
+    (exclusive) those limits of E are level(i) and level(j), so the sup is
+    taken one block of runs at a time, with O(block) extra memory.
     """
-    if dist.atoms:
-        locs = locs.copy()
-        for loc, _ in dist.atoms:
-            locs[np.abs(locs - loc) <= atom_window] = loc
-        locs = np.sort(locs)
-    cand = np.unique(np.concatenate([
-        locs,
-        np.array([loc for loc, _ in dist.atoms], dtype=float),
+    atoms = np.array([loc for loc, _ in dist.atoms], dtype=float)
+    snap = None
+    if atoms.size:
+        def snap(v: np.ndarray) -> np.ndarray:
+            v = v.copy()
+            for loc, _ in dist.atoms:
+                v[np.abs(v - loc) <= atom_window] = loc
+            return v
+        if np.any(np.diff(np.sort(atoms)) <= 2.0 * atom_window):
+            # overlapping windows can reorder the snapped locs: sort them once
+            locs, snap = np.sort(snap(locs)), None
+    points = np.unique(np.concatenate([
+        atoms,
         np.array([e for lo, hi, _ in dist.pieces for e in (lo, hi)], dtype=float),
         np.array([0.0, 1.0]),
     ]))
-    f = np.atleast_1d(np.asarray(dist.cdf(cand), dtype=float))
+    n_le = np.zeros(points.size, dtype=np.intp)  # locs <= each point, and < it
+    n_lt = np.zeros(points.size, dtype=np.intp)
+    d = 0.0
+    for starts, ends, vals in _run_blocks(locs, snap):
+        f, f_left = _cdf_limits(dist, vals)
+        d = max(d, float(np.max(np.abs(level(ends) - f))),
+                float(np.max(np.abs(level(starts) - f_left))))
+        for counts, side in ((n_le, "right"), (n_lt, "left")):
+            k = np.searchsorted(vals, points, side=side)
+            np.maximum(counts, np.where(k > 0, ends[k - 1], 0), out=counts)
+    f, f_left = _cdf_limits(dist, points)
+    return max(d, float(np.max(np.maximum(np.abs(level(n_le) - f), np.abs(level(n_lt) - f_left)))))
+
+
+def _cdf_limits(dist: SubUniformDist, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """dist's CDF at x and its left limits there."""
+    f = np.atleast_1d(np.asarray(dist.cdf(x), dtype=float))
     atom_mass = np.zeros_like(f)
     for loc, mass in dist.atoms:
-        atom_mass[cand == loc] += mass
-    f_left = f - atom_mass
-    e_right = level(np.searchsorted(locs, cand, side="right"))
-    e_left = level(np.searchsorted(locs, cand, side="left"))
-    d = np.maximum(np.abs(e_right - f), np.abs(e_left - f_left))
-    return float(d.max())
+        atom_mass[x == loc] += mass
+    return f, f - atom_mass
 
 
 def atom_frequencies(dist: SubUniformDist, samp: EmpiricalSample,

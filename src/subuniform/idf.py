@@ -32,7 +32,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .numerics import EmpiricalSample
+from .numerics import EmpiricalSample, _run_blocks
 
 __all__ = [
     "IntegratedDF",
@@ -71,9 +71,14 @@ class ValidationReport(NamedTuple):
 
 
 class IntegratedDF:
-    """An integrated distribution function in analytic or piecewise form."""
+    """An integrated distribution function in analytic or piecewise form.
 
-    __slots__ = ("kind", "family", "breakpoints", "cdf", "sample_size", "_phi_at_node")
+    An empirical IDF (from_samples) keeps its sorted sample and builds its node
+    arrays only when a caller asks for them: dominates_cx against the uniform
+    law walks the sample's runs of equal values in blocks instead.
+    """
+
+    __slots__ = ("kind", "family", "sample_size", "_nodes", "_sample")
 
     def __init__(self, *, kind: str, family: str | None = None,
                  breakpoints: np.ndarray | None = None,
@@ -82,8 +87,7 @@ class IntegratedDF:
         if kind == "analytic":
             if family not in _ANALYTIC_FAMILIES:
                 raise ValueError(f"unknown analytic family {family!r}")
-            breakpoints = np.array([0.0, 1.0])
-            cdf = None
+            nodes = (np.array([0.0, 1.0]), None, None)
         elif kind == "piecewise":
             breakpoints = np.asarray(breakpoints, dtype=float)
             cdf = np.asarray(cdf, dtype=float)
@@ -93,14 +97,14 @@ class IntegratedDF:
                 raise ValueError("breakpoints must be non-decreasing")
             if not (np.all(np.isfinite(breakpoints)) and np.all(np.isfinite(cdf))):
                 raise ValueError("breakpoints and cdf must be finite")
+            nodes = (breakpoints, cdf, _node_integrals(breakpoints, cdf))
         else:
             raise ValueError(f"unknown IDF kind {kind!r}")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "family", family)
-        object.__setattr__(self, "breakpoints", breakpoints)
-        object.__setattr__(self, "cdf", cdf)
         object.__setattr__(self, "sample_size", sample_size)
-        object.__setattr__(self, "_phi_at_node", self._node_integrals() if kind == "piecewise" else None)
+        object.__setattr__(self, "_nodes", nodes)
+        object.__setattr__(self, "_sample", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("IntegratedDF is immutable")
@@ -120,13 +124,15 @@ class IntegratedDF:
         """Empirical IDF: phi(x) = (1/n) * sum_i max(0, x - v_i).
 
         The CDF is the usual right-continuous step function, encoded as a jump
-        (repeated breakpoint) at each distinct sample value.
+        (repeated breakpoint) at each distinct sample value.  The node arrays
+        are those of from_atoms(distinct values, counts / n), built on first
+        use.
         """
         sample = values if isinstance(values, EmpiricalSample) else EmpiricalSample(values)
-        uniq, counts = np.unique(sample.values, return_counts=True)
-        masses = counts / sample.n
-        out = cls.from_atoms(uniq, masses)
-        object.__setattr__(out, "sample_size", sample.n)
+        out = object.__new__(cls)
+        for name, value in (("kind", "piecewise"), ("family", None), ("sample_size", sample.n),
+                            ("_nodes", None), ("_sample", sample)):
+            object.__setattr__(out, name, value)
         return out
 
     @classmethod
@@ -151,18 +157,32 @@ class IntegratedDF:
         f[1::2] = cum                                # value at/after the jump
         return cls.piecewise(x, f)
 
-    # ---------------------------------------------------------------- internals
+    # ---------------------------------------------------------------- nodes
 
-    def _node_integrals(self) -> np.ndarray:
-        x, f = self.breakpoints, self.cdf
-        seg = np.diff(x) * (f[:-1] + f[1:]) / 2.0  # exact for a linear CDF
-        return np.concatenate([[0.0], np.cumsum(seg)])
+    def _node_arrays(self) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+        """(breakpoints, cdf, phi at each breakpoint); an empirical IDF builds them here."""
+        if self._nodes is None:
+            counts, vals = zip(*((ends - starts, vals)
+                                 for starts, ends, vals in _run_blocks(self._sample.values)))
+            atoms = IntegratedDF.from_atoms(np.concatenate(vals),
+                                            np.concatenate(counts) / self._sample.n)
+            object.__setattr__(self, "_nodes", atoms._nodes)
+        return self._nodes
+
+    @property
+    def breakpoints(self) -> np.ndarray:
+        return self._node_arrays()[0]
+
+    @property
+    def cdf(self) -> np.ndarray | None:
+        return self._node_arrays()[1]
 
     # ---------------------------------------------------------------- queries
 
     @property
     def support(self) -> tuple[float, float]:
-        return float(self.breakpoints[0]), float(self.breakpoints[-1])
+        bx = self.breakpoints if self._sample is None else self._sample.values
+        return float(bx[0]), float(bx[-1])
 
     def evaluate(self, x) -> np.ndarray | float:
         """phi(x); vectorized."""
@@ -172,7 +192,7 @@ class IntegratedDF:
         if self.kind == "analytic":
             out = _analytic_phi(self.family, xq)
         else:
-            bx, f, phi = self.breakpoints, self.cdf, self._phi_at_node
+            bx, f, phi = self._node_arrays()
             j = np.searchsorted(bx, xq, side="right") - 1
             out = np.zeros_like(xq)
             below = j < 0
@@ -213,10 +233,10 @@ class IntegratedDF:
         """E(X), recovered from x - phi(x) at the right end of the support."""
         if self.kind == "analytic":
             return 0.5  # both built-in families have mean 1/2
-        if abs(self.cdf[-1] - 1.0) > 1e-9:
+        bx, f, phi = self._node_arrays()
+        if abs(f[-1] - 1.0) > 1e-9:
             raise ValueError("IDF does not integrate a full distribution (CDF does not reach 1)")
-        hi = self.breakpoints[-1]
-        return float(hi - self._phi_at_node[-1])
+        return float(bx[-1] - phi[-1])
 
     def validate(self) -> ValidationReport:
         """Check the defining IDF properties; report the first violation."""
@@ -264,6 +284,77 @@ class IntegratedDF:
                 raise ValueError("piecewise IDF JSON requires breakpoints and cdf arrays")
             return cls.piecewise(bx, f)
         raise ValueError(f"unknown IDF kind {kind!r}")
+
+
+def _node_integrals(x: np.ndarray, f: np.ndarray) -> np.ndarray:
+    seg = np.diff(x) * (f[:-1] + f[1:]) / 2.0  # exact for a linear CDF
+    return np.concatenate([[0.0], np.cumsum(seg)])
+
+
+def _sample_nodes(sample: EmpiricalSample):
+    """The empirical IDF's nodes, one block of runs at a time.
+
+    Yields (x, f, phi) per block: each distinct value, the CDF just after its
+    jump and phi there, with the previous block's last node in front (for
+    the first block, the node just before the first jump).  Between x[k]
+    and x[k+1] the CDF is f[k].  The floats are those of
+    from_atoms(distinct, counts / n): f is the running sum of counts / n with
+    its last value set to 1.0, and phi the running sum of
+    (x[k+1] - x[k]) * (f[k] + f[k]) / 2, each carried from block to block.
+    """
+    n = sample.n
+    x_last, f_last, phi_last = sample.values[0], 0.0, 0.0
+    for starts, ends, vals in _run_blocks(sample.values):
+        x = np.concatenate([[x_last], vals])
+        f = np.cumsum(np.concatenate([[f_last], (ends - starts) / n]))
+        if ends[-1] == n:
+            f[-1] = 1.0
+        phi = np.cumsum(np.concatenate([[phi_last], np.diff(x) * (f[:-1] + f[:-1]) / 2.0]))
+        x_last, f_last, phi_last = x[-1], f[-1], phi[-1]
+        yield x, f, phi
+
+
+def _sample_gap_vs_uniform(sample: EmpiricalSample) -> tuple[tuple[float, float], float]:
+    """_max_gap(IntegratedDF.from_samples(sample), uniform_idf()) and that
+    IDF's mean, in one walk over the sample's runs: the same points in the
+    same order, the same floats, and no node arrays.
+
+    On the segment right of node k the CDF is the constant f[k], so phi is
+    phi[k] + t * (f[k] + f[k]) / 2 at distance t, as evaluate computes it.
+    """
+    best = cross = (-np.inf, 0.0)
+    left_of = {0.0: None, 1.0: None}  # the last node at or left of each point
+    for x, f, phi in _sample_nodes(sample):
+        gap = phi[1:] - _analytic_phi("uniform01", x[1:])
+        i = int(np.argmax(gap))
+        if gap[i] > best[0]:
+            best = float(gap[i]), float(x[1 + i])
+        # as in _max_gap, F - x can only fall through 0 on a segment where it
+        # is >= 0 at the left node and <= 0 at the right one
+        x0, x1, a = x[:-1], x[1:], f[:-1]
+        j = np.flatnonzero((x1 > x0) & (a - np.clip(x0, 0.0, 1.0) >= 0.0)
+                           & (a - np.clip(x1, 0.0, 1.0) <= 0.0))
+        if j.size:
+            xc = _crossings(x0[j], x1[j], a[j], a[j], "uniform01")
+            gap = phi[j] + (xc - x0[j]) * (a[j] + a[j]) / 2.0 - _analytic_phi("uniform01", xc)
+            i = int(np.argmax(gap))
+            if gap[i] > cross[0]:
+                cross = float(gap[i]), float(xc[i])
+        for p in left_of:
+            k = int(np.searchsorted(x1, p, side="right"))
+            if k:
+                left_of[p] = x[k], f[k], phi[k]
+    for p, node in left_of.items():
+        if node is None:
+            value = 0.0
+        elif node[0] == x[-1]:  # right of the last node, evaluate's linear tail
+            value = node[2] + (p - node[0]) * node[1]
+        else:
+            value = node[2] + (p - node[0]) * (node[1] + node[1]) / 2.0
+        gap = value - float(_analytic_phi("uniform01", np.array([p]))[0])
+        if gap > cross[0]:
+            cross = float(gap), p
+    return max(best, cross), float(x[-1] - phi[-1])
 
 
 def _analytic_phi(family: str, x: np.ndarray) -> np.ndarray:
@@ -347,7 +438,7 @@ def _max_gap(lower: IntegratedDF, upper: IntegratedDF) -> tuple[float, float]:
     else:
         line, other, sign = upper, lower, -1.0
     if line.kind == "piecewise":
-        bx, f, phi = line.breakpoints, line.cdf, line._phi_at_node
+        bx, f, phi = line._node_arrays()
     else:
         bx, f, phi = np.array([0.0, 1.0]), np.array([0.0, 1.0]), np.array([0.0, 0.5])
     gap = sign * (phi - other.evaluate(bx))
@@ -384,8 +475,12 @@ def dominates_cx(lower: IntegratedDF, upper: IntegratedDF,
     """
     if tol is None:
         tol = _default_tol(lower, upper)
-    max_violation, witness = _max_gap(lower, upper)
-    mean_gap = abs(lower.mean() - upper.mean())
+    if lower._nodes is None and upper.family == "uniform01":  # the empirical check
+        (max_violation, witness), lower_mean = _sample_gap_vs_uniform(lower._sample)
+    else:
+        max_violation, witness = _max_gap(lower, upper)
+        lower_mean = lower.mean()
+    mean_gap = abs(lower_mean - upper.mean())
     if max_violation > tol:
         return DominanceResult(False, max_violation, witness, tol)
     if mean_gap > tol:

@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .numerics import EmpiricalSample, RngStream
+from .numerics import _BLOCK, EmpiricalSample, RngStream, _write_values
 
 __all__ = [
     "SurvivalG",
@@ -46,8 +46,6 @@ __all__ = [
     "FrequencyRun",
     "frequency_run",
 ]
-
-_BLOCK = 1 << 16
 
 
 # ------------------------------------------------------------------ travel laws
@@ -376,7 +374,8 @@ class FrequencyRun:
         return json.dumps(self.summary(**kwargs))
 
     def to_csv(self, path: str) -> None:
-        np.savetxt(path, self.pvalues.values, fmt="%.17g")
+        with open(path, "w") as fh:
+            _write_values(fh, self.pvalues.values)
 
 
 def _thread_count(threads: int | None) -> int:
@@ -406,20 +405,20 @@ def frequency_run(model, n: int, rng: RngStream, threads: int | None = None) -> 
     """
     if n <= 0:
         raise ValueError("n must be positive")
-    sizes = [_BLOCK] * (n // _BLOCK)
-    if n % _BLOCK:
-        sizes.append(n % _BLOCK)
+    values = np.empty(n)
+    n_blocks = -(-n // _BLOCK)
 
-    def run_block(b: int) -> np.ndarray:
-        return np.asarray(model.draw_pvalues(rng.block_generator(b), sizes[b]))
+    def run_block(b: int) -> None:
+        lo, hi = b * _BLOCK, min((b + 1) * _BLOCK, n)
+        values[lo:hi] = model.draw_pvalues(rng.block_generator(b), hi - lo)
 
     workers = _thread_count(threads)
-    if workers == 1 or len(sizes) == 1:
-        parts = [run_block(b) for b in range(len(sizes))]
+    if workers == 1 or n_blocks == 1:
+        for b in range(n_blocks):
+            run_block(b)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run_block, range(len(sizes))))
-    values = np.concatenate(parts)
+            list(pool.map(run_block, range(n_blocks)))  # re-raises a block's error
     return FrequencyRun(
         model_id=getattr(model, "model_id", type(model).__name__),
         n=n, seed=rng.seed, stream_id=rng.stream_id,

@@ -8,7 +8,7 @@ contracts here are deliberately narrow and heavily tested.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator, TextIO
 
 import numpy as np
 from scipy import special as _sp
@@ -20,6 +20,9 @@ __all__ = [
     "chi2_quantile",
     "ks_statistic",
 ]
+
+# values per block, for frequency runs and for passes over a sorted sample
+_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -112,6 +115,38 @@ class EmpiricalSample:
 
     def ecdf(self, x: np.ndarray) -> np.ndarray:
         return np.searchsorted(self.values, x, side="right") / self.n
+
+
+def _run_blocks(values: np.ndarray, snap: Callable[[np.ndarray], np.ndarray] | None = None
+                ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The runs of equal values of a sorted array, one block of values at a time.
+
+    Yields (starts, ends, vals) for the runs that end in each block of _BLOCK
+    values: the index of each run's first value, the index one past its last,
+    and its value.  snap, if given, maps each block's values before runs are
+    found and must keep them sorted.  Extra memory is O(_BLOCK).
+    """
+    n = values.size
+    start = 0
+    for lo in range(0, n, _BLOCK):
+        hi = min(lo + _BLOCK, n)
+        v = values[lo:hi + 1]  # one value past the block shows whether its last run ends in it
+        if snap is not None:
+            v = snap(v)
+        ends = lo + 1 + np.flatnonzero(v[1:] != v[:-1])
+        if hi == n:
+            ends = np.append(ends, n)
+        if ends.size:
+            starts = np.concatenate([[start], ends[:-1]])
+            start = int(ends[-1])
+            yield starts, ends, v[ends - 1 - lo]
+
+
+def _write_values(fh: TextIO, values: np.ndarray) -> None:
+    """Write values one per line as %.17g (the bytes of np.savetxt(fmt="%.17g")),
+    formatting one block at a time."""
+    for lo in range(0, values.size, _BLOCK):
+        fh.write("".join(f"{x:.17g}\n" for x in values[lo:lo + _BLOCK].tolist()))
 
 
 def chi2_sf(x: float, k: float) -> float:

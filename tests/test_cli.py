@@ -151,6 +151,21 @@ def test_simulate_ruschendorf_deterministic(tmp_path):
     assert np.array_equal(np.loadtxt(out), vals)
 
 
+def test_simulate_csv_and_out_write_savetxt_bytes(tmp_path):
+    # more than one 65536-value block; stdout and --out carry the same lines
+    out = tmp_path / "pvals.csv"
+    proc = run_cli("simulate", "--model", "lasso", "--n", "70000", "--seed", "508",
+                   "--format", "csv", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    ref = tmp_path / "ref.csv"
+    np.savetxt(ref, np.loadtxt(out), fmt="%.17g")
+    assert out.read_bytes() == ref.read_bytes() == proc.stdout.encode()
+    bad = run_cli("simulate", "--model", "lasso", "--n", "10", "--seed", "508",
+                  "--out", str(tmp_path / "missing" / "pvals.csv"))
+    assert bad.returncode == 2 and bad.stdout == ""
+    assert bad.stderr.startswith("error: cannot write")
+
+
 def test_simulate_lasso_summary_keys():
     doc = payload(run_cli("simulate", "--model", "lasso", "--alpha", "0.1",
                           "--n", "20000", "--seed", "501"))

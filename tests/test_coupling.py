@@ -234,3 +234,33 @@ def test_synthetic_model_json_replay():
         a = model.draw_pvalues(RngStream(seed=103).generator(), 20_000)
         b = clone.draw_pvalues(RngStream(seed=103).generator(), 20_000)
         assert np.array_equal(a, b)
+
+
+def _draw_joint_row_masks(model, gen, n):
+    """draw_joint of a left-curtain model with one boolean mask per row."""
+    atom_rows = model.coupling.atom_rows
+    cum = np.cumsum([mass for _p, mass, _row in atom_rows])
+    cum[-1] = 1.0
+    idx = np.searchsorted(cum, gen.random(n), side="right")
+    means = np.array([row.mean() for _p, _mass, row in atom_rows])
+    svals = np.empty(n)
+    for k, (_p, _mass, row) in enumerate(atom_rows):
+        sel = idx == k
+        cnt = int(np.count_nonzero(sel))
+        if cnt:
+            svals[sel] = row.sample(gen, cnt)
+    return means[idx], svals
+
+
+def test_draw_joint_matches_row_masks():
+    # one stable sort of the row labels draws the same numbers into the same slots
+    targets = (SubUniformDist("beta22"),
+               SubUniformDist("mixture", atoms=((0.1, 0.2),),
+                              pieces=((0.2, 0.6, 0.4), (0.6, 1.0, 0.4))))
+    for i, target in enumerate(targets):
+        model = synthesize_ppp(target, rng=RngStream(seed=70 + i))
+        assert not model.coupling.singular_spans
+        for n in (1, 5, 20_000):
+            got = model.draw_joint(RngStream(seed=80 + i).generator(), n)
+            want = _draw_joint_row_masks(model, RngStream(seed=80 + i).generator(), n)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])

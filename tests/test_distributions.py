@@ -4,11 +4,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subuniform import (EmpiricalSample, RngStream, SubUniformDist, as_p2alpha,
                         atom_frequencies, continuous_part_ks, discretize, dominates_cx,
                         IntegratedDF, ks_distance, ks_statistic, p2alpha,
-                        uniform_idf)
+                        synthesize_ppp, uniform_idf)
 
 BUILTINS = [SubUniformDist("uniform01"), SubUniformDist("beta22"),
             p2alpha(0.05), p2alpha(0.1), p2alpha(0.25), p2alpha(0.4)]
@@ -158,6 +160,65 @@ def test_ks_distance_snaps_float_jitter():
     assert ks_distance(dist, EmpiricalSample(vals)) <= 0.01
     vals[at] = 0.25 + 1e-4  # outside the snapping window: half the atom gap shows
     assert ks_distance(dist, EmpiricalSample(vals)) >= 0.2
+
+
+def _step_cdf_gap_whole_array(dist, locs, level, atom_window=1e-9):
+    """The whole-array form of the exact step-CDF gap: snap, re-sort, merge
+    every candidate point, and take both limits at each."""
+    if dist.atoms:
+        locs = locs.copy()
+        for loc, _ in dist.atoms:
+            locs[np.abs(locs - loc) <= atom_window] = loc
+        locs = np.sort(locs)
+    cand = np.unique(np.concatenate([
+        locs,
+        np.array([loc for loc, _ in dist.atoms], dtype=float),
+        np.array([e for lo, hi, _ in dist.pieces for e in (lo, hi)], dtype=float),
+        np.array([0.0, 1.0]),
+    ]))
+    f = np.atleast_1d(np.asarray(dist.cdf(cand), dtype=float))
+    atom_mass = np.zeros_like(f)
+    for loc, mass in dist.atoms:
+        atom_mass[cand == loc] += mass
+    e_right = level(np.searchsorted(locs, cand, side="right"))
+    e_left = level(np.searchsorted(locs, cand, side="left"))
+    return float(np.max(np.maximum(np.abs(e_right - f), np.abs(e_left - (f - atom_mass)))))
+
+
+_KS_DISTS = [
+    SubUniformDist("uniform01"), SubUniformDist("beta22"), p2alpha(0.1), p2alpha(0.5),
+    # atoms closer than 2 * atom_window: snapping can reorder the sample
+    SubUniformDist("mixture", atoms=((0.5, 0.5), (0.5 + 1e-9, 0.5))),
+    SubUniformDist("mixture", atoms=((0.5 + 1.5e-9, 0.25), (0.5, 0.25)), pieces=((0.0, 1.0, 0.5),)),
+    SubUniformDist("mixture", atoms=((0.7, 0.2), (0.3, 0.2)), pieces=((0.0, 1.0, 0.6),)),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(range(len(_KS_DISTS))),
+       st.sampled_from([1, 2, 7, 1000, 2 * 65536 + 17]), st.integers(0, 2))
+def test_ks_distance_equals_whole_array_gap(seed, which, n, kind):
+    dist = _KS_DISTS[which]
+    gen = np.random.default_rng(seed)
+    vals = dist.sample(gen, n).values
+    if kind == 1:  # atoms reached through float arithmetic, a few windows wide
+        vals = vals + gen.integers(-3, 4, n) * 4e-10
+    elif kind == 2:  # ties on a lattice, and values around 0.5
+        vals = np.where(gen.random(n) < 0.5, 0.5 + gen.uniform(-2e-9, 3e-9, n),
+                        np.floor(gen.random(n) * 8.0) / 8.0)
+    samp = EmpiricalSample(vals)
+    assert ks_distance(dist, samp) == _step_cdf_gap_whole_array(dist, samp.values,
+                                                                lambda k: k / samp.n)
+
+
+def test_discretization_ks_equals_whole_array_gap():
+    for target in (SubUniformDist("beta22"),
+                   SubUniformDist("mixture", atoms=((0.3, 0.2), (0.7, 0.2)),
+                                  pieces=((0.0, 1.0, 0.6),))):
+        values, masses = discretize(target, 256)
+        cum = np.concatenate([[0.0], np.cumsum(masses)])
+        assert (synthesize_ppp(target).meta["discretization_ks"]
+                == _step_cdf_gap_whole_array(target, values, lambda k: cum[k]))
 
 
 # ------------------------------------------------------------------ discretize

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subuniform import (IntegratedDF, RngStream, SubUniformDist, beta22_idf, dominates_cx,
-                        p2alpha, uniform_idf)
+from subuniform import (EmpiricalSample, IntegratedDF, RngStream, SubUniformDist, beta22_idf,
+                        dominates_cx, ks_distance, p2alpha, uniform_idf)
 
 GRID = np.linspace(0.0, 1.0, 2049)
 
@@ -220,3 +220,61 @@ def test_json_round_trip():
         back = IntegratedDF.from_json(text)
         assert np.allclose(back.evaluate(GRID), phi.evaluate(GRID), atol=1e-12)
         assert back.mean() == pytest.approx(phi.mean(), abs=1e-12)
+
+
+# ------------------------------------------------------------------ the blocked empirical check
+
+def _sample_for(seed: int, n: int, kind: int) -> np.ndarray:
+    """Ties, values at 0 and 1, and continuous values, by kind."""
+    gen = np.random.default_rng(seed)
+    if kind == 0:
+        return np.floor(gen.random(n) * 8.0) / 8.0  # lattice k/8: ties, 0.0
+    if kind == 1:
+        return np.where(gen.random(n) < 0.3, gen.integers(0, 2, n).astype(float), gen.random(n))
+    if kind == 2:
+        return np.where(gen.random(n) < 0.2, 0.1, gen.uniform(0.2, 1.0, n))  # p2alpha(0.1)
+    if kind == 3:
+        return gen.uniform(-0.25, 1.25, n)  # not sub-uniform: the gap is positive
+    return gen.uniform(0.3, 0.9, n)  # phi below the uniform's, but the mean is off
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1),
+       st.sampled_from([1, 2, 3, 7, 1000, 2 * 65536 + 17]),
+       st.integers(0, 4))
+def test_empirical_dominance_equals_atom_walk(seed, n, kind):
+    # dominates_cx walks the sample's runs in blocks; from_atoms over the
+    # distinct values is the node-array walk it replaces
+    samp = EmpiricalSample(_sample_for(seed, n, kind))
+    uniq, counts = np.unique(samp.values, return_counts=True)
+    atoms = IntegratedDF.from_atoms(uniq, counts / samp.n)
+    emp = IntegratedDF.from_samples(samp)
+    default = dominates_cx(emp, uniform_idf())
+    assert default == dominates_cx(atoms, uniform_idf(), tol=3.0 / np.sqrt(samp.n))
+    # tol = -1 fails every check, so it exposes the raw maximum gap and witness
+    raw = dominates_cx(emp, uniform_idf(), tol=-1.0)
+    assert raw == dominates_cx(atoms, uniform_idf(), tol=-1.0)
+    assert type(raw.max_violation) is float and type(raw.witness) is float
+    assert IntegratedDF.from_samples(samp).mean() == atoms.mean()
+    # the node arrays, when asked for, are from_atoms's
+    assert np.array_equal(emp.breakpoints, atoms.breakpoints)
+    assert np.array_equal(emp.cdf, atoms.cdf)
+
+
+def test_empirical_summaries_stay_within_three_sample_sizes():
+    # the sub-uniformity check and the KS distance of a 1e6-sample each peak
+    # below 3 * 8n bytes of extra memory (whole-array node arrays took ~11x)
+    import tracemalloc
+
+    n = 1_000_000
+    samp = EmpiricalSample(np.where(RngStream(seed=8).generator().random(n) < 0.2, 0.1,
+                                    RngStream(seed=9).generator().uniform(0.2, 1.0, n)))
+    for summary in (lambda: dominates_cx(IntegratedDF.from_samples(samp), uniform_idf()),
+                    lambda: ks_distance(p2alpha(0.1), samp)):
+        tracemalloc.start()
+        try:
+            summary()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 8 * n

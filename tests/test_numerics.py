@@ -193,3 +193,20 @@ def test_ks_statistic_self_consistent_at_scale():
     gen = RngStream(seed=77).generator()
     e = EmpiricalSample(gen.random(1_000_000))
     assert ks_statistic(e, lambda x: np.clip(x, 0.0, 1.0)) <= 0.002
+
+
+# ------------------------------------------------------------------ the sample writer
+
+def test_write_values_matches_savetxt(tmp_path):
+    from subuniform.numerics import _write_values
+
+    edge = np.array([0.0, 1.0, 5e-324, 1e-05, 0.1, -0.0, 1e16, 2.0 ** -1022, 0.1 + 0.2,
+                     123456.789, 1.0 - 2.0 ** -53, -3.5e300])
+    more = np.concatenate([edge, RngStream(seed=12).generator().random(2 * 65536 + 5)])
+    for values in (edge, more):  # one block, and blocks with a short last one
+        ref = tmp_path / "ref.csv"
+        np.savetxt(ref, values, fmt="%.17g")
+        out = tmp_path / "out.csv"
+        with open(out, "w") as fh:
+            _write_values(fh, values)
+        assert out.read_bytes() == ref.read_bytes()
