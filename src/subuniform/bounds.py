@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 import math
 import warnings as _warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -136,18 +136,7 @@ class FisherReport:
     warnings: tuple[str, ...] = ()
 
     def to_json(self) -> str:
-        payload = {
-            "score": self.score,
-            "m": self.m,
-            "nominal_p": self.nominal_p,
-            "bound_shifted_chi2": self.bound_shifted_chi2,
-            "bound_cantelli": self.bound_cantelli,
-            "bound_mgf": self.bound_mgf,
-            "conservative_p": self.conservative_p,
-            "inapplicable": self.inapplicable,
-            "warnings": list(self.warnings),
-        }
-        return json.dumps(payload)
+        return json.dumps(asdict(self))
 
 
 def fisher_bounds(score: float, m: int, warnings: Sequence[str] = ()) -> FisherReport:

@@ -412,9 +412,6 @@ class SyntheticPPPModel:
     def draw_pvalues(self, gen: np.random.Generator, n: int) -> np.ndarray:
         return self.draw_joint(gen, n)[0]
 
-    def draw_svalues(self, gen: np.random.Generator, n: int) -> np.ndarray:
-        return self.draw_joint(gen, n)[1]
-
     # -- pointwise model pieces ---------------------------------------------
 
     def sample_theta(self, gen: np.random.Generator, n: int) -> np.ndarray:
@@ -437,20 +434,23 @@ class SyntheticPPPModel:
 
     # -- replay serde --------------------------------------------------------
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "target": json.loads(self.target.to_json()),
+    def to_payload(self) -> dict:
+        return {
+            "target": self.target.to_payload(),
             "coupling": self.coupling.to_payload(),
             "g_name": self.g_name,
             "seed": self.seed,
             "stream_id": self.stream_id,
             "meta": self.meta,
-        })
+        }
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_payload())
 
     @classmethod
     def from_json(cls, text: str) -> "SyntheticPPPModel":
         payload = json.loads(text)
-        return cls(target=SubUniformDist.from_json(json.dumps(payload["target"])),
+        return cls(target=SubUniformDist.from_payload(payload["target"]),
                    coupling=ConditionalLaw.from_payload(payload["coupling"]),
                    g_name=payload.get("g_name", "logistic"),
                    seed=int(payload.get("seed", 0)),

@@ -171,16 +171,37 @@ class SubUniformDist:
 
     # ---------------------------------------------------------------- serde
 
-    def to_json(self) -> str:
+    def to_payload(self) -> dict:
         if self.variant == "mixture":
-            payload = {
+            return {
                 "variant": "mixture",
                 "atoms": [[float(a), float(m)] for a, m in self.atoms],
                 "pieces": [[float(lo), float(hi), float(m)] for lo, hi, m in self.pieces],
             }
-        else:
-            payload = {"variant": self.variant}
-        return json.dumps(payload)
+        return {"variant": self.variant}
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_payload())
+
+    @classmethod
+    def from_payload(cls, payload) -> "SubUniformDist":
+        """The law a decoded JSON object describes; ValueError if it is malformed."""
+        if not isinstance(payload, dict) or "variant" not in payload:
+            raise ValueError("distribution JSON must be an object with a 'variant' key")
+        variant = payload["variant"]
+        try:
+            if variant in ("uniform01", "beta22"):
+                return cls(variant)
+            if variant == "p2alpha":  # accepted shorthand
+                return p2alpha(float(payload["alpha"]))
+            if variant == "mixture":
+                atoms = tuple((float(a), float(m)) for a, m in payload.get("atoms", []))
+                pieces = tuple((float(lo), float(hi), float(m))
+                               for lo, hi, m in payload.get("pieces", []))
+                return cls("mixture", atoms, pieces)
+        except (KeyError, TypeError) as exc:  # a missing key or a wrongly typed field
+            raise ValueError(f"malformed {variant!r} distribution JSON: {exc!r}") from exc
+        raise ValueError(f"unknown distribution variant {variant!r}")
 
     @classmethod
     def from_json(cls, text: str) -> "SubUniformDist":
@@ -188,18 +209,7 @@ class SubUniformDist:
             payload = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ValueError(f"malformed distribution JSON: {exc}") from exc
-        if not isinstance(payload, dict) or "variant" not in payload:
-            raise ValueError("distribution JSON must be an object with a 'variant' key")
-        variant = payload["variant"]
-        if variant in ("uniform01", "beta22"):
-            return cls(variant)
-        if variant == "p2alpha":  # accepted shorthand
-            return p2alpha(float(payload["alpha"]))
-        if variant == "mixture":
-            atoms = tuple((float(a), float(m)) for a, m in payload.get("atoms", []))
-            pieces = tuple((float(lo), float(hi), float(m)) for lo, hi, m in payload.get("pieces", []))
-            return cls("mixture", atoms, pieces)
-        raise ValueError(f"unknown distribution variant {variant!r}")
+        return cls.from_payload(payload)
 
 
 def p2alpha(alpha: float) -> SubUniformDist:

@@ -22,7 +22,10 @@ Two representations are supported:
 Between consecutive nodes every CDF here is a polynomial (linear for
 piecewise IDFs and uniform01, cubic for beta22), so the convex-order check is
 exact: the gap of two IDFs peaks at a node or where their CDFs cross, each
-crossing has a closed form, and float rounding is the only error.
+crossing has a closed form, and float rounding is the only error.  Against
+an analytic law the check walks the other side's nodes a block at a time,
+so an empirical IDF from n samples is checked against either analytic law,
+on either side, in O(block) memory beyond its sorted sample.
 """
 
 from __future__ import annotations
@@ -74,8 +77,9 @@ class IntegratedDF:
     """An integrated distribution function in analytic or piecewise form.
 
     An empirical IDF (from_samples) keeps its sorted sample and builds its node
-    arrays only when a caller asks for them: dominates_cx against the uniform
-    law walks the sample's runs of equal values in blocks instead.
+    arrays only when a caller asks for them: mean() and dominates_cx against
+    either analytic law, on either side, walk the sample's runs of equal
+    values in blocks instead.
     """
 
     __slots__ = ("kind", "family", "sample_size", "_nodes", "_sample")
@@ -184,59 +188,33 @@ class IntegratedDF:
         bx = self.breakpoints if self._sample is None else self._sample.values
         return float(bx[0]), float(bx[-1])
 
-    def evaluate(self, x) -> np.ndarray | float:
-        """phi(x); vectorized."""
+    def _at(self, x, which: int) -> np.ndarray | float:
+        """phi (which = 0) or the right-continuous CDF (which = 1) at x; vectorized."""
         xq = np.asarray(x, dtype=float)
         scalar = xq.ndim == 0
         xq = np.atleast_1d(xq)
         if self.kind == "analytic":
-            out = _analytic_phi(self.family, xq)
+            out = (_analytic_phi, _analytic_cdf)[which](self.family, xq)
         else:
             bx, f, phi = self._node_arrays()
-            j = np.searchsorted(bx, xq, side="right") - 1
-            out = np.zeros_like(xq)
-            below = j < 0
-            above = j >= bx.size - 1
-            mid = ~(below | above)
-            out[above] = phi[-1] + (xq[above] - bx[-1]) * f[-1]
-            if np.any(mid):
-                jm = j[mid]
-                x0, x1 = bx[jm], bx[jm + 1]
-                f0, f1 = f[jm], f[jm + 1]
-                t = xq[mid] - x0
-                ft = f0 + (f1 - f0) * t / (x1 - x0)
-                out[mid] = phi[jm] + t * (f0 + ft) / 2.0
+            out = _eval_nodes((bx, f, f[1:], phi), xq)[which]
         return float(out[0]) if scalar else out
+
+    def evaluate(self, x) -> np.ndarray | float:
+        """phi(x); vectorized."""
+        return self._at(x, 0)
 
     def right_derivative(self, x) -> np.ndarray | float:
         """The right derivative of phi, i.e. the right-continuous CDF."""
-        xq = np.asarray(x, dtype=float)
-        scalar = xq.ndim == 0
-        xq = np.atleast_1d(xq)
-        if self.kind == "analytic":
-            out = _analytic_cdf(self.family, xq)
-        else:
-            bx, f = self.breakpoints, self.cdf
-            j = np.searchsorted(bx, xq, side="right") - 1
-            out = np.zeros_like(xq)
-            above = j >= bx.size - 1
-            mid = (j >= 0) & ~above
-            out[above] = f[-1]
-            if np.any(mid):
-                jm = j[mid]
-                x0, x1 = bx[jm], bx[jm + 1]
-                f0, f1 = f[jm], f[jm + 1]
-                out[mid] = f0 + (f1 - f0) * (xq[mid] - x0) / (x1 - x0)
-        return float(out[0]) if scalar else out
+        return self._at(x, 1)
 
     def mean(self) -> float:
         """E(X), recovered from x - phi(x) at the right end of the support."""
         if self.kind == "analytic":
             return 0.5  # both built-in families have mean 1/2
-        bx, f, phi = self._node_arrays()
-        if abs(f[-1] - 1.0) > 1e-9:
-            raise ValueError("IDF does not integrate a full distribution (CDF does not reach 1)")
-        return float(bx[-1] - phi[-1])
+        for x, f, _, phi in _node_blocks(self):
+            pass  # only the last block holds the right end
+        return _tail_mean(x, f, phi)
 
     def validate(self) -> ValidationReport:
         """Check the defining IDF properties; report the first violation."""
@@ -291,70 +269,61 @@ def _node_integrals(x: np.ndarray, f: np.ndarray) -> np.ndarray:
     return np.concatenate([[0.0], np.cumsum(seg)])
 
 
-def _sample_nodes(sample: EmpiricalSample):
-    """The empirical IDF's nodes, one block of runs at a time.
+def _node_blocks(idf: IntegratedDF):
+    """The nodes of a piecewise IDF, one block at a time.
 
-    Yields (x, f, phi) per block: each distinct value, the CDF just after its
-    jump and phi there, with the previous block's last node in front (for
-    the first block, the node just before the first jump).  Between x[k]
-    and x[k+1] the CDF is f[k].  The floats are those of
-    from_atoms(distinct, counts / n): f is the running sum of counts / n with
-    its last value set to 1.0, and phi the running sum of
-    (x[k+1] - x[k]) * (f[k] + f[k]) / 2, each carried from block to block.
+    Yields (x, f, f_end, phi): each node, the CDF at it, and phi there, and
+    for each segment the CDF at its right end: between x[k] and x[k+1] the
+    CDF runs linearly from f[k] to f_end[k].  An IDF whose node arrays exist
+    yields them as one block, with f_end = f[1:].  An empirical IDF yields
+    its distinct values one block of runs at a time, with the previous
+    block's last node in front (for the first block, the node just before
+    the first jump); its CDF is constant between nodes, so f_end = f[:-1].
+    The floats are those of from_atoms(distinct, counts / n): f is the
+    running sum of counts / n with its last value set to 1.0, and phi the
+    running sum of (x[k+1] - x[k]) * (f[k] + f[k]) / 2, each carried from
+    block to block.
     """
-    n = sample.n
-    x_last, f_last, phi_last = sample.values[0], 0.0, 0.0
-    for starts, ends, vals in _run_blocks(sample.values):
+    if idf._nodes is not None:
+        bx, f, phi = idf._nodes
+        yield bx, f, f[1:], phi
+        return
+    n = idf._sample.n
+    x_last, f_last, phi_last = idf._sample.values[0], 0.0, 0.0
+    for starts, ends, vals in _run_blocks(idf._sample.values):
         x = np.concatenate([[x_last], vals])
         f = np.cumsum(np.concatenate([[f_last], (ends - starts) / n]))
         if ends[-1] == n:
             f[-1] = 1.0
         phi = np.cumsum(np.concatenate([[phi_last], np.diff(x) * (f[:-1] + f[:-1]) / 2.0]))
         x_last, f_last, phi_last = x[-1], f[-1], phi[-1]
-        yield x, f, phi
+        yield x, f, f[:-1], phi
 
 
-def _sample_gap_vs_uniform(sample: EmpiricalSample) -> tuple[tuple[float, float], float]:
-    """_max_gap(IntegratedDF.from_samples(sample), uniform_idf()) and that
-    IDF's mean, in one walk over the sample's runs: the same points in the
-    same order, the same floats, and no node arrays.
+def _eval_nodes(nodes, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """phi and the right-continuous CDF at the points q, from a block of nodes
+    (x, f, f_end, phi): both are 0 left of x[0], and past x[-1] the CDF stays
+    f[-1].  On a segment the CDF is linear, so phi grows by the trapezoid."""
+    x, f, f_end, phi = nodes
+    j = np.searchsorted(x, q, side="right") - 1
+    phi_q, f_q = np.zeros_like(q), np.zeros_like(q)
+    above = j >= x.size - 1
+    mid = (j >= 0) & ~above
+    phi_q[above] = phi[-1] + (q[above] - x[-1]) * f[-1]
+    f_q[above] = f[-1]
+    jm = j[mid]
+    x0, f0 = x[jm], f[jm]
+    t = q[mid] - x0
+    ft = f0 + (f_end[jm] - f0) * t / (x[jm + 1] - x0)
+    f_q[mid], phi_q[mid] = ft, phi[jm] + t * (f0 + ft) / 2.0
+    return phi_q, f_q
 
-    On the segment right of node k the CDF is the constant f[k], so phi is
-    phi[k] + t * (f[k] + f[k]) / 2 at distance t, as evaluate computes it.
-    """
-    best = cross = (-np.inf, 0.0)
-    left_of = {0.0: None, 1.0: None}  # the last node at or left of each point
-    for x, f, phi in _sample_nodes(sample):
-        gap = phi[1:] - _analytic_phi("uniform01", x[1:])
-        i = int(np.argmax(gap))
-        if gap[i] > best[0]:
-            best = float(gap[i]), float(x[1 + i])
-        # as in _max_gap, F - x can only fall through 0 on a segment where it
-        # is >= 0 at the left node and <= 0 at the right one
-        x0, x1, a = x[:-1], x[1:], f[:-1]
-        j = np.flatnonzero((x1 > x0) & (a - np.clip(x0, 0.0, 1.0) >= 0.0)
-                           & (a - np.clip(x1, 0.0, 1.0) <= 0.0))
-        if j.size:
-            xc = _crossings(x0[j], x1[j], a[j], a[j], "uniform01")
-            gap = phi[j] + (xc - x0[j]) * (a[j] + a[j]) / 2.0 - _analytic_phi("uniform01", xc)
-            i = int(np.argmax(gap))
-            if gap[i] > cross[0]:
-                cross = float(gap[i]), float(xc[i])
-        for p in left_of:
-            k = int(np.searchsorted(x1, p, side="right"))
-            if k:
-                left_of[p] = x[k], f[k], phi[k]
-    for p, node in left_of.items():
-        if node is None:
-            value = 0.0
-        elif node[0] == x[-1]:  # right of the last node, evaluate's linear tail
-            value = node[2] + (p - node[0]) * node[1]
-        else:
-            value = node[2] + (p - node[0]) * (node[1] + node[1]) / 2.0
-        gap = value - float(_analytic_phi("uniform01", np.array([p]))[0])
-        if gap > cross[0]:
-            cross = float(gap), p
-    return max(best, cross), float(x[-1] - phi[-1])
+
+def _tail_mean(x: np.ndarray, f: np.ndarray, phi: np.ndarray) -> float:
+    """E(X) = x - phi(x) at the last node, once the CDF there reaches 1."""
+    if abs(f[-1] - 1.0) > 1e-9:
+        raise ValueError("IDF does not integrate a full distribution (CDF does not reach 1)")
+    return float(x[-1] - phi[-1])
 
 
 def _analytic_phi(family: str, x: np.ndarray) -> np.ndarray:
@@ -394,7 +363,8 @@ def _crossings(x0, x1, a, b, family: str | None) -> np.ndarray:
     """Where the line through (x0, a) and (x1, b) meets a CDF on [x0, x1].
 
     family names the analytic CDF met on [0, 1]; None means the zero function.
-    Roots are clipped into [x0, x1]; a segment without one yields x0.
+    Row k holds each segment's k-th root (one row, or three for beta22),
+    clipped into [x0, x1]; a segment without one yields x0.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         s = (b - a) / (x1 - x0)
@@ -412,13 +382,13 @@ def _crossings(x0, x1, a, b, family: str | None) -> np.ndarray:
             one = u - np.where(u == 0.0, 0.0, p / (3.0 * u))
             roots = [0.5 + np.where(disc >= 0.0, one, 2.0 * r * np.cos((theta - 2.0 * np.pi * k) / 3.0))
                      for k in range(3)]
-    return np.concatenate([np.clip(np.where(np.isfinite(x), x, x0), x0, x1) for x in roots])
+    return np.stack([np.clip(np.where(np.isfinite(x), x, x0), x0, x1) for x in roots])
 
 
-def _max_gap(lower: IntegratedDF, upper: IntegratedDF) -> tuple[float, float]:
-    """The maximum of phi_lower - phi_upper and a point attaining it."""
+def _max_gap(lower: IntegratedDF, upper: IntegratedDF) -> tuple[float, float, float, float]:
+    """The maximum of phi_lower - phi_upper, a point attaining it, and the two means."""
     if lower.kind == upper.kind == "analytic" and lower.family == upper.family:
-        return 0.0, 0.0
+        return 0.0, 0.0, 0.5, 0.5
     if lower.kind == upper.kind == "piecewise":
         # on each segment of the merged nodes F_lower - F_upper is linear
         nodes = np.union1d(lower.breakpoints, upper.breakpoints)
@@ -426,36 +396,54 @@ def _max_gap(lower: IntegratedDF, upper: IntegratedDF) -> tuple[float, float]:
         mid = (x0 + x1) / 2.0
         d0 = lower.right_derivative(x0) - upper.right_derivative(x0)
         dm = lower.right_derivative(mid) - upper.right_derivative(mid)
-        x = np.concatenate([nodes, _crossings(x0, x1, d0, 2.0 * dm - d0, None)])
+        x = np.concatenate([nodes, _crossings(x0, x1, d0, 2.0 * dm - d0, None)[0]])
         gap = lower.evaluate(x) - upper.evaluate(x)
         i = int(np.argmax(gap))
-        return float(gap[i]), float(x[i])
-    # One side is analytic.  Walk the node arrays of the side with a linear
+        return float(gap[i]), float(x[i]), lower.mean(), upper.mean()
+    # One side is analytic.  Walk the node blocks of the side with a linear
     # CDF (a piecewise IDF, or uniform01 against beta22) against the other
     # side's CDF, which is a polynomial on [0, 1]; no merged grid is built.
+    # The maximum is the first one among the nodes, then among the crossings
+    # (root by root) and phi at 0 and 1, as if each list were walked whole.
     if lower.kind == "piecewise" or (upper.kind == "analytic" and lower.family == "uniform01"):
-        line, other, sign = lower, upper, 1.0
+        line, family, sign = lower, upper.family, 1.0
     else:
-        line, other, sign = upper, lower, -1.0
-    if line.kind == "piecewise":
-        bx, f, phi = line._node_arrays()
-    else:
-        bx, f, phi = np.array([0.0, 1.0]), np.array([0.0, 1.0]), np.array([0.0, 0.5])
-    gap = sign * (phi - other.evaluate(bx))
-    i = int(np.argmax(gap))
-    best = float(gap[i]), float(bx[i])
-    keep = bx[1:] > bx[:-1]
-    if sign > 0 and other.family == "uniform01":
-        # F_lower - x is linear on a segment inside [0, 1], >= 0 left of 0 and
-        # <= 0 right of 1, so it can only fall through 0 where it goes from
-        # >= 0 at one node to <= 0 at the next
-        d = f - np.clip(bx, 0.0, 1.0)
-        keep &= (d[:-1] >= 0.0) & (d[1:] <= 0.0)
-    j = np.flatnonzero(keep)
-    x = np.concatenate([_crossings(bx[j], bx[j + 1], f[j], f[j + 1], other.family), [0.0, 1.0]])
-    gap = sign * (line.evaluate(x) - other.evaluate(x))
-    i = int(np.argmax(gap))
-    return max(best, (float(gap[i]), float(x[i])))
+        line, family, sign = upper, lower.family, -1.0
+    ends = np.array([0.0, 1.0])  # uniform01's nodes, and where phi is probed last
+    uniform = [(ends, ends, ends[1:], ends / 2.0)]
+    blocks = _node_blocks(line) if line.kind == "piecewise" else uniform
+    best, cross, phi_ends = (-np.inf, 0.0), [(-np.inf, 0.0)] * 3, np.zeros(2)
+    for block in blocks:
+        x, f, f_end, phi = block
+        gap = sign * (phi - _analytic_phi(family, x))
+        i = int(np.argmax(gap))
+        if gap[i] > best[0]:
+            best = float(gap[i]), float(x[i])
+        x0, x1, a = x[:-1], x[1:], f[:-1]
+        keep = x1 > x0
+        if sign > 0 and family == "uniform01":
+            # F_lower - x is linear on a segment inside [0, 1], >= 0 left of 0
+            # and <= 0 right of 1, so it can only fall through 0 where it goes
+            # from >= 0 at one node to <= 0 at the next
+            keep &= (a - np.clip(x0, 0.0, 1.0) >= 0.0) & (f_end - np.clip(x1, 0.0, 1.0) <= 0.0)
+        j = np.flatnonzero(keep)
+        if j.size:
+            xc = _crossings(x0[j], x1[j], a[j], f_end[j], family)
+            gap = sign * (_eval_nodes(block, xc)[0] - _analytic_phi(family, xc))
+            for k, row in enumerate(gap):
+                i = int(np.argmax(row))
+                if row[i] > cross[k][0]:
+                    cross[k] = float(row[i]), float(xc[k, i])
+        # phi at 0 and 1 from the last block that starts at or left of them:
+        # the block they fall in, or the last block when they lie past it
+        inside = (x[0] <= ends) & (ends <= x[-1])
+        if inside.any():
+            phi_ends = np.where(inside, _eval_nodes(block, ends)[0], phi_ends)
+    phi_ends = np.where(ends > x[-1], _eval_nodes(block, ends)[0], phi_ends)
+    gap = sign * (phi_ends - _analytic_phi(family, ends))
+    cross = max([*cross, (float(gap[0]), 0.0), (float(gap[1]), 1.0)], key=lambda c: c[0])
+    line_mean = _tail_mean(x, f, phi)
+    return (*max(best, cross), *((line_mean, 0.5) if sign > 0 else (0.5, line_mean)))
 
 
 def dominates_cx(lower: IntegratedDF, upper: IntegratedDF,
@@ -475,12 +463,8 @@ def dominates_cx(lower: IntegratedDF, upper: IntegratedDF,
     """
     if tol is None:
         tol = _default_tol(lower, upper)
-    if lower._nodes is None and upper.family == "uniform01":  # the empirical check
-        (max_violation, witness), lower_mean = _sample_gap_vs_uniform(lower._sample)
-    else:
-        max_violation, witness = _max_gap(lower, upper)
-        lower_mean = lower.mean()
-    mean_gap = abs(lower_mean - upper.mean())
+    max_violation, witness, lower_mean, upper_mean = _max_gap(lower, upper)
+    mean_gap = abs(lower_mean - upper_mean)
     if max_violation > tol:
         return DominanceResult(False, max_violation, witness, tol)
     if mean_gap > tol:

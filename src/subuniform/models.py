@@ -20,7 +20,6 @@ without inner Monte Carlo.  The built-ins realize the extreme behaviours:
 
 from __future__ import annotations
 
-import json
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -338,7 +337,8 @@ def ruschendorf_sample(alpha: float, rng: RngStream | np.random.Generator, n: in
         raise ValueError("n must be positive")
     gen = rng.generator() if isinstance(rng, RngStream) else rng
     u0 = gen.random(n)
-    return EmpiricalSample(np.where(u0 < 2.0 * alpha, alpha, u0))
+    u0[u0 < 2.0 * alpha] = alpha
+    return EmpiricalSample(u0)
 
 
 # ------------------------------------------------------------------ frequency runs
@@ -369,9 +369,6 @@ class FrequencyRun:
                 "F": [float(v) for v in self.pvalues.ecdf(grid)],
             },
         }
-
-    def summary_json(self, **kwargs) -> str:
-        return json.dumps(self.summary(**kwargs))
 
     def to_csv(self, path: str) -> None:
         with open(path, "w") as fh:

@@ -109,6 +109,16 @@ def test_fisher_rejects_negative(tmp_path):
     assert run_cli("fisher", "--pvals", str(path)).returncode == 1
 
 
+@pytest.mark.parametrize("command", ["fisher", "minp"])
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_pvals_reject_nan_and_inf(tmp_path, command, bad):
+    path = tmp_path / "pvals.csv"
+    path.write_text(f"0.2\n{bad}\n")
+    proc = run_cli(command, "--pvals", str(path))
+    assert proc.returncode == 1
+    assert "error: p-values must lie in [0, 1]" in proc.stderr
+
+
 def test_fisher_missing_file_is_io_error():
     proc = run_cli("fisher", "--pvals", "/no/such/file.csv")
     assert proc.returncode == 2
@@ -281,6 +291,19 @@ def test_construct_rejects_super_uniform_target(tmp_path):
     proc = run_cli("construct", "--target", str(target), "--n", "100", "--seed", "509")
     assert proc.returncode == 1
     assert "not sub-uniform" in proc.stderr
+
+
+@pytest.mark.parametrize("spec", ['{"variant": "mixture", "atoms": 5}',
+                                  '{"variant": "mixture", "atoms": [[0.5, null]]}',
+                                  '{"variant": "p2alpha", "alpha": null}',
+                                  '{"variant": "p2alpha"}'])
+def test_construct_rejects_malformed_target_cleanly(tmp_path, spec):
+    target = tmp_path / "target.json"
+    target.write_text(spec)
+    proc = run_cli("construct", "--target", str(target), "--n", "100", "--seed", "512")
+    assert proc.returncode == 1
+    assert "error: invalid target spec:" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_construct_missing_target_is_io_error():

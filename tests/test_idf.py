@@ -148,6 +148,16 @@ def test_dominates_cx_exact_against_analytic(atoms, pieces, family, swap):
         _assert_exact_max(mixture, analytic)
 
 
+def test_dominates_cx_between_analytic_laws():
+    # beta22 precedes the uniform law; phi_uniform - phi_beta22 peaks at 1/2
+    assert dominates_cx(beta22_idf(), uniform_idf()).holds
+    res = dominates_cx(uniform_idf(), beta22_idf())
+    assert (res.holds, res.max_violation, res.witness) == (False, 1.0 / 32.0, 0.5)
+    _assert_exact_max(uniform_idf(), beta22_idf())
+    for law in (uniform_idf(), beta22_idf()):
+        assert dominates_cx(law, law, tol=0.0) == (True, 0.0, None, 0.0)
+
+
 @settings(max_examples=150, deadline=None)
 @given(_atoms, _atoms)
 def test_dominates_cx_exact_between_atom_lists(first, second):
@@ -244,17 +254,20 @@ def _sample_for(seed: int, n: int, kind: int) -> np.ndarray:
        st.integers(0, 4))
 def test_empirical_dominance_equals_atom_walk(seed, n, kind):
     # dominates_cx walks the sample's runs in blocks; from_atoms over the
-    # distinct values is the node-array walk it replaces
+    # distinct values is the node-array walk it replaces, against either
+    # analytic law on either side
     samp = EmpiricalSample(_sample_for(seed, n, kind))
     uniq, counts = np.unique(samp.values, return_counts=True)
     atoms = IntegratedDF.from_atoms(uniq, counts / samp.n)
     emp = IntegratedDF.from_samples(samp)
-    default = dominates_cx(emp, uniform_idf())
-    assert default == dominates_cx(atoms, uniform_idf(), tol=3.0 / np.sqrt(samp.n))
-    # tol = -1 fails every check, so it exposes the raw maximum gap and witness
-    raw = dominates_cx(emp, uniform_idf(), tol=-1.0)
-    assert raw == dominates_cx(atoms, uniform_idf(), tol=-1.0)
-    assert type(raw.max_violation) is float and type(raw.witness) is float
+    for law in (uniform_idf(), beta22_idf()):
+        for pair, atom_pair in (((emp, law), (atoms, law)), ((law, emp), (law, atoms))):
+            default = dominates_cx(*pair)
+            assert default == dominates_cx(*atom_pair, tol=3.0 / np.sqrt(samp.n))
+            # tol = -1 fails every check, so it exposes the raw maximum gap and witness
+            raw = dominates_cx(*pair, tol=-1.0)
+            assert raw == dominates_cx(*atom_pair, tol=-1.0)
+            assert type(raw.max_violation) is float and type(raw.witness) is float
     assert IntegratedDF.from_samples(samp).mean() == atoms.mean()
     # the node arrays, when asked for, are from_atoms's
     assert np.array_equal(emp.breakpoints, atoms.breakpoints)
@@ -263,18 +276,25 @@ def test_empirical_dominance_equals_atom_walk(seed, n, kind):
 
 def test_empirical_summaries_stay_within_three_sample_sizes():
     # the sub-uniformity check and the KS distance of a 1e6-sample each peak
-    # below 3 * 8n bytes of extra memory (whole-array node arrays took ~11x)
+    # below 3 * 8n bytes of extra memory (whole-array node arrays took ~11x);
+    # the checks against beta22, either way round, and the mean below 5 * 8n
+    # (node arrays took ~37x and ~12x; the cubic roots of one block cost a
+    # constant of about 18 MB)
     import tracemalloc
 
     n = 1_000_000
     samp = EmpiricalSample(np.where(RngStream(seed=8).generator().random(n) < 0.2, 0.1,
                                     RngStream(seed=9).generator().uniform(0.2, 1.0, n)))
-    for summary in (lambda: dominates_cx(IntegratedDF.from_samples(samp), uniform_idf()),
-                    lambda: ks_distance(p2alpha(0.1), samp)):
+    for summary, times in (
+            (lambda: dominates_cx(IntegratedDF.from_samples(samp), uniform_idf()), 3),
+            (lambda: ks_distance(p2alpha(0.1), samp), 3),
+            (lambda: dominates_cx(IntegratedDF.from_samples(samp), beta22_idf()), 5),
+            (lambda: dominates_cx(beta22_idf(), IntegratedDF.from_samples(samp)), 5),
+            (lambda: IntegratedDF.from_samples(samp).mean(), 5)):
         tracemalloc.start()
         try:
             summary()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3 * 8 * n
+        assert peak < times * 8 * n
