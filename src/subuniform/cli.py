@@ -225,8 +225,8 @@ def _cmd_construct(args) -> None:
     model = synthesize_ppp(target, g_name=args.g, rng=rng)
     gen = rng.generator()
     pvals, svals = model.draw_joint(gen, args.n)
-    sample = EmpiricalSample(pvals)
-    s_sample = EmpiricalSample(svals)
+    sample = EmpiricalSample(pvals, _owned=True)
+    s_sample = EmpiricalSample(svals, _owned=True)
     uniform = SubUniformDist("uniform01")
     comparison = {
         "ks_vs_target": ks_distance(target, sample),

@@ -25,11 +25,11 @@ absolutely continuous and the S-marginal exactly uniform.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy.special as _sp
 
 from .distributions import SubUniformDist, as_p2alpha, discretize, _step_cdf_gap
 from .idf import IntegratedDF, dominates_cx, uniform_idf
@@ -137,6 +137,16 @@ Row = SingularRow | UniformMixRow
 
 # ------------------------------------------------------------------ conditional law
 
+@contextmanager
+def _json_field(name: str):
+    """Report a missing key, a wrongly typed value or a bad value read under
+    name as a ValueError that names it."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"malformed model JSON field {name}: {exc!r}") from exc
+
+
 @dataclass(frozen=True)
 class ConditionalLaw:
     """The family of conditional laws S | P=p of a martingale coupling.
@@ -187,18 +197,30 @@ class ConditionalLaw:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "ConditionalLaw":
+        """The coupling a decoded JSON object describes; ValueError if it is malformed."""
+        if not isinstance(payload, dict):
+            raise ValueError(f"coupling JSON must be an object, got {type(payload).__name__}")
         rows = []
-        for item in payload.get("atom_rows", []):
-            spec = item["row"]
-            if spec["kind"] == "singular":
-                row: Row = SingularRow(float(spec["at"]))
-            elif spec["kind"] == "uniform_mix":
-                row = UniformMixRow(tuple((float(a), float(b), float(w))
-                                          for a, b, w in spec["intervals"]))
-            else:
-                raise ValueError(f"unknown row kind {spec.get('kind')!r}")
-            rows.append((float(item["p"]), float(item["mass"]), row))
-        spans = tuple((float(a), float(b)) for a, b in payload.get("singular_spans", []))
+        with _json_field("coupling.atom_rows"):
+            items = list(payload.get("atom_rows", []))
+        for i, item in enumerate(items):
+            where = f"coupling.atom_rows[{i}]"
+            with _json_field(f"{where}.row"):
+                spec = item["row"]
+                if spec["kind"] == "singular":
+                    row: Row = SingularRow(float(spec["at"]))
+                elif spec["kind"] == "uniform_mix":
+                    row = UniformMixRow(tuple((float(a), float(b), float(w))
+                                              for a, b, w in spec["intervals"]))
+                else:
+                    raise ValueError(f"unknown row kind {spec.get('kind')!r}")
+            with _json_field(f"{where}.p"):
+                p = float(item["p"])
+            with _json_field(f"{where}.mass"):
+                mass = float(item["mass"])
+            rows.append((p, mass, row))
+        with _json_field("coupling.singular_spans"):
+            spans = tuple((float(a), float(b)) for a, b in payload.get("singular_spans", []))
         return cls(atom_rows=tuple(rows), singular_spans=spans)
 
 
@@ -321,7 +343,9 @@ def mod1_family(row: Row, g_cdf: Callable[[float], float], t: float, s: float) -
 
 
 def _logistic_cdf(t):
-    return _sp.expit(np.asarray(t, dtype=float))
+    from scipy import special  # imported on use: most commands never need scipy
+
+    return special.expit(np.asarray(t, dtype=float))
 
 
 def _logistic_sample(gen: np.random.Generator, n: int) -> np.ndarray:
@@ -330,7 +354,9 @@ def _logistic_sample(gen: np.random.Generator, n: int) -> np.ndarray:
 
 
 def _normal_cdf(t):
-    return _sp.ndtr(np.asarray(t, dtype=float))
+    from scipy import special
+
+    return special.ndtr(np.asarray(t, dtype=float))
 
 
 def _normal_sample(gen: np.random.Generator, n: int) -> np.ndarray:
@@ -449,13 +475,26 @@ class SyntheticPPPModel:
 
     @classmethod
     def from_json(cls, text: str) -> "SyntheticPPPModel":
-        payload = json.loads(text)
-        return cls(target=SubUniformDist.from_payload(payload["target"]),
-                   coupling=ConditionalLaw.from_payload(payload["coupling"]),
-                   g_name=payload.get("g_name", "logistic"),
-                   seed=int(payload.get("seed", 0)),
-                   stream_id=int(payload.get("stream_id", 0)),
-                   meta=payload.get("meta", {}))
+        """The model to_json wrote; ValueError if the text is malformed."""
+        payload = json.loads(text)  # JSONDecodeError is a ValueError
+        if not isinstance(payload, dict):
+            raise ValueError(f"model JSON must be an object, got {type(payload).__name__}")
+        for key in ("target", "coupling"):
+            if key not in payload:
+                raise ValueError(f"model JSON lacks the {key!r} field")
+        with _json_field("target"):
+            target = SubUniformDist.from_payload(payload["target"])
+        coupling = ConditionalLaw.from_payload(payload["coupling"])
+        with _json_field("seed"):
+            seed = int(payload.get("seed", 0))
+        with _json_field("stream_id"):
+            stream_id = int(payload.get("stream_id", 0))
+        meta = payload.get("meta", {})
+        if not isinstance(meta, dict):
+            raise ValueError(f"malformed model JSON field meta: not an object: {meta!r}")
+        with _json_field("g_name"):
+            return cls(target=target, coupling=coupling, g_name=payload.get("g_name", "logistic"),
+                       seed=seed, stream_id=stream_id, meta=meta)
 
 
 def synthesize_ppp(target: SubUniformDist, g_name: str = "logistic",

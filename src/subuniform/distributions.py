@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import special as _sp
 
 from .idf import IntegratedDF, DominanceResult, dominates_cx, uniform_idf, beta22_idf
 from .numerics import EmpiricalSample, RngStream, _run_blocks
@@ -120,9 +119,11 @@ class SubUniformDist:
         if n <= 0:
             raise ValueError("n must be positive")
         if self.variant == "uniform01":
-            return EmpiricalSample(g.random(n))
+            return EmpiricalSample(g.random(n), _owned=True)
         if self.variant == "beta22":
-            return EmpiricalSample(_sp.betaincinv(2.0, 2.0, g.random(n)))
+            from scipy import special  # imported on use: most commands never need scipy
+
+            return EmpiricalSample(special.betaincinv(2.0, 2.0, g.random(n)), _owned=True)
         # mixture: pick a component by mass, then sample within it
         comps: list[tuple[float, tuple]] = [(m, ("atom", loc)) for loc, m in self.atoms]
         comps += [(m, ("piece", lo, hi)) for lo, hi, m in self.pieces]
@@ -141,7 +142,7 @@ class SubUniformDist:
             else:
                 _, lo, hi = spec
                 out[sel] = lo + (u[sel] - prev[k]) / m * (hi - lo)
-        return EmpiricalSample(out)
+        return EmpiricalSample(out, _owned=True)
 
     def idf(self) -> IntegratedDF:
         if self.variant == "uniform01":
@@ -328,7 +329,7 @@ def continuous_part_ks(dist: SubUniformDist, samp: EmpiricalSample,
         keep &= np.abs(samp.values - loc) > window
     if not np.any(keep):
         raise ValueError("sample has no values outside the atoms")
-    sub = EmpiricalSample(samp.values[keep])
+    sub = EmpiricalSample(samp.values[keep], _owned=True)
     atoms = dist.atoms
 
     def cond_cdf(x):
@@ -359,7 +360,9 @@ def discretize(dist: SubUniformDist, n_cells: int) -> tuple[np.ndarray, np.ndarr
         vals = (levels[:-1] + levels[1:]) / 2.0
         masses = np.full(n_cells, 1.0 / n_cells)
     elif dist.variant == "beta22":
-        edges = _sp.betaincinv(2.0, 2.0, levels)
+        from scipy import special
+
+        edges = special.betaincinv(2.0, 2.0, levels)
         F = 3.0 * edges**2 - 2.0 * edges**3
         M1 = 2.0 * edges**3 - 1.5 * edges**4  # integral of x dF
         masses = np.diff(F)

@@ -116,8 +116,7 @@ class GenerativeModel:
         return self.theta_support[idx]
 
     def draw_pvalues(self, gen: np.random.Generator, n: int) -> np.ndarray:
-        theta = self.sample_prior(gen, n)
-        data = self.sample_data(theta, gen)
+        data = self.sample_data(self.sample_prior(gen, n), gen)  # theta is freed here
         return exact_ppp(self, data)
 
 
@@ -131,9 +130,11 @@ def exact_ppp(model: GenerativeModel, data) -> np.ndarray | float:
         return float(np.sum(probs * sf))
     if probs.ndim == 1:
         probs = np.broadcast_to(probs[:, None], (probs.size, arr.size))
-    sf = np.stack([np.broadcast_to(np.asarray(model.conditional_sf(th, arr), dtype=float), arr.shape)
-                   for th in model.theta_support])
-    return np.sum(probs * sf, axis=0)
+    # one (k, n) array of survival probabilities, weighted in place
+    sf = np.empty((model.theta_support.size, *arr.shape))
+    for row, th in zip(sf, model.theta_support):
+        row[...] = model.conditional_sf(th, arr)
+    return np.sum(np.multiply(probs, sf, out=sf), axis=0)
 
 
 # ------------------------------------------------------------------ lasso model
@@ -169,9 +170,12 @@ def lasso_model(alpha: float, g: SurvivalG | None = None) -> GenerativeModel:
 
     def posterior(x):
         x = np.asarray(x, dtype=float)
-        w = np.stack([g.density(distance(x, th)) for th in (0, 1)])
-        w = np.where(w < 0, 0.0, w)  # guard float dust at f = 1
-        return w / np.sum(w, axis=0)
+        w = np.empty((2, *x.shape))
+        for th in (0, 1):
+            w[th] = g.density(distance(x, th))
+        w[w < 0] = 0.0  # guard float dust at f = 1
+        w /= np.sum(w, axis=0)
+        return w
 
     def conditional_sf(theta, x):
         return g.sf(distance(x, theta))
@@ -215,7 +219,9 @@ def simplex_model(alpha: float) -> GenerativeModel:
         tot = d0 + d1
         if np.any(tot == 0.0):
             raise ValueError("data outside the model support")
-        return np.stack([d0, d1]) / tot
+        out = np.stack([d0, d1])
+        out /= tot
+        return out
 
     def conditional_sf(theta, x):
         d = np.abs(np.asarray(x, dtype=float) - theta)
@@ -338,7 +344,7 @@ def ruschendorf_sample(alpha: float, rng: RngStream | np.random.Generator, n: in
     gen = rng.generator() if isinstance(rng, RngStream) else rng
     u0 = gen.random(n)
     u0[u0 < 2.0 * alpha] = alpha
-    return EmpiricalSample(u0)
+    return EmpiricalSample(u0, _owned=True)
 
 
 # ------------------------------------------------------------------ frequency runs
@@ -419,5 +425,5 @@ def frequency_run(model, n: int, rng: RngStream, threads: int | None = None) -> 
     return FrequencyRun(
         model_id=getattr(model, "model_id", type(model).__name__),
         n=n, seed=rng.seed, stream_id=rng.stream_id,
-        pvalues=EmpiricalSample(values),
+        pvalues=EmpiricalSample(values, _owned=True),
     )

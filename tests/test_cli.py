@@ -35,6 +35,42 @@ def test_cli_import_needs_no_solver():
     assert proc.stdout.strip() == "[]"
 
 
+def _cold_main(argv, tmp_path):
+    """Run main(argv) in a cold interpreter; return its process and the scipy
+    modules loaded when it ended (written to a file: stdout is main's)."""
+    mods = tmp_path / "modules.json"
+    code = ("import json, sys; from subuniform.cli import main; "
+            f"rc = main({argv!r}) if {argv!r} is not None else 0; "
+            f"json.dump(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')), "
+            f"open({str(mods)!r}, 'w')); sys.exit(rc)")
+    env = os.environ.copy()
+    env.pop("PPP_THREADS", None)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc, json.loads(mods.read_text())
+
+
+@pytest.mark.parametrize("argv", [
+    None,
+    ["calibrate", "--p", "0.03"],
+    ["simulate", "--model", "lasso", "--n", "1000", "--seed", "1"],
+])
+def test_cli_loads_scipy_only_where_used(argv, tmp_path):
+    # scipy.special costs a cold process about half its start-up; only the
+    # chi-square tails, the beta22 quantile and the G laws call it
+    _, loaded = _cold_main(argv, tmp_path)
+    assert loaded == []
+
+
+def test_fisher_loads_scipy_on_use(tmp_path):
+    path = tmp_path / "p.csv"
+    path.write_text("0.01\n0.2\n0.03\n0.5\n")
+    proc, loaded = _cold_main(["fisher", "--pvals", str(path)], tmp_path)
+    assert "scipy.special" in loaded
+    score = fisher_score(np.array([0.01, 0.2, 0.03, 0.5]))
+    assert json.loads(proc.stdout) == json.loads(fisher_bounds(score.score, score.m).to_json())
+
+
 # ------------------------------------------------------------------ calibrate
 
 def test_calibrate_doubles():

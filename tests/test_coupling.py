@@ -1,5 +1,8 @@
 """Martingale couplings, the mod-1 family, and the p-value synthesizer."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 from scipy.special import expit
@@ -230,10 +233,39 @@ def test_synthetic_model_json_replay():
     for target in (SubUniformDist("uniform01"), p2alpha(0.25), SubUniformDist("beta22")):
         model = synthesize_ppp(target, rng=RngStream(seed=102))
         clone = SyntheticPPPModel.from_json(model.to_json())
-        assert clone.model_id == model.model_id
+        assert clone == model and clone.to_json() == model.to_json()
         a = model.draw_pvalues(RngStream(seed=103).generator(), 20_000)
         b = clone.draw_pvalues(RngStream(seed=103).generator(), 20_000)
         assert np.array_equal(a, b)
+
+
+def _malformed_models():
+    good = synthesize_ppp(p2alpha(0.25), rng=RngStream(seed=102)).to_payload()
+    row = good["coupling"]["atom_rows"][0]
+
+    def with_rows(rows):
+        return json.dumps({**good, "coupling": {**good["coupling"], "atom_rows": rows}})
+
+    no_row = {k: v for k, v in row.items() if k != "row"}
+    return [
+        ('{"coupling": {}}', "target"),
+        ("[]", "object"),
+        (with_rows(5), "atom_rows"),
+        (with_rows([no_row]), "atom_rows[0].row"),
+        (with_rows([{**row, "p": "abc"}]), "atom_rows[0].p"),
+        (with_rows([{**row, "mass": None}]), "atom_rows[0].mass"),
+        (with_rows([{**row, "row": {"kind": "uniform_mix", "intervals": 3}}]), "atom_rows[0].row"),
+        (json.dumps({**good, "coupling": 7}), "coupling"),
+        (json.dumps({**good, "target": {"variant": "p2alpha"}}), "target"),
+        (json.dumps({**good, "seed": "x"}), "seed"),
+        (json.dumps({**good, "g_name": ["logistic"]}), "g_name"),
+    ]
+
+
+@pytest.mark.parametrize("text, field", _malformed_models())
+def test_synthetic_model_json_rejects_malformed_input(text, field):
+    with pytest.raises(ValueError, match=re.escape(field)):
+        SyntheticPPPModel.from_json(text)
 
 
 def _draw_joint_row_masks(model, gen, n):

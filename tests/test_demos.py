@@ -1,0 +1,31 @@
+"""Smoke test of the scripts in demos/: each runs to the end in a cold process.
+
+Three of them reach the code paths that import scipy.special on first use
+(the Fisher bounds, the beta22 law and the G laws of the synthesizer).
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def test_demos_are_found():
+    assert DEMOS  # an empty parametrization below would pass silently
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
+def test_demo_runs_cleanly(demo):
+    env = os.environ.copy()
+    env.pop("PPP_THREADS", None)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True,
+                          env=env, cwd=ROOT, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip()
+    assert "Traceback" not in proc.stdout + proc.stderr

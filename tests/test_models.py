@@ -237,11 +237,32 @@ def test_frequency_run_rejects_nonpositive_threads():
 
 
 def test_frequency_run_env_thread_override(monkeypatch):
-    model = simplex_model(0.1)
-    base = frequency_run(model, 80_000, RngStream(seed=43))
-    monkeypatch.setenv("PPP_THREADS", "3")
-    again = frequency_run(model, 80_000, RngStream(seed=43))
-    assert np.array_equal(base.pvalues.values, again.pvalues.values)
+    # the blocks are sorted in place in the array they were written to; the
+    # bits must not depend on which thread wrote which block
+    for model in (simplex_model(0.1), lasso_model(0.1)):
+        monkeypatch.delenv("PPP_THREADS", raising=False)
+        base = frequency_run(model, 80_000, RngStream(seed=43))
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("PPP_THREADS", threads)
+            again = frequency_run(model, 80_000, RngStream(seed=43))
+            assert again.pvalues.values.tobytes() == base.pvalues.values.tobytes()
+            assert again.summary() == base.summary()
+
+
+def test_frequency_run_holds_one_n_array():
+    # the p-values are written, sorted and summarized in one n-array: sorting
+    # a copy and squaring deviations into another took 2 * 8n
+    import tracemalloc
+
+    n = 1_000_000
+    frequency_run(lasso_model(0.1), 10, RngStream(1))  # numpy imports numpy.random on first use
+    tracemalloc.start()
+    try:
+        frequency_run(lasso_model(0.1), n, RngStream(1)).pvalues.variance()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8 * n
 
 
 def test_frequency_run_metadata_and_export(tmp_path):

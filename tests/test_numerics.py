@@ -145,6 +145,47 @@ def test_sample_sorted_and_moments():
     assert e.variance() == pytest.approx(np.var([0.1, 0.5, 0.5, 0.9]))
 
 
+def test_sample_leaves_callers_array_unchanged():
+    arr = np.array([0.9, 0.1, 0.5, 0.3, 0.7, 0.2])
+    before = arr.copy()
+    for values in (arr, arr[::2], arr[::-1]):
+        e = EmpiricalSample(values)
+        assert np.array_equal(e.values, np.sort(values))
+        assert not np.shares_memory(e.values, arr)
+    assert np.array_equal(arr, before)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("at", [0, 3, 6])
+def test_sample_rejects_non_finite_anywhere(bad, at):
+    vals = [0.4, 0.1, 0.9, 0.5, 0.2, 0.8, 0.3]
+    vals[at] = bad
+    with pytest.raises(ValueError, match="finite"):
+        EmpiricalSample(vals)
+
+
+_VARIANCE_SIZES = (1, 7, 8, 9, 128, 129, 65536, 65537, 2 * 65536 + 17, 1_000_000)
+
+
+@pytest.mark.parametrize("n", _VARIANCE_SIZES)
+@settings(max_examples=6, deadline=None)
+@given(kind=st.sampled_from(("uniform", "lattice", "constant", "wide")),
+       seed=st.integers(0, 2**32 - 1))
+def test_variance_is_bit_identical_to_numpy(n, kind, seed):
+    # variance() sums in O(block) memory but in numpy's pairwise order, so it
+    # must give values.var() to the last bit, ties and constants included
+    gen = np.random.default_rng(seed)
+    if kind == "uniform":
+        x = gen.random(n)
+    elif kind == "lattice":
+        x = gen.integers(0, 17, n) / 16.0
+    elif kind == "constant":
+        x = np.full(n, gen.random())
+    else:
+        x = gen.standard_normal(n) * 1e6 + 3.0
+    assert EmpiricalSample(x).variance() == float(np.sort(x).var())
+
+
 def test_tail_prob_includes_jittered_atom():
     # values a few ulp above alpha still count as <= alpha
     e = EmpiricalSample([0.1 + 1e-13, 0.1 - 1e-13, 0.5, 0.9])
