@@ -479,12 +479,11 @@ class SyntheticPPPModel:
         payload = json.loads(text)  # JSONDecodeError is a ValueError
         if not isinstance(payload, dict):
             raise ValueError(f"model JSON must be an object, got {type(payload).__name__}")
-        for key in ("target", "coupling"):
-            if key not in payload:
-                raise ValueError(f"model JSON lacks the {key!r} field")
         with _json_field("target"):
             target = SubUniformDist.from_payload(payload["target"])
-        coupling = ConditionalLaw.from_payload(payload["coupling"])
+        with _json_field("coupling"):
+            coupling_payload = payload["coupling"]
+        coupling = ConditionalLaw.from_payload(coupling_payload)
         with _json_field("seed"):
             seed = int(payload.get("seed", 0))
         with _json_field("stream_id"):

@@ -311,19 +311,12 @@ def _eval_nodes(nodes, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     mid = (j >= 0) & ~above
     phi_q[above] = phi[-1] + (q[above] - x[-1]) * f[-1]
     f_q[above] = f[-1]
-    phi_q[mid], f_q[mid] = _on_segments(nodes, j[mid], q[mid])
+    jm = j[mid]
+    x0, f0 = x[jm], f[jm]
+    t = q[mid] - x0
+    ft = f0 + (f_end[jm] - f0) * t / (x[jm + 1] - x0)
+    f_q[mid], phi_q[mid] = ft, phi[jm] + t * (f0 + ft) / 2.0
     return phi_q, f_q
-
-
-def _on_segments(nodes, j: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """phi and the CDF at points q that lie on the segments j of a block of
-    nodes: x[j] <= q <= x[j + 1] and x[j] < x[j + 1].  q may hold rows of
-    points, one per column of j."""
-    x, f, f_end, phi = nodes
-    x0, f0 = x[j], f[j]
-    t = q - x0
-    ft = f0 + (f_end[j] - f0) * t / (x[j + 1] - x0)
-    return phi[j] + t * (f0 + ft) / 2.0, ft
 
 
 def _tail_mean(x: np.ndarray, f: np.ndarray, phi: np.ndarray) -> float:
@@ -437,13 +430,7 @@ def _max_gap(lower: IntegratedDF, upper: IntegratedDF) -> tuple[float, float, fl
         j = np.flatnonzero(keep)
         if j.size:
             xc = _crossings(x0[j], x1[j], a[j], f_end[j], family)
-            # a crossing lies on its segment j; one at the segment's right end
-            # takes phi at the node there, as repeated breakpoints may follow
-            phi_c = _on_segments(block, j, xc)[0]
-            end = xc == x1[j]
-            if end.any():
-                phi_c[end] = _eval_nodes(block, xc[end])[0]
-            gap = sign * (phi_c - _analytic_phi(family, xc))
+            gap = sign * (_eval_nodes(block, xc)[0] - _analytic_phi(family, xc))
             for k, row in enumerate(gap):
                 i = int(np.argmax(row))
                 if row[i] > cross[k][0]:

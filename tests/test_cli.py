@@ -27,9 +27,10 @@ def payload(proc):
 
 
 def test_cli_import_needs_no_solver():
-    # every computation has a closed form: no optimizer, no sparse matrices
+    # every computation has a closed form: no optimizer, no sparse matrices;
+    # and scipy.special, about half a cold start, loads only where it is called
     code = ("import sys, subuniform.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith(('scipy.optimize', 'scipy.sparse'))))")
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
@@ -40,7 +41,7 @@ def _cold_main(argv, tmp_path):
     modules loaded when it ended (written to a file: stdout is main's)."""
     mods = tmp_path / "modules.json"
     code = ("import json, sys; from subuniform.cli import main; "
-            f"rc = main({argv!r}) if {argv!r} is not None else 0; "
+            f"rc = main({argv!r}); "
             f"json.dump(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')), "
             f"open({str(mods)!r}, 'w')); sys.exit(rc)")
     env = os.environ.copy()
@@ -51,13 +52,11 @@ def _cold_main(argv, tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
-    None,
     ["calibrate", "--p", "0.03"],
     ["simulate", "--model", "lasso", "--n", "1000", "--seed", "1"],
 ])
 def test_cli_loads_scipy_only_where_used(argv, tmp_path):
-    # scipy.special costs a cold process about half its start-up; only the
-    # chi-square tails, the beta22 quantile and the G laws call it
+    # only the chi-square tails, the beta22 quantile and the G laws call scipy
     _, loaded = _cold_main(argv, tmp_path)
     assert loaded == []
 

@@ -249,11 +249,13 @@ def test_frequency_run_env_thread_override(monkeypatch):
             assert again.summary() == base.summary()
 
 
-def test_frequency_run_holds_one_n_array():
+def test_frequency_run_holds_one_n_array(monkeypatch):
     # the p-values are written, sorted and summarized in one n-array: sorting
-    # a copy and squaring deviations into another took 2 * 8n
+    # a copy and squaring deviations into another took 2 * 8n.  Each extra
+    # worker thread holds its own block temporaries, so measure one thread.
     import tracemalloc
 
+    monkeypatch.delenv("PPP_THREADS", raising=False)
     n = 1_000_000
     frequency_run(lasso_model(0.1), 10, RngStream(1))  # numpy imports numpy.random on first use
     tracemalloc.start()
