@@ -32,14 +32,6 @@ from .numerics import EmpiricalSample, RngStream, _write_values
 _TAIL_GRID = (0.01, 0.05, 0.1, 0.25)
 
 
-class _DomainError(Exception):
-    pass
-
-
-class _IOErrorExit(Exception):
-    pass
-
-
 def _flatten(payload: dict, prefix: str = "") -> dict:
     out = {}
     for key, val in payload.items():
@@ -76,15 +68,15 @@ def _read_pvals(path: str) -> np.ndarray:
         with open(path) as fh:
             lines = [ln.strip() for ln in fh if ln.strip()]
     except OSError as exc:
-        raise _IOErrorExit(f"cannot read {path!r}: {exc}") from exc
+        raise OSError(f"cannot read {path!r}: {exc}") from exc
     try:
         vals = np.array([float(ln) for ln in lines])
     except ValueError as exc:
-        raise _DomainError(f"non-numeric entry in {path!r}: {exc}") from exc
+        raise ValueError(f"non-numeric entry in {path!r}: {exc}") from exc
     if vals.size == 0:
-        raise _DomainError(f"{path!r} contains no p-values")
+        raise ValueError(f"{path!r} contains no p-values")
     if not np.all((vals >= 0.0) & (vals <= 1.0)):  # NaN fails both
-        raise _DomainError("p-values must lie in [0, 1]")
+        raise ValueError("p-values must lie in [0, 1]")
     return vals
 
 
@@ -92,7 +84,7 @@ def _read_pvals(path: str) -> np.ndarray:
 
 def _cmd_calibrate(args) -> None:
     if not 0.0 <= args.p <= 1.0:
-        raise _DomainError(f"--p must lie in [0, 1], got {args.p!r}")
+        raise ValueError(f"--p must lie in [0, 1], got {args.p!r}")
     _emit({"p": args.p, "conservative_p": conservative_single(args.p)}, args.format)
 
 
@@ -114,12 +106,12 @@ def _cmd_minp(args) -> None:
         x, m = float(vals.min()), int(vals.size)
     else:
         if args.min is None or args.m is None:
-            raise _DomainError("provide either --pvals or both --min and --m")
+            raise ValueError("provide either --pvals or both --min and --m")
         x, m = args.min, args.m
         if not 0.0 <= x <= 1.0:
-            raise _DomainError(f"--min must lie in [0, 1], got {x!r}")
+            raise ValueError(f"--min must lie in [0, 1], got {x!r}")
         if m < 1:
-            raise _DomainError(f"--m must be >= 1, got {m!r}")
+            raise ValueError(f"--m must be >= 1, got {m!r}")
     nominal_q = float(-np.expm1(m * np.log1p(-min(x, 1.0)))) if x < 1.0 else 1.0
     _emit({
         "min": x,
@@ -136,14 +128,14 @@ _WORKED_PMFS = np.array([[0.7, 0.2, 0.1], [0.1, 0.2, 0.7]])
 def _build_model(args):
     if args.model == "lasso":
         if args.g not in G_FAMILIES:
-            raise _DomainError(f"--g must be one of {sorted(G_FAMILIES)}")
+            raise ValueError(f"--g must be one of {sorted(G_FAMILIES)}")
         return lasso_model(args.alpha, G_FAMILIES[args.g]())
     if args.model == "simplex":
         return simplex_model(args.alpha)
     if args.model == "port":
         pmfs = _WORKED_PMFS if args.pmfs is None else load_port_pmfs(args.pmfs)
         return port_model(pmfs)
-    raise _DomainError(f"unknown model {args.model!r}")
+    raise ValueError(f"unknown model {args.model!r}")
 
 
 def _write_sample(path: str, sample: EmpiricalSample) -> None:
@@ -151,7 +143,7 @@ def _write_sample(path: str, sample: EmpiricalSample) -> None:
         with open(path, "w") as fh:
             _write_values(fh, sample.values)
     except OSError as exc:
-        raise _IOErrorExit(f"cannot write {path!r}: {exc}") from exc
+        raise OSError(f"cannot write {path!r}: {exc}") from exc
 
 
 def _sub_uniformity_payload(sample: EmpiricalSample) -> dict:
@@ -162,14 +154,14 @@ def _sub_uniformity_payload(sample: EmpiricalSample) -> dict:
 
 def _cmd_simulate(args) -> None:
     if args.n < 1:
-        raise _DomainError("--n must be >= 1")
+        raise ValueError("--n must be >= 1")
     rng = RngStream(seed=args.seed)
     ks_ref_alpha = None
     if args.model == "ruschendorf":
         if not 0.0 < args.alpha <= 0.5:
-            raise _DomainError(f"--alpha must lie in (0, 0.5] for ruschendorf, got {args.alpha!r}")
+            raise ValueError(f"--alpha must lie in (0, 0.5] for ruschendorf, got {args.alpha!r}")
         if args.estimator != "exact":
-            raise _DomainError("ruschendorf is a direct construction; only --estimator exact applies")
+            raise ValueError("ruschendorf is a direct construction; only --estimator exact applies")
         sample = ruschendorf_sample(args.alpha, rng, args.n)
         model_id = f"ruschendorf(alpha={args.alpha:g})"
         ks_ref_alpha = args.alpha
@@ -178,10 +170,8 @@ def _cmd_simulate(args) -> None:
         if args.estimator == "exact":
             run = frequency_run(model, args.n, rng)
         else:
-            sampler = (PosteriorSampler(kind="markov", rho=args.rho)
-                       if args.sampler == "markov" else PosteriorSampler(kind="iid"))
-            run = marginal_estimator_run(model, args.estimator, args.m_draws, args.n,
-                                         rng, sampler=sampler)
+            run = marginal_estimator_run(model, args.estimator, args.m_draws, args.n, rng,
+                                         sampler=PosteriorSampler(kind=args.sampler, rho=args.rho))
         sample, model_id = run.pvalues, run.model_id
         if args.estimator == "exact":
             if args.model == "lasso" and args.g == "uniform":
@@ -211,16 +201,16 @@ def _cmd_simulate(args) -> None:
 
 def _cmd_construct(args) -> None:
     if args.n < 1:
-        raise _DomainError("--n must be >= 1")
+        raise ValueError("--n must be >= 1")
     try:
         with open(args.target) as fh:
             target_text = fh.read()
     except OSError as exc:
-        raise _IOErrorExit(f"cannot read {args.target!r}: {exc}") from exc
+        raise OSError(f"cannot read {args.target!r}: {exc}") from exc
     try:
         target = SubUniformDist.from_json(target_text)
     except ValueError as exc:
-        raise _DomainError(f"invalid target spec: {exc}") from exc
+        raise ValueError(f"invalid target spec: {exc}") from exc
     rng = RngStream(seed=args.seed)
     model = synthesize_ppp(target, g_name=args.g, rng=rng)
     gen = rng.generator()
@@ -254,26 +244,22 @@ def _cmd_construct(args) -> None:
             with open(args.model_out, "w") as fh:
                 fh.write(model.to_json() + "\n")
         except OSError as exc:
-            raise _IOErrorExit(f"cannot write {args.model_out!r}: {exc}") from exc
+            raise OSError(f"cannot write {args.model_out!r}: {exc}") from exc
     _emit(payload, args.format)
 
 
 def _cmd_curves(args) -> None:
     if args.figure == "idf":
         if not 0.0 < args.alpha < 0.5:
-            raise _DomainError(f"--alpha must lie in (0, 0.5), got {args.alpha!r}")
+            raise ValueError(f"--alpha must lie in (0, 0.5), got {args.alpha!r}")
         grid = np.linspace(0.0, 1.0, args.points)
-        extremal = p2alpha(args.alpha).idf()
-        beta_idf = beta22_idf()
-        rows = [[float(x),
-                 float(x * x / 2.0),
-                 float(beta_idf.evaluate(x)),
-                 float(extremal.evaluate(x))] for x in grid]
+        idfs = (uniform_idf(), beta22_idf(), p2alpha(args.alpha).idf())
+        rows = np.column_stack([grid, *(idf.evaluate(grid) for idf in idfs)]).tolist()
         _emit_table(["x", "phi_uniform", "phi_beta22", "phi_p2alpha"], rows, args.format)
         return
     if args.figure == "fisher":
         if args.m < 1:
-            raise _DomainError(f"--m must be >= 1, got {args.m!r}")
+            raise ValueError(f"--m must be >= 1, got {args.m!r}")
         alphas = np.geomspace(1e-5, 0.1, args.points)
         rows = []
         for a in alphas:
@@ -284,7 +270,7 @@ def _cmd_curves(args) -> None:
         _emit_table(["alpha", "score", "nominal", "bound_shifted_chi2",
                      "bound_cantelli", "bound_mgf"], rows, args.format)
         return
-    raise _DomainError(f"unknown figure {args.figure!r}")
+    raise ValueError(f"unknown figure {args.figure!r}")
 
 
 # ------------------------------------------------------------------ parser
@@ -359,10 +345,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except (_DomainError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (_IOErrorExit, OSError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -25,6 +25,7 @@ absolutely continuous and the S-marginal exactly uniform.
 from __future__ import annotations
 
 import json
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable
@@ -167,13 +168,13 @@ class ConditionalLaw:
             if not lo < hi:
                 raise ValueError(f"bad singular span ({lo}, {hi})")
 
-    def entry(self, p: float, tol: float = 1e-12) -> Row:
-        """The row law at P = p."""
+    def entry(self, p: float) -> Row:
+        """The row law at P = p, matched to within 1e-12."""
         for loc, _mass, row in self.atom_rows:
-            if abs(p - loc) <= tol:
+            if abs(p - loc) <= 1e-12:
                 return row
         for lo, hi in self.singular_spans:
-            if lo - tol <= p <= hi + tol:
+            if lo - 1e-12 <= p <= hi + 1e-12:
                 return SingularRow(float(p))
         raise ValueError(f"p={p!r} is not in the support of the P-marginal")
 
@@ -338,14 +339,12 @@ def mod1_family(row: Row, g_cdf: Callable[[float], float], t: float, s: float) -
         return float(s)
     if not row.contains(float(s)):
         raise ValueError(f"s={s!r} lies outside the row support {row.support()}")
-    u = (float(row.cdf(s)) + float(g_cdf(t))) % 1.0
+    u = (float(row.cdf(s)) + float(g_cdf(float(t)))) % 1.0
     return float(row.inverse(u))
 
 
-def _logistic_cdf(t):
-    from scipy import special  # imported on use: most commands never need scipy
-
-    return special.expit(np.asarray(t, dtype=float))
+def _logistic_cdf(t: float) -> float:
+    return float(np.exp(-np.logaddexp(0.0, -t)))
 
 
 def _logistic_sample(gen: np.random.Generator, n: int) -> np.ndarray:
@@ -353,10 +352,8 @@ def _logistic_sample(gen: np.random.Generator, n: int) -> np.ndarray:
     return np.log(u) - np.log1p(-u)
 
 
-def _normal_cdf(t):
-    from scipy import special
-
-    return special.ndtr(np.asarray(t, dtype=float))
+def _normal_cdf(t: float) -> float:
+    return 0.5 * math.erfc(-t / math.sqrt(2.0))
 
 
 def _normal_sample(gen: np.random.Generator, n: int) -> np.ndarray:

@@ -23,8 +23,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .idf import IntegratedDF, DominanceResult, dominates_cx, uniform_idf, beta22_idf
-from .numerics import EmpiricalSample, RngStream, _run_blocks
+from .idf import (_ANALYTIC_FAMILIES, DominanceResult, IntegratedDF, dominates_cx, uniform_idf,
+                  _analytic_quantile, _quantile_integral)
+from .numerics import _ATOM_TOL, EmpiricalSample, RngStream, _run_blocks
 
 __all__ = [
     "SubUniformDist",
@@ -51,7 +52,8 @@ class SubUniformDist:
 
     atoms:  ((location, mass), ...) point masses.
     pieces: ((lo, hi, mass), ...) uniform components on [lo, hi].
-    Analytic variants carry empty atoms/pieces.
+    Analytic variants carry empty atoms/pieces; their CDF, mean, quantile
+    and IDF come from the idf module.
     """
 
     variant: str
@@ -59,7 +61,7 @@ class SubUniformDist:
     pieces: tuple[tuple[float, float, float], ...] = field(default=())
 
     def __post_init__(self):
-        if self.variant in ("uniform01", "beta22"):
+        if self.variant in _ANALYTIC_FAMILIES:
             if self.atoms or self.pieces:
                 raise ValueError(f"{self.variant} takes no atoms or pieces")
             return
@@ -86,25 +88,21 @@ class SubUniformDist:
     # ---------------------------------------------------------------- queries
 
     def cdf(self, x) -> np.ndarray | float:
+        if self.variant != "mixture":
+            return self.idf().right_derivative(x)
         xq = np.asarray(x, dtype=float)
         scalar = xq.ndim == 0
         xq = np.atleast_1d(xq)
-        if self.variant == "uniform01":
-            out = np.clip(xq, 0.0, 1.0)
-        elif self.variant == "beta22":
-            xc = np.clip(xq, 0.0, 1.0)
-            out = 3.0 * xc**2 - 2.0 * xc**3
-        else:
-            out = np.zeros_like(xq)
-            for loc, mass in self.atoms:
-                out += mass * (xq >= loc)
-            for lo, hi, mass in self.pieces:
-                out += mass * np.clip((xq - lo) / (hi - lo), 0.0, 1.0)
+        out = np.zeros_like(xq)
+        for loc, mass in self.atoms:
+            out += mass * (xq >= loc)
+        for lo, hi, mass in self.pieces:
+            out += mass * np.clip((xq - lo) / (hi - lo), 0.0, 1.0)
         return float(out[0]) if scalar else out
 
     def mean(self) -> float:
-        if self.variant in ("uniform01", "beta22"):
-            return 0.5
+        if self.variant != "mixture":
+            return self.idf().mean()
         m = sum(mass * loc for loc, mass in self.atoms)
         m += sum(mass * (lo + hi) / 2.0 for lo, hi, mass in self.pieces)
         return float(m)
@@ -118,12 +116,8 @@ class SubUniformDist:
         g = _as_generator(rng)
         if n <= 0:
             raise ValueError("n must be positive")
-        if self.variant == "uniform01":
-            return EmpiricalSample(g.random(n), _owned=True)
-        if self.variant == "beta22":
-            from scipy import special  # imported on use: most commands never need scipy
-
-            return EmpiricalSample(special.betaincinv(2.0, 2.0, g.random(n)), _owned=True)
+        if self.variant != "mixture":
+            return EmpiricalSample(_analytic_quantile(self.variant, g.random(n)), _owned=True)
         # mixture: pick a component by mass, then sample within it
         comps: list[tuple[float, tuple]] = [(m, ("atom", loc)) for loc, m in self.atoms]
         comps += [(m, ("piece", lo, hi)) for lo, hi, m in self.pieces]
@@ -145,10 +139,8 @@ class SubUniformDist:
         return EmpiricalSample(out, _owned=True)
 
     def idf(self) -> IntegratedDF:
-        if self.variant == "uniform01":
-            return uniform_idf()
-        if self.variant == "beta22":
-            return beta22_idf()
+        if self.variant != "mixture":
+            return IntegratedDF.analytic(self.variant)
         # events: atom locations and piece endpoints; CDF is linear between them
         events = sorted({loc for loc, _ in self.atoms}
                         | {e for lo, hi, _ in self.pieces for e in (lo, hi)})
@@ -166,9 +158,9 @@ class SubUniformDist:
         fv[-1] = 1.0
         return IntegratedDF.piecewise(np.array(bx), np.array(fv))
 
-    def is_sub_uniform(self, tol: float = 1e-9) -> DominanceResult:
-        """Convex-order check against the uniform law, with witness."""
-        return dominates_cx(self.idf(), uniform_idf(), tol=tol)
+    def is_sub_uniform(self) -> DominanceResult:
+        """Convex-order check against the uniform law (tol 1e-9), with witness."""
+        return dominates_cx(self.idf(), uniform_idf())
 
     # ---------------------------------------------------------------- serde
 
@@ -191,7 +183,7 @@ class SubUniformDist:
             raise ValueError("distribution JSON must be an object with a 'variant' key")
         variant = payload["variant"]
         try:
-            if variant in ("uniform01", "beta22"):
+            if variant in _ANALYTIC_FAMILIES:
                 return cls(variant)
             if variant == "p2alpha":  # accepted shorthand
                 return p2alpha(float(payload["alpha"]))
@@ -246,26 +238,24 @@ def as_p2alpha(dist: SubUniformDist) -> float | None:
 
 # ------------------------------------------------------------------ sample-vs-law fit
 
-def ks_distance(dist: SubUniformDist, samp: EmpiricalSample,
-                atom_window: float = 1e-9) -> float:
+def ks_distance(dist: SubUniformDist, samp: EmpiricalSample) -> float:
     """Exact sup distance between the empirical CDF and dist's CDF.
 
     Unlike the continuous-only KS formula this takes left limits at atoms, so
     laws with point masses are compared correctly.  Sample values within
-    atom_window of an atom are snapped onto it first: simulators that reach an
+    _ATOM_TOL of an atom are snapped onto it first: simulators that reach an
     atom through float arithmetic land a few ulp off, and without snapping the
     sup distance would report the whole atom mass as missing.
     """
-    return _step_cdf_gap(dist, samp.values, lambda k: k / samp.n, atom_window)
+    return _step_cdf_gap(dist, samp.values, lambda k: k / samp.n)
 
 
 def _step_cdf_gap(dist: SubUniformDist, locs: np.ndarray,
-                  level: Callable[[np.ndarray], np.ndarray],
-                  atom_window: float = 1e-9) -> float:
+                  level: Callable[[np.ndarray], np.ndarray]) -> float:
     """Exact sup_x |E(x) - F(x)| for a step CDF E that jumps only at locs.
 
     locs is sorted and E(x) = level(number of locs <= x).
-    Locs within atom_window of an atom of dist are snapped onto it, as in
+    Locs within _ATOM_TOL of an atom of dist are snapped onto it, as in
     ks_distance.  Between consecutive points of locs, dist's atoms and piece
     ends, E is constant and F monotone, so the sup is attained in the left or
     right limits at those points.  At a run of equal locs from index i to j
@@ -278,9 +268,9 @@ def _step_cdf_gap(dist: SubUniformDist, locs: np.ndarray,
         def snap(v: np.ndarray) -> np.ndarray:
             v = v.copy()
             for loc, _ in dist.atoms:
-                v[np.abs(v - loc) <= atom_window] = loc
+                v[np.abs(v - loc) <= _ATOM_TOL] = loc
             return v
-        if np.any(np.diff(np.sort(atoms)) <= 2.0 * atom_window):
+        if np.any(np.diff(np.sort(atoms)) <= 2.0 * _ATOM_TOL):
             # overlapping windows can reorder the snapped locs: sort them once
             locs, snap = np.sort(snap(locs)), None
     points = np.unique(np.concatenate([
@@ -311,22 +301,20 @@ def _cdf_limits(dist: SubUniformDist, x: np.ndarray) -> tuple[np.ndarray, np.nda
     return f, f - atom_mass
 
 
-def atom_frequencies(dist: SubUniformDist, samp: EmpiricalSample,
-                     window: float = 1e-9) -> dict[float, float]:
-    """Empirical frequency near each atom of dist (window absorbs float jitter)."""
-    return {loc: samp.atom_frequency(loc, window=window) for loc, _ in dist.atoms}
+def atom_frequencies(dist: SubUniformDist, samp: EmpiricalSample) -> dict[float, float]:
+    """Empirical frequency within _ATOM_TOL of each atom of dist."""
+    return {loc: samp.atom_frequency(loc) for loc, _ in dist.atoms}
 
 
-def continuous_part_ks(dist: SubUniformDist, samp: EmpiricalSample,
-                       window: float = 1e-9) -> float:
-    """KS distance of the non-atom part of the sample against the conditional
-    continuous part of dist."""
+def continuous_part_ks(dist: SubUniformDist, samp: EmpiricalSample) -> float:
+    """KS distance of the sample values farther than _ATOM_TOL from every atom
+    against the conditional continuous part of dist."""
     total_atom = sum(m for _, m in dist.atoms)
     if total_atom >= 1.0 - 1e-12:
         raise ValueError("distribution has no continuous part")
     keep = np.ones(samp.n, dtype=bool)
     for loc, _ in dist.atoms:
-        keep &= np.abs(samp.values - loc) > window
+        keep &= np.abs(samp.values - loc) > _ATOM_TOL
     if not np.any(keep):
         raise ValueError("sample has no values outside the atoms")
     sub = EmpiricalSample(samp.values[keep], _owned=True)
@@ -356,17 +344,10 @@ def discretize(dist: SubUniformDist, n_cells: int) -> tuple[np.ndarray, np.ndarr
     if n_cells < 2:
         raise ValueError("n_cells must be at least 2")
     levels = np.linspace(0.0, 1.0, n_cells + 1)
-    if dist.variant == "uniform01":
-        vals = (levels[:-1] + levels[1:]) / 2.0
-        masses = np.full(n_cells, 1.0 / n_cells)
-    elif dist.variant == "beta22":
-        from scipy import special
-
-        edges = special.betaincinv(2.0, 2.0, levels)
-        F = 3.0 * edges**2 - 2.0 * edges**3
-        M1 = 2.0 * edges**3 - 1.5 * edges**4  # integral of x dF
-        masses = np.diff(F)
-        vals = np.diff(M1) / masses
+    if dist.variant != "mixture":
+        # a cell's mean is the integral of the quantile over its levels, / its mass
+        masses = np.diff(levels)
+        vals = np.diff(_quantile_integral(dist.variant, levels)) / masses
     else:
         vals, masses = _discretize_mixture(dist, levels)
     # merge cells that collapsed onto the same point (atoms spanning cells);

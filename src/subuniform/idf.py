@@ -13,7 +13,8 @@ pointwise comparison against that parabola.
 
 Two representations are supported:
 
-* analytic families (closed-form phi);
+* analytic families, the uniform law and Beta(2,2) (closed-form phi, CDF
+  and quantile; every formula of these two laws lives here);
 * piecewise CDFs: node arrays (breakpoints, cdf) where the CDF interpolates
   linearly between nodes and a repeated breakpoint encodes a jump (point
   mass).  phi is then piecewise quadratic (linear across constant-CDF spans)
@@ -86,8 +87,7 @@ class IntegratedDF:
 
     def __init__(self, *, kind: str, family: str | None = None,
                  breakpoints: np.ndarray | None = None,
-                 cdf: np.ndarray | None = None,
-                 sample_size: int | None = None):
+                 cdf: np.ndarray | None = None):
         if kind == "analytic":
             if family not in _ANALYTIC_FAMILIES:
                 raise ValueError(f"unknown analytic family {family!r}")
@@ -106,7 +106,7 @@ class IntegratedDF:
             raise ValueError(f"unknown IDF kind {kind!r}")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "family", family)
-        object.__setattr__(self, "sample_size", sample_size)
+        object.__setattr__(self, "sample_size", None)
         object.__setattr__(self, "_nodes", nodes)
         object.__setattr__(self, "_sample", None)
 
@@ -120,8 +120,8 @@ class IntegratedDF:
         return cls(kind="analytic", family=family)
 
     @classmethod
-    def piecewise(cls, breakpoints, cdf, sample_size: int | None = None) -> "IntegratedDF":
-        return cls(kind="piecewise", breakpoints=breakpoints, cdf=cdf, sample_size=sample_size)
+    def piecewise(cls, breakpoints, cdf) -> "IntegratedDF":
+        return cls(kind="piecewise", breakpoints=breakpoints, cdf=cdf)
 
     @classmethod
     def from_samples(cls, values: EmpiricalSample | Iterable[float]) -> "IntegratedDF":
@@ -340,6 +340,35 @@ def _analytic_cdf(family: str, x: np.ndarray) -> np.ndarray:
     if family == "uniform01":
         return xc
     return 3.0 * xc**2 - 2.0 * xc**3
+
+
+def _analytic_quantile(family: str, u: np.ndarray) -> np.ndarray:
+    """The quantile Q(u) of an analytic law at levels u in [0, 1].
+
+    Beta(2,2)'s Q(u) solves 3x^2 - 2x^3 = u.  With x = 1/2 + sin(theta) that
+    is sin(3*theta) = 2u - 1, and written around u = 0 it becomes
+    Q(u) = 2*sin(a)*sin(a + pi/3) with a = asin(sqrt(u))/3, which has no
+    cancellation for u <= 1/2.  Above 1/2, Q(u) = 1 - Q(1 - u), where 1 - u
+    is exact.  (The form 1/2 + sin(asin(2u - 1)/3) rounds 2u - 1 and is off
+    by up to 2.6e-9 near u = 0.)
+    """
+    if family == "uniform01":
+        return u
+    # in place: besides u, two arrays of its size (one is the result), not five
+    a = np.minimum(u, 1.0 - u)
+    np.arcsin(np.sqrt(a, out=a), out=a)
+    a /= 3.0
+    h = a + np.pi / 3.0
+    np.sin(h, out=h)
+    h *= np.sin(a, out=a)
+    h *= 2.0  # h = 2*sin(a)*sin(a + pi/3), the same float
+    return np.subtract(1.0, h, out=h, where=u > 0.5)
+
+
+def _quantile_integral(family: str, u: np.ndarray) -> np.ndarray:
+    """The integral of an analytic law's quantile over [0, u]: u*Q(u) - phi(Q(u))."""
+    q = _analytic_quantile(family, u)
+    return u * q - _analytic_phi(family, q)
 
 
 def uniform_idf() -> IntegratedDF:

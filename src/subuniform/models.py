@@ -23,7 +23,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -359,9 +359,9 @@ class FrequencyRun:
     stream_id: int
     pvalues: EmpiricalSample
 
-    def summary(self, grid_points: int = 512,
-                alphas: Sequence[float] = (0.01, 0.05, 0.1, 0.25)) -> dict:
-        grid = np.linspace(0.0, 1.0, grid_points)
+    def summary(self) -> dict:
+        """Moments, P(X <= a) for a in 0.01, 0.05, 0.1, 0.25, and a 512-point ECDF."""
+        grid = np.linspace(0.0, 1.0, 512)
         return {
             "model": self.model_id,
             "n": self.n,
@@ -369,7 +369,7 @@ class FrequencyRun:
             "stream_id": self.stream_id,
             "mean": self.pvalues.mean(),
             "variance": self.pvalues.variance(),
-            "tail_probs": {f"{a:g}": self.pvalues.tail_prob(a) for a in alphas},
+            "tail_probs": {f"{a:g}": self.pvalues.tail_prob(a) for a in (0.01, 0.05, 0.1, 0.25)},
             "ecdf": {
                 "x": [float(v) for v in grid],
                 "F": [float(v) for v in self.pvalues.ecdf(grid)],

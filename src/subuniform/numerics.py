@@ -23,6 +23,9 @@ __all__ = [
 # values per block, for frequency runs and for passes over a sorted sample
 _BLOCK = 1 << 16
 
+# how far a sample value may lie from an atom and count as on it (see tail_prob)
+_ATOM_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class RngStream:
@@ -109,20 +112,22 @@ class EmpiricalSample:
         mean = np.add.reduce(self.values) / self.n
         return float(_sum_sq_dev(self.values, mean) / self.n)
 
-    def tail_prob(self, alpha: float, atom_tol: float = 1e-9) -> float:
+    def tail_prob(self, alpha: float) -> float:
         """Empirical P(X <= alpha).
 
-        Values within atom_tol of alpha count as <= alpha: model p-values that
-        are mathematically equal to an atom location carry float rounding of a
-        few ulp, and a strict cutoff would split such an atom arbitrarily.
+        Values within _ATOM_TOL of alpha count as <= alpha: model p-values
+        that are mathematically equal to an atom location carry float rounding
+        of a few ulp, and a strict cutoff would split such an atom arbitrarily.
+        The same tolerance decides, everywhere in the package, which sample
+        values sit on an atom.
         """
-        k = np.searchsorted(self.values, alpha + atom_tol, side="right")
+        k = np.searchsorted(self.values, alpha + _ATOM_TOL, side="right")
         return float(k) / self.n
 
-    def atom_frequency(self, location: float, window: float = 1e-9) -> float:
-        """Fraction of the sample within +-window of location."""
-        lo = np.searchsorted(self.values, location - window, side="left")
-        hi = np.searchsorted(self.values, location + window, side="right")
+    def atom_frequency(self, location: float) -> float:
+        """Fraction of the sample within +-_ATOM_TOL of location."""
+        lo = np.searchsorted(self.values, location - _ATOM_TOL, side="left")
+        hi = np.searchsorted(self.values, location + _ATOM_TOL, side="right")
         return float(hi - lo) / self.n
 
     def ecdf(self, x: np.ndarray) -> np.ndarray:
@@ -189,7 +194,7 @@ def chi2_sf(x: float, k: float) -> float:
         raise ValueError(f"chi2_sf requires x >= 0, got {x!r}")
     if x == 0.0:
         return 1.0
-    from scipy import special  # imported on use: most commands never need scipy
+    from scipy import special  # imported on use: only the chi-square tails need scipy
 
     return float(special.gammaincc(k / 2.0, x / 2.0))
 

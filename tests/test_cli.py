@@ -1,9 +1,11 @@
 """End-to-end checks of the ppp command-line surface via subprocess."""
 
+import ast
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -54,11 +56,30 @@ def _cold_main(argv, tmp_path):
 @pytest.mark.parametrize("argv", [
     ["calibrate", "--p", "0.03"],
     ["simulate", "--model", "lasso", "--n", "1000", "--seed", "1"],
+    ["construct", "--target", "{beta22}", "--n", "1000", "--seed", "1"],
 ])
 def test_cli_loads_scipy_only_where_used(argv, tmp_path):
-    # only the chi-square tails, the beta22 quantile and the G laws call scipy
-    _, loaded = _cold_main(argv, tmp_path)
+    # only the chi-square tails call scipy
+    target = tmp_path / "beta22.json"
+    target.write_text('{"variant": "beta22"}')
+    _, loaded = _cold_main([a.format(beta22=target) for a in argv], tmp_path)
     assert loaded == []
+
+
+def test_only_numerics_imports_scipy():
+    # a stray import would show only later, as a slower cold start
+    importers = set()
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "subuniform").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] if node.level == 0 else []
+            else:
+                continue
+            if any(n == "scipy" or n.startswith("scipy.") for n in names):
+                importers.add(path.name)
+    assert importers == {"numerics.py"}
 
 
 def test_fisher_loads_scipy_on_use(tmp_path):
@@ -236,6 +257,14 @@ def test_simulate_estimator_flags():
     for tag in ("r_hat", "M=4", "markov"):
         assert tag in doc["model"]
     assert doc["mean"] == pytest.approx(0.5, abs=0.02)
+
+
+def test_simulate_rejects_rho_without_markov_sampler():
+    proc = run_cli("simulate", "--model", "simplex", "--estimator", "r_hat", "--M", "4",
+                   "--sampler", "iid", "--rho", "0.9", "--n", "1000", "--seed", "1")
+    assert proc.returncode == 1
+    assert "rho is only meaningful for the markov sampler" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_simulate_thread_count_does_not_change_output(tmp_path):

@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from scipy.special import expit
+from scipy.special import expit, ndtr
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +16,7 @@ from subuniform import (EmpiricalSample, IntegratedDF, RngStream, SingularRow,
                         explicit_p2alpha_coupling, ks_distance, ks_statistic,
                         left_curtain_coupling, mod1_family, p2alpha, synthesize_ppp,
                         uniform_coupling, uniform_idf)
+from subuniform.coupling import G_CHOICES
 
 
 # ------------------------------------------------------------------ rows and explicit couplings
@@ -87,6 +88,18 @@ def test_mod1_output_over_t_has_row_law():
     s_fixed = 0.1
     vals = np.array([mod1_family(row, expit, float(t), s_fixed) for t in ts])
     assert ks_statistic(EmpiricalSample(vals), row.cdf) <= 0.01
+
+
+def test_g_law_cdfs_match_scipy():
+    # the closed forms agree with scipy's expit and ndtr, the oracles here
+    gen = np.random.default_rng(3)
+    ts = np.concatenate([[0.0, -800.0, 800.0, -40.0, 40.0, 1e-300, -1e-300],
+                         gen.standard_normal(4000) * 3.0, gen.uniform(-800.0, 800.0, 4000),
+                         np.linspace(-40.0, 40.0, 4001)])
+    for name, oracle in (("logistic", expit), ("normal", ndtr)):
+        cdf = G_CHOICES[name][0]
+        got = np.array([cdf(float(t)) for t in ts])
+        assert np.max(np.abs(got - oracle(ts))) <= 4.4e-16, name
 
 
 # ------------------------------------------------------------------ left-curtain coupling

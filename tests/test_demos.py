@@ -1,7 +1,7 @@
 """Smoke test of the scripts in demos/: each runs to the end in a cold process.
 
-Three of them reach the code paths that import scipy.special on first use
-(the Fisher bounds, the beta22 law and the G laws of the synthesizer).
+One of them reaches the only code that imports scipy.special, on first use:
+the chi-square tails of the Fisher bounds.
 """
 
 import os

@@ -2,6 +2,7 @@
 
 import json
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -238,6 +239,24 @@ def test_discretize_preserves_mean_and_order():
         disc = IntegratedDF.from_atoms(values, masses)
         assert dominates_cx(disc, dist.idf(), tol=1e-9).holds
         assert dominates_cx(disc, uniform_idf(), tol=1e-9).holds
+
+
+def test_discretize_cells_are_quantile_integrals():
+    levels = np.linspace(0.0, 1.0, 257)
+    values, masses = discretize(SubUniformDist("uniform01"), 256)
+    assert np.array_equal(values, (levels[:-1] + levels[1:]) / 2.0)
+    assert np.array_equal(masses, np.full(256, 1.0 / 256))
+    # Beta(2,2): each cell's mean is the integral of the quantile over its
+    # levels, over its mass; the oracle integrates the quantile at 60 digits
+    values, masses = discretize(SubUniformDist("beta22"), 256)
+    with mp.workdps(60):
+        def integral(u):  # u*Q(u) - phi(Q(u)), with phi(x) = x^3 - x^4/2
+            q = mp.mpf(0.5) + mp.sin(mp.asin(2 * u - 1) / 3)
+            return u * q - q**3 + q**4 / 2
+        g = [integral(mp.mpf(float(u))) for u in levels]
+        means = [(g[k + 1] - g[k]) * 256 for k in range(256)]
+        err = max(abs(mp.mpf(float(v)) - m) for v, m in zip(values, means))
+    assert err <= 1e-13
 
 
 # ------------------------------------------------------------------ serialization

@@ -2,6 +2,7 @@
 
 import json
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from subuniform import (EmpiricalSample, IntegratedDF, RngStream, SubUniformDist, beta22_idf,
                         dominates_cx, ks_distance, p2alpha, uniform_idf)
+from subuniform.idf import _analytic_quantile
 
 GRID = np.linspace(0.0, 1.0, 2049)
 
@@ -146,6 +148,30 @@ def test_dominates_cx_exact_against_analytic(atoms, pieces, family, swap):
         _assert_exact_max(analytic, mixture)
     else:
         _assert_exact_max(mixture, analytic)
+
+
+def _beta22_quantile_oracle(u: float):
+    """Q(u) = 1/2 + sin(asin(2u - 1)/3) at 60 digits beyond those that 2u - 1
+    loses near u = 0."""
+    if u == 0.0:
+        return mp.mpf(0)
+    with mp.workdps(60 + max(0, -int(mp.floor(mp.log10(u))))):
+        return +(mp.mpf(0.5) + mp.sin(mp.asin(2 * mp.mpf(u) - 1) / 3))
+
+
+def test_beta22_quantile_matches_oracle():
+    gen = np.random.default_rng(7)
+    u = np.concatenate([[0.0, 2.0**-53, 1e-300, 1e-20, 1e-12, 0.5, 1.0 - 2.0**-53, 1.0],
+                        np.logspace(-300.0, 0.0, 301), gen.random(400),
+                        0.5 + np.linspace(-1e-6, 1e-6, 41), 1.0 - np.logspace(-16.0, -1.0, 31)])
+    q = _analytic_quantile("beta22", u)
+    assert (q[0], q[5], q[7]) == (0.0, 0.5, 1.0)
+    err = np.array([float(abs(mp.mpf(float(qi)) - _beta22_quantile_oracle(float(ui))))
+                    for ui, qi in zip(u, q)])
+    assert np.max(err) <= 4.4e-16
+    low = (u > 0.0) & (u <= 0.5)
+    assert np.max(err[low] / q[low]) <= 1e-15  # relative, also at u = 1e-12 and 1e-300
+    assert np.array_equal(_analytic_quantile("uniform01", u), u)
 
 
 def test_dominates_cx_between_analytic_laws():
