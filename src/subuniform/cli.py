@@ -5,8 +5,8 @@ min-p combination, frequency simulation of the built-in models and
 estimators, synthesis of a p-value with a prescribed law, and curve-data
 export.  Payload goes to stdout as JSON (or CSV with --format csv);
 diagnostics go to stderr.  Exit codes: 0 success, 1 domain or validation
-error, 2 I/O error.  Identical flags and seed give byte-identical stdout;
-PPP_THREADS changes speed only.
+error or out of memory, 2 I/O error.  Identical flags and seed give
+byte-identical stdout; PPP_THREADS changes speed only.
 """
 
 from __future__ import annotations
@@ -351,6 +351,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

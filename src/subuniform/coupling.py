@@ -34,7 +34,7 @@ import numpy as np
 
 from .distributions import SubUniformDist, as_p2alpha, discretize, _step_cdf_gap
 from .idf import IntegratedDF, dominates_cx, uniform_idf
-from .numerics import RngStream
+from .numerics import RngStream, _searchsorted_right, _sorted_unique
 
 __all__ = [
     "SingularRow",
@@ -275,7 +275,7 @@ def _shadow_start(lo: np.ndarray, hi: np.ndarray, cum: np.ndarray,
         d = w - cum[j]
         return g_nodes[j] + d * (lo[j] + d / 2.0)
 
-    u = np.unique(np.clip(np.concatenate([cum, cum - m]), 0.0, top))
+    u = _sorted_unique(np.clip(np.concatenate([cum, cum - m]), 0.0, top))
     h = g(u + m) - g(u)
     k = int(np.clip(np.searchsorted(h, m * v), 1, u.size - 1))
     dh = h[k] - h[k - 1]  # zero only when two levels differ by rounding
@@ -420,7 +420,7 @@ class SyntheticPPPModel:
         masses = np.array([mass for _p, mass, _row in atom_rows])
         cum = np.cumsum(masses)
         cum[-1] = 1.0
-        idx = np.searchsorted(cum, gen.random(n), side="right")
+        idx = _searchsorted_right(cum[:-1], gen.random(n))  # random() < 1 = cum[-1]
         means = np.array([row.mean() for _p, _mass, row in atom_rows])
         # the draws of each row, in draw order: one stable sort of the labels
         order = np.argsort(idx, kind="stable")

@@ -25,7 +25,8 @@ import numpy as np
 
 from .idf import (_ANALYTIC_FAMILIES, DominanceResult, IntegratedDF, dominates_cx, uniform_idf,
                   _analytic_quantile, _quantile_integral)
-from .numerics import _ATOM_TOL, EmpiricalSample, RngStream, _run_blocks
+from .numerics import (_ATOM_TOL, EmpiricalSample, RngStream, _run_blocks, _searchsorted_right,
+                       _sorted_unique)
 
 __all__ = [
     "SubUniformDist",
@@ -124,7 +125,7 @@ class SubUniformDist:
         cum = np.cumsum([m for m, _ in comps])
         cum[-1] = 1.0
         u = g.random(n)
-        idx = np.searchsorted(cum, u, side="right")
+        idx = _searchsorted_right(cum[:-1], u)  # u < 1 = cum[-1]
         out = np.empty(n)
         prev = np.concatenate([[0.0], cum[:-1]])
         for k, (m, spec) in enumerate(comps):
@@ -273,7 +274,7 @@ def _step_cdf_gap(dist: SubUniformDist, locs: np.ndarray,
         if np.any(np.diff(np.sort(atoms)) <= 2.0 * _ATOM_TOL):
             # overlapping windows can reorder the snapped locs: sort them once
             locs, snap = np.sort(snap(locs)), None
-    points = np.unique(np.concatenate([
+    points = _sorted_unique(np.concatenate([
         atoms,
         np.array([e for lo, hi, _ in dist.pieces for e in (lo, hi)], dtype=float),
         np.array([0.0, 1.0]),

@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .numerics import _BLOCK, EmpiricalSample, RngStream, _write_values
+from .numerics import _BLOCK, EmpiricalSample, RngStream, _searchsorted_right, _write_values
 
 __all__ = [
     "SurvivalG",
@@ -112,7 +112,7 @@ class GenerativeModel:
     def sample_prior(self, gen: np.random.Generator, n: int) -> np.ndarray:
         cum = np.cumsum(self.prior)
         cum[-1] = 1.0
-        idx = np.searchsorted(cum, gen.random(n), side="right")
+        idx = _searchsorted_right(cum[:-1], gen.random(n))  # random() < 1 = cum[-1]
         return self.theta_support[idx]
 
     def draw_pvalues(self, gen: np.random.Generator, n: int) -> np.ndarray:
@@ -162,6 +162,8 @@ def lasso_model(alpha: float, g: SurvivalG | None = None) -> GenerativeModel:
 
     def distance(x, theta):
         x = np.asarray(x, dtype=float)
+        if np.ndim(theta) == 0 and theta == 1:
+            return x.copy()
         return np.where((x <= c) | (np.asarray(theta) == 1), x, 2.0 - 2.0 * alpha - x)
 
     def sample_data(theta, gen):
@@ -296,13 +298,12 @@ def port_model(pmfs: np.ndarray,
     cum[:, -1] = 1.0
 
     def sample_data(theta, gen):
-        theta = np.asarray(theta)
+        theta = np.asarray(theta, dtype=int)
         u = gen.random(theta.size)
-        out = np.empty(theta.size, dtype=int)
-        for a in range(n_apps):
-            sel = theta == a
-            if np.any(sel):
-                out[sel] = np.searchsorted(cum[a], u[sel], side="right")
+        # the port is the count of cum[theta] <= u, and u < 1 = cum[theta, -1]
+        out = np.zeros(theta.size, dtype=int)
+        for j in range(n_ports - 1):
+            out += u >= cum[theta, j]
         return out
 
     def conditional_sf(theta, pi):

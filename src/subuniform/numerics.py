@@ -7,6 +7,7 @@ contracts here are deliberately narrow and heavily tested.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, TextIO
 
@@ -174,11 +175,137 @@ def _run_blocks(values: np.ndarray, snap: Callable[[np.ndarray], np.ndarray] | N
             yield starts, ends, v[ends - 1 - lo]
 
 
+def _searchsorted_right(table: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """np.searchsorted(table, u, side="right") for a sorted table.
+
+    Up to 64 entries the result is counted, one comparison pass per entry,
+    into uint8: a binary search mispredicts a branch per key, which costs
+    more than the passes on short tables (about 10x on 2 entries); above 64
+    entries the search is faster.
+    """
+    if table.size > 64:
+        return np.searchsorted(table, u, side="right")
+    count = np.zeros(np.shape(u), dtype=np.uint8)
+    for t in table:
+        count += u >= t
+    return count
+
+
+def _sorted_unique(a: np.ndarray) -> np.ndarray:
+    """np.unique(a) for finite a: sort, then drop each value equal to its
+    predecessor.  np.unique imports numpy.ma, about 18 ms of a cold start."""
+    a = np.sort(a)
+    return a[np.concatenate([[True], a[1:] != a[:-1]])]
+
+
+# ------------------------------------------------------------------ the sample writer
+
+def _ceil_pow10(k: int) -> float:
+    """The smallest double >= 10**k, so that x >= _ceil_pow10(k) iff x >= 10**k."""
+    if k >= 0:
+        return float(10 ** k)
+    v = 1 / 10 ** -k  # int / int rounds correctly
+    a, b = v.as_integer_ratio()
+    return math.nextafter(v, math.inf) if a * 10 ** -k < b else v
+
+
+def _format_tables():
+    # %g at precision 17 prints fixed notation for -4 <= k < 17 and scientific
+    # below.  A row's head is its text up to and including the first digit d0,
+    # with the point when d0 is followed by one: NUL-padded on the left to one
+    # uint64, at ((k - _EXP_MIN) * 10 + d0) * 2 + has_more.  Its tail is the
+    # exponent, if any, and the newline.
+    heads, tails = [], []
+    for k in range(_EXP_MIN, 1):
+        for d0 in "0123456789":
+            for more in (False, True):
+                text = "0." + "0" * (-k - 1) + d0 if -4 <= k < 0 else d0 + "." * more
+                heads.append(int.from_bytes(text.rjust(8, "\0").encode(), "little"))
+        tails.append(int.from_bytes((f"e-{-k:02d}\n" if k < -4 else "\n").ljust(8, "\0").encode(),
+                                    "little"))
+    q = np.arange(10000, dtype=np.uint32)  # 0000 to 9999 as 4 ASCII bytes
+    digits4 = sum((48 + q // 10 ** (3 - j) % 10) << (8 * j) for j in range(4)).astype("<u4")
+    return np.array(heads, dtype=_WORD), np.array(tails, dtype=_WORD), digits4
+
+
+# Values in [10**_EXP_MIN, 10) are formatted in bulk.  The bound below is the
+# last decimal exponent k with 10**(16 - k) an exact double; p-values are at
+# most 1, and larger values would move the point into the digits.
+_EXP_MIN = -6
+_WORD = np.dtype("<u8")  # 8 bytes of text, first byte lowest on any host
+_EXP_FLOORS = np.array([_ceil_pow10(k) for k in range(_EXP_MIN + 1, 1)])
+_FAST_LO = _ceil_pow10(_EXP_MIN)
+_SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitter
+_SCALES = np.array([float(10 ** (16 - k)) for k in range(_EXP_MIN, 1)])
+_SCALES_HI = _SCALES * _SPLIT - (_SCALES * _SPLIT - _SCALES)
+_SCALES_LO = _SCALES - _SCALES_HI
+_HEADS, _TAILS, _DIGITS4 = _format_tables()
+_ROW = 32  # bytes per row: head, two words of digits, tail; the longest %.17g line has 25
+# values formatted at once.  At 2048 no temporary of a chunk passes 64 KiB
+# and glibc's malloc reuses them all; from 3072 on it handed them back to the
+# system after each chunk, and writing 5e5 values page-faulted 18k-36k times
+# and took 1.4-2x as long.
+_WRITE_CHUNK = 1 << 11
+
+
+def _format_chunk(x: np.ndarray) -> str:
+    """The lines f"{v:.17g}\\n" of x as one string, with no Python work per
+    value in [10**_EXP_MIN, 10).
+
+    With k the decimal exponent of v, Dekker's product gives hi + lo =
+    v * 10**(16 - k) exactly, in [1e16, 1e17).  hi >= 2**53 is an even
+    integer, so hi + rint(lo) is the product rounded half-even to an integer:
+    the 17 significant digits of %.17g, correctly rounded as Python rounds.
+    Each row is laid out in 32 bytes, NULs between its parts, and the NULs
+    of the chunk are dropped at the end.  Other values (0, negatives, tiny,
+    large, nan, inf) are formatted by Python and spliced in.
+    """
+    m = x.size
+    fast = (x >= _FAST_LO) & (x < 10.0)
+    slow = np.flatnonzero(~fast)
+    v = np.where(fast, x, 1.0) if slow.size else x
+    i = _searchsorted_right(_EXP_FLOORS, v).astype(np.intp)  # k - _EXP_MIN, as an index
+    hi = v * _SCALES[i]
+    c = v * _SPLIT
+    vh = c - (c - v)
+    vl = v - vh
+    sh, sl = _SCALES_HI[i], _SCALES_LO[i]
+    lo = ((vh * sh - hi) + vh * sl + vl * sh) + vl * sl
+    d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    carry = d == 10 ** 17  # rounded up to the next power of ten (only for k < 0)
+    d -= carry * (9 * 10 ** 16)
+    i += carry
+    q = d // 10 ** 8
+    first = q // 10 ** 8
+    eight = np.stack([q - first * 10 ** 8, d - q * 10 ** 8], axis=1)
+    hi4 = eight // 10 ** 4
+    four = np.stack([hi4, eight - hi4 * 10 ** 4], axis=2).reshape(m, 4)
+    digits = _DIGITS4[four].view(_WORD)  # (m, 2): the 16 digits after the first
+    # NUL out the trailing '0' digits: 0x80 marks each byte that holds another
+    # digit, is spread to every byte below it, and, when the second word keeps
+    # a digit, over the whole first word
+    keep = ((digits ^ 0x3030303030303030) + 0x7F7F7F7F7F7F7F7F) & 0x8080808080808080
+    for shift in (8, 16, 32):
+        keep |= keep >> shift
+    keep[:, 0] |= (keep[:, 1] & 0x80) * 0x0101010101010101
+    digits &= (keep >> 7) * 0xFF
+    rows = np.empty((m, 4), dtype=_WORD)
+    rows[:, 0] = _HEADS[(first + 10 * i) * 2 + (digits[:, 0] != 0)]
+    rows[:, 1:3] = digits
+    rows[:, 3] = _TAILS[i]
+    text = rows.view(np.uint8)
+    if slow.size:
+        other = "".join(f"{w:.17g}\n".ljust(_ROW, "\0") for w in x[slow].tolist())
+        text[slow] = np.frombuffer(other.encode(), dtype=np.uint8).reshape(-1, _ROW)
+    text = text.ravel()
+    return str(text[text != 0], "ascii")
+
+
 def _write_values(fh: TextIO, values: np.ndarray) -> None:
-    """Write values one per line as %.17g (the bytes of np.savetxt(fmt="%.17g")),
-    formatting one block at a time."""
-    for lo in range(0, values.size, _BLOCK):
-        fh.write("".join(f"{x:.17g}\n" for x in values[lo:lo + _BLOCK].tolist()))
+    """Write values one per line as %.17g (the bytes of np.savetxt(fmt="%.17g")
+    and of f"{x:.17g}"), formatting one chunk at a time."""
+    for lo in range(0, values.size, _WRITE_CHUNK):
+        fh.write(_format_chunk(values[lo:lo + _WRITE_CHUNK]))
 
 
 def chi2_sf(x: float, k: float) -> float:

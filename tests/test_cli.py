@@ -40,11 +40,13 @@ def test_cli_import_needs_no_solver():
 
 def _cold_main(argv, tmp_path):
     """Run main(argv) in a cold interpreter; return its process and the scipy
-    modules loaded when it ended (written to a file: stdout is main's)."""
+    modules and numpy.ma, if loaded, when it ended (written to a file: stdout
+    is main's)."""
     mods = tmp_path / "modules.json"
     code = ("import json, sys; from subuniform.cli import main; "
             f"rc = main({argv!r}); "
-            f"json.dump(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')), "
+            "json.dump(sorted(m for m in sys.modules "
+            "if m in ('scipy', 'numpy.ma') or m.startswith('scipy.')), "
             f"open({str(mods)!r}, 'w')); sys.exit(rc)")
     env = os.environ.copy()
     env.pop("PPP_THREADS", None)
@@ -56,10 +58,12 @@ def _cold_main(argv, tmp_path):
 @pytest.mark.parametrize("argv", [
     ["calibrate", "--p", "0.03"],
     ["simulate", "--model", "lasso", "--n", "1000", "--seed", "1"],
+    ["simulate", "--model", "ruschendorf", "--n", "1000", "--seed", "1"],
     ["construct", "--target", "{beta22}", "--n", "1000", "--seed", "1"],
 ])
 def test_cli_loads_scipy_only_where_used(argv, tmp_path):
-    # only the chi-square tails call scipy
+    # only the chi-square tails call scipy; and no command needs numpy.ma,
+    # which np.unique imports (about 18 ms of a cold start)
     target = tmp_path / "beta22.json"
     target.write_text('{"variant": "beta22"}')
     _, loaded = _cold_main([a.format(beta22=target) for a in argv], tmp_path)
@@ -300,6 +304,29 @@ def test_simulate_ruschendorf_rejects_estimators():
     proc = run_cli("simulate", "--model", "ruschendorf", "--n", "100",
                    "--seed", "506", "--estimator", "p_hat")
     assert proc.returncode == 1
+
+
+def _limit_address_space():
+    # 3 GB of address space: the 800 GB sample below fails to allocate without
+    # touching host memory, whatever the host's overcommit policy
+    import resource
+
+    _soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = 3 << 30 if hard == resource.RLIM_INFINITY else min(hard, 3 << 30)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+
+@pytest.mark.parametrize("model", ["lasso", "ruschendorf"])
+def test_simulate_out_of_memory_is_a_domain_error(model):
+    env = os.environ.copy()
+    env.pop("PPP_THREADS", None)
+    proc = subprocess.run([sys.executable, "-m", "subuniform.cli", "simulate", "--model", model,
+                           "--n", "100000000000", "--seed", "1"],
+                          capture_output=True, text=True, env=env,
+                          preexec_fn=_limit_address_space)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error: out of memory: ")
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
 
 
 # ------------------------------------------------------------------ construct

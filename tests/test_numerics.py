@@ -1,5 +1,6 @@
 """Special functions, RNG streams, and empirical-sample statistics."""
 
+import io
 import math
 
 import mpmath as mp
@@ -251,3 +252,101 @@ def test_write_values_matches_savetxt(tmp_path):
         with open(out, "w") as fh:
             _write_values(fh, values)
         assert out.read_bytes() == ref.read_bytes()
+
+
+def _written(values: np.ndarray) -> str:
+    from subuniform.numerics import _write_values
+
+    fh = io.StringIO()
+    _write_values(fh, values)
+    return fh.getvalue()
+
+
+def _python_lines(values: np.ndarray) -> str:
+    return "".join(f"{x:.17g}\n" for x in values.tolist())
+
+
+# the edges of the bulk-formatted range [1e-6, 10), and values on both sides
+_WRITER_EDGES = [0.0, -0.0, 1e-6, np.nextafter(1e-6, 0.0), 1e-5, 1e-4, 0.1, 1.0, 9.999999999999998,
+                 10.0, 1e17, 5e-324, -0.5, 1.0 - 2.0 ** -53]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                          st.floats(1e-7, 20.0), st.sampled_from(_WRITER_EDGES)),
+                min_size=1, max_size=60))
+def test_write_values_matches_python_on_any_double(values):
+    values = np.array(values, dtype=float)
+    assert _written(values) == _python_lines(values)
+
+
+def test_write_values_rounds_exact_ties_half_even():
+    # odd m / 2**j has more than 17 significant digits just at these scales, so
+    # rounding to 17 digits meets exact halves: every one of them in each range
+    for j, lo, hi in ((18, 0.1, 1.0), (19, 0.01, 0.1)):
+        m = np.arange(1, 2 ** j, 2)
+        values = m / 2.0 ** j
+        values = values[(values >= lo) & (values < hi)]
+        assert _written(values) == _python_lines(values)
+
+
+def test_write_values_around_every_power_of_ten():
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    values = np.concatenate([np.nextafter(powers, 0.0), powers, np.nextafter(powers, np.inf),
+                             [1.0, 1.0 - 2.0 ** -53, 0.0, -0.0]])
+    assert _written(values) == _python_lines(values)
+
+
+def test_write_values_block_and_chunk_edges():
+    from subuniform.numerics import _BLOCK, _WRITE_CHUNK
+
+    gen = RngStream(seed=13).generator()
+    big = gen.random(1_000_000)
+    assert _written(big) == _python_lines(big)
+    for n in (_WRITE_CHUNK - 1, _WRITE_CHUNK, _WRITE_CHUNK + 1, _BLOCK - 1, _BLOCK, _BLOCK + 1,
+              2 * _BLOCK + 17):
+        values = gen.random(n)
+        for at in (0, n // 2, n - 1, _WRITE_CHUNK - 1, _WRITE_CHUNK):  # Python-formatted values
+            values[min(at, n - 1)] = (0.0, -2.5, 1e-300, 3e7)[at % 4]
+        assert _written(values) == _python_lines(values)
+
+
+def test_write_values_memory_is_one_chunk(tmp_path):
+    import tracemalloc
+
+    from subuniform.numerics import _write_values
+
+    values = RngStream(seed=14).generator().random(1_000_000)
+    with open(tmp_path / "out.csv", "w") as fh:
+        _write_values(fh, values[:10])  # first-call set-up is not a per-sample cost
+        tracemalloc.start()
+        try:
+            _write_values(fh, values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= 1.0 * values.nbytes
+
+
+# ------------------------------------------------------------------ small helpers
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=300), st.integers(0, 2**32 - 1))
+def test_searchsorted_right_counts_like_the_search(table, seed):
+    from subuniform.numerics import _searchsorted_right
+
+    table = np.sort(np.array(table))
+    gen = np.random.default_rng(seed)
+    u = np.concatenate([gen.random(200), gen.choice(table, 50)])  # ties with the table
+    assert np.array_equal(_searchsorted_right(table, u), np.searchsorted(table, u, side="right"))
+
+
+def test_sorted_unique_matches_numpy():
+    from subuniform.numerics import _sorted_unique
+
+    gen = RngStream(seed=15).generator()
+    for values in (np.array([0.0, -0.0, 1.0, 0.0, -0.0]), np.array([-0.0, 0.0]), np.array([2.0]),
+                   np.round(gen.random(1000), 2),
+                   np.concatenate([gen.random(50), -gen.random(50)])):
+        got, want = _sorted_unique(values), np.unique(values)
+        assert got.tobytes() == want.tobytes()  # the same zeros, signs included
