@@ -323,10 +323,16 @@ def port_model(pmfs: np.ndarray,
 def load_port_pmfs(path: str) -> np.ndarray:
     """Load port pmfs from CSV: one row per application, one column per port."""
     try:
-        h = np.loadtxt(path, delimiter=",", ndmin=2)
+        with open(path) as fh:
+            lines = [ln for ln in fh if ln.split("#", 1)[0].strip()]
+    except OSError as exc:
+        raise OSError(f"cannot read {path!r}: {exc}") from exc
+    if not lines:
+        raise ValueError(f"{path!r} contains no pmf rows")
+    try:
+        return np.loadtxt(lines, delimiter=",", ndmin=2)
     except ValueError as exc:
         raise ValueError(f"malformed pmf CSV {path!r}: {exc}") from exc
-    return h
 
 
 # ------------------------------------------------------------------ direct construction

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from subuniform import (RngStream, SubUniformDist, SyntheticPPPModel, fisher_bounds,
-                        fisher_score, p2alpha)
+                        fisher_critical, fisher_score, p2alpha)
 
 
 def run_cli(*argv, env_extra=None):
@@ -29,8 +29,8 @@ def payload(proc):
 
 
 def test_cli_import_needs_no_solver():
-    # every computation has a closed form: no optimizer, no sparse matrices;
-    # and scipy.special, about half a cold start, loads only where it is called
+    # every computation has a closed form or a math-only series: no optimizer,
+    # no sparse matrices, and no scipy.special (about half a cold start)
     code = ("import sys, subuniform.cli; "
             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
@@ -60,10 +60,12 @@ def _cold_main(argv, tmp_path):
     ["simulate", "--model", "lasso", "--n", "1000", "--seed", "1"],
     ["simulate", "--model", "ruschendorf", "--n", "1000", "--seed", "1"],
     ["construct", "--target", "{beta22}", "--n", "1000", "--seed", "1"],
+    ["curves", "--figure", "fisher", "--m", "20", "--points", "16"],
+    ["curves", "--figure", "fisher", "--m", "1000000000", "--points", "4"],
 ])
 def test_cli_loads_scipy_only_where_used(argv, tmp_path):
-    # only the chi-square tails call scipy; and no command needs numpy.ma,
-    # which np.unique imports (about 18 ms of a cold start)
+    # no command loads scipy, the chi-square tails included; and none needs
+    # numpy.ma, which np.unique imports (about 18 ms of a cold start)
     target = tmp_path / "beta22.json"
     target.write_text('{"variant": "beta22"}')
     _, loaded = _cold_main([a.format(beta22=target) for a in argv], tmp_path)
@@ -71,7 +73,8 @@ def test_cli_loads_scipy_only_where_used(argv, tmp_path):
 
 
 def test_only_numerics_imports_scipy():
-    # a stray import would show only later, as a slower cold start
+    # no module imports scipy: a stray import would show only later, as a
+    # slower cold start
     importers = set()
     for path in sorted((Path(__file__).resolve().parents[1] / "src" / "subuniform").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -83,16 +86,58 @@ def test_only_numerics_imports_scipy():
                 continue
             if any(n == "scipy" or n.startswith("scipy.") for n in names):
                 importers.add(path.name)
-    assert importers == {"numerics.py"}
+    assert importers == set()
 
 
 def test_fisher_loads_scipy_on_use(tmp_path):
+    # the chi-square tails are math code: fisher loads no scipy module
     path = tmp_path / "p.csv"
     path.write_text("0.01\n0.2\n0.03\n0.5\n")
     proc, loaded = _cold_main(["fisher", "--pvals", str(path)], tmp_path)
-    assert "scipy.special" in loaded
+    assert loaded == []
     score = fisher_score(np.array([0.01, 0.2, 0.03, 0.5]))
     assert json.loads(proc.stdout) == json.loads(fisher_bounds(score.score, score.m).to_json())
+
+
+# a child whose `import scipy` fails, as on an install without scipy
+_NO_SCIPY = """\
+import sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+
+sys.meta_path.insert(0, NoScipy())
+from subuniform.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_fisher_commands_run_without_scipy(tmp_path):
+    def run(*argv):
+        env = os.environ.copy()
+        env.pop("PPP_THREADS", None)
+        proc = subprocess.run([sys.executable, "-c", _NO_SCIPY, *argv],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    pvals = np.array([0.01, 0.2, 0.03, 0.5])
+    path = tmp_path / "p.csv"
+    path.write_text("".join(f"{p!r}\n" for p in pvals.tolist()))
+    score = fisher_score(pvals)
+    assert run("fisher", "--pvals", str(path)) == fisher_bounds(score.score, score.m).to_json() + "\n"
+    for m, points in ((20, 16), (10 ** 9, 4)):
+        rows = []
+        for alpha in np.geomspace(1e-5, 0.1, points):
+            rep = fisher_bounds(fisher_critical(float(alpha), m), m)
+            rows.append([float(alpha), rep.score, rep.nominal_p, rep.bound_shifted_chi2,
+                         rep.bound_cantelli, rep.bound_mgf])
+        expected = json.dumps({"columns": ["alpha", "score", "nominal", "bound_shifted_chi2",
+                                           "bound_cantelli", "bound_mgf"], "rows": rows})
+        assert run("curves", "--figure", "fisher", "--m", str(m), "--points", str(points)) \
+            == expected + "\n"
 
 
 # ------------------------------------------------------------------ calibrate
@@ -252,6 +297,24 @@ def test_simulate_port_default_pmfs():
     doc = payload(run_cli("simulate", "--model", "port", "--n", "5000", "--seed", "502"))
     assert doc["model"].startswith("port")
     assert doc["sub_uniformity"]["holds"] is True
+
+
+def test_simulate_port_missing_pmfs_is_io_error():
+    proc = run_cli("simulate", "--model", "port", "--pmfs", "/nonexistent/pmfs.csv",
+                   "--n", "1000", "--seed", "1")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: cannot read '/nonexistent/pmfs.csv': ")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("text", ["", "\n  \n", "# ports a, b, c\n"])
+def test_simulate_port_empty_pmfs_is_domain_error(tmp_path, text):
+    path = tmp_path / "pmfs.csv"
+    path.write_text(text)
+    proc = run_cli("simulate", "--model", "port", "--pmfs", str(path), "--n", "1000",
+                   "--seed", "1")
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: {str(path)!r} contains no pmf rows\n"  # no numpy warning
 
 
 def test_simulate_estimator_flags():

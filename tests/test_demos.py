@@ -1,7 +1,7 @@
 """Smoke test of the scripts in demos/: each runs to the end in a cold process.
 
-One of them reaches the only code that imports scipy.special, on first use:
-the chi-square tails of the Fisher bounds.
+fisher_calibration.py exercises the chi-square tails of the Fisher bounds,
+which numerics computes in math code, without scipy.
 """
 
 import os

@@ -1,6 +1,7 @@
 """Generative models, their exact p-values, and the frequency-simulation loop."""
 
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -153,6 +154,22 @@ def test_load_port_pmfs(tmp_path):
         fh.write("0.5,0.4\n")  # rows must sum to 1
     with pytest.raises(ValueError):
         port_model(load_port_pmfs(bad))
+
+
+def test_load_port_pmfs_fails_cleanly(tmp_path):
+    with pytest.raises(OSError, match="^cannot read '.*missing.csv': "):
+        load_port_pmfs(os.path.join(tmp_path, "missing.csv"))
+    empty = os.path.join(tmp_path, "empty.csv")
+    with open(empty, "w") as fh:
+        fh.write("# ports a, b, c\n\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's "input contained no data" must not leak
+        with pytest.raises(ValueError, match="contains no pmf rows"):
+            load_port_pmfs(empty)
+    commented = os.path.join(tmp_path, "commented.csv")
+    with open(commented, "w") as fh:
+        fh.write("# ports a, b, c\n0.7,0.2,0.1  # first app\n0.1,0.2,0.7\n")
+    assert np.array_equal(load_port_pmfs(commented), [[0.7, 0.2, 0.1], [0.1, 0.2, 0.7]])
 
 
 # ------------------------------------------------------------------ ruschendorf

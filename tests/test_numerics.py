@@ -36,10 +36,147 @@ def test_chi2_sf_other_df_closed_forms():
 
 
 def test_chi2_sf_domain():
-    with pytest.raises(ValueError):
-        chi2_sf(-1.0, 2)
-    with pytest.raises(ValueError):
-        chi2_sf(1.0, 0)
+    for x, k in ((-1.0, 2), (1.0, 0), (math.nan, 2), (1.0, math.inf), (1.0, -math.inf),
+                 (1.0, math.nan)):
+        with pytest.raises(ValueError):
+            chi2_sf(x, k)
+
+
+def test_chi2_sf_edges():
+    for k in (0.01, 1, 7, 40, 2e9):
+        assert chi2_sf(0.0, k) == 1.0
+        assert chi2_sf(math.inf, k) == 0.0
+    # deep tails underflow to 0.0 (or saturate at 1.0), never past them
+    for x, k in ((1e4, 1), (3000.0, 7), (1e5, 40), (1e4, 1024), (3e9, 2e9), (2.2e9, 2e9), (1e308, 3)):
+        assert chi2_sf(x, k) == 0.0, (x, k)
+    for x, k in ((1e-300, 2e9), (1e9, 2e9), (10.0, 1e6)):
+        assert chi2_sf(x, k) == 1.0, (x, k)
+    assert chi2_sf(1e-300, 5e-324) == 0.0 and chi2_sf(0.0, 5e-324) == 1.0  # k/2 underflows
+    for k in (0.01, 0.5, 1, 41, 1e6):
+        for x in np.geomspace(1e-12, 1e8, 400):
+            q = chi2_sf(float(x), k)
+            assert 0.0 <= q <= 1.0, (x, k, q)
+
+
+def _q_oracle(x, k):
+    """Q(k/2, x/2) at 40 digits."""
+    with mp.workdps(40):
+        return mp.gammainc(mp.mpf(k) / 2, mp.mpf(x) / 2, mp.inf, regularized=True)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 7, 40, 41, 1024, 2e5])
+def test_chi2_sf_matches_mpmath_on_grid(k):
+    # the grid crosses every regime of Q(a, y): the small-y series for Q, the
+    # series for P, the continued fraction and Temme's expansion (a >= 20 near
+    # y = a).  scipy's worst relative error on this grid is 9.2e-14 (k = 1024).
+    xs = [k * f for f in (1e-6, 0.01, 0.3, 0.9)]
+    xs += [k + z * math.sqrt(2 * k) for z in (-3, -1, 0, 0.5, 1, 3, 6, 10)]
+    xs += [5 * k + 50, 20 * k + 400]
+    for x in (float(x) for x in xs if x >= 0):
+        exact = _q_oracle(x, k)
+        q = chi2_sf(x, k)
+        if exact >= mp.mpf("1e-300"):
+            assert abs(q - exact) <= 1e-13 * exact, (x, k, q)
+        else:
+            assert 0.0 <= q < 1e-299, (x, k, q)
+
+
+@pytest.mark.parametrize("m", [10 ** 6, 10 ** 9])
+def test_chi2_sf_matches_mpmath_at_fisher_critical_values(m):
+    k = 2.0 * m
+    for alpha in (1e-5, 1e-3, 0.05):
+        x = chi2_quantile(alpha, k)
+        exact = _q_oracle(x, k)
+        assert abs(chi2_sf(x, k) - exact) <= 1e-13 * exact, alpha
+
+
+# scipy's gammaincc serves as a second oracle where it is itself accurate: at
+# a > 200 its error grows with the depth of the tail (1.8e-13 at Q = 3e-10,
+# a = 258; 4.5e-12 at Q = 2e-200, a = 2210, against mpmath), so the bulk
+# |z| <= 4 at any k, and every x at small k
+
+@settings(max_examples=300, deadline=None)
+@given(log_k=st.floats(0.0, math.log(1e6)), z=st.floats(-4.0, 4.0))
+def test_chi2_sf_agrees_with_scipy_in_the_bulk(log_k, z):
+    from scipy import special  # test-only oracle
+
+    k = math.exp(log_k)
+    x = max(0.0, k + z * math.sqrt(2.0 * k))
+    ref = float(special.gammaincc(k / 2.0, x / 2.0))
+    assert abs(chi2_sf(x, k) - ref) <= 2e-13 * ref
+
+
+@settings(max_examples=300, deadline=None)
+@given(k=st.floats(0.2, 40.0), x=st.floats(0.0, 600.0))
+def test_chi2_sf_agrees_with_scipy_at_small_df(k, x):
+    from scipy import special  # test-only oracle
+
+    ref = float(special.gammaincc(k / 2.0, x / 2.0))
+    assert abs(chi2_sf(x, k) - ref) <= 2e-13 * ref
+
+
+def _temme_table(n_rows, n_cols, dps=120):
+    """Taylor coefficients in eta of Temme's C_k(eta), k < n_rows, n < n_cols.
+
+    lambda - 1 = s(eta) comes from Lagrange inversion of eta = s * f(s)**(1/2),
+    f(s) = 2 (s - log1p(s)) / s**2; then C_0 = 1/s - 1/eta and
+    C_k = C_{k-1}'(eta)/eta + (-1)**k g_k / s, g_k from Stirling's series.
+    """
+    def power(c, alpha, n_terms):  # (1 + c[1] t + ...) ** alpha, by Miller's recurrence
+        g = [mp.mpf(1)]
+        for n in range(1, n_terms):
+            g.append(sum(((alpha + 1) * j - n) * c[j] * g[n - j] for j in range(1, n + 1)) / n)
+        return g
+
+    with mp.workdps(dps):
+        size = n_cols + 2 * n_rows + 1
+        f = [mp.mpf(2 * (-1) ** n) / (n + 2) for n in range(size + 1)]
+        s = [mp.mpf(0)] + [power(f, mp.mpf(-n) / 2, n)[n - 1] / n for n in range(1, size + 2)]
+        eta_over_s = power(s[1:], -1, size + 1)
+        c = eta_over_s[1:size + 1]
+        e = [mp.mpf(0)] * (n_rows + 1)  # log of Gamma(a) / (sqrt(2 pi / a) a^a e^-a)
+        for j in range(1, n_rows // 2 + 2):
+            if 2 * j - 1 <= n_rows:
+                e[2 * j - 1] = mp.bernoulli(2 * j) / (2 * j * (2 * j - 1))
+        g = [mp.mpf(1)]  # its exponential
+        for n in range(1, n_rows + 1):
+            g.append(sum(j * e[j] * g[n - j] for j in range(1, n + 1)) / n)
+        table = [c[:n_cols]]
+        for k in range(1, n_rows):
+            gk = (-1) ** k * g[k]
+            assert abs(c[1] + gk) <= abs(gk) * mp.mpf(10) ** (-dps // 2)  # no pole in C_k
+            c = [(m + 2) * c[m + 2] + gk * eta_over_s[m + 1] for m in range(len(c) - 2)]
+            table.append(c[:n_cols])
+        return table
+
+
+def test_temme_table_matches_its_recursion():
+    from subuniform.numerics import _TEMME, _TEMME_MIN_A
+
+    table = _temme_table(len(_TEMME) + 1, len(_TEMME[0]) + 1)
+    with mp.workdps(60):  # two values in the literature (DiDonato & Morris 1986)
+        assert abs(table[1][0] + mp.mpf(1) / 540) < mp.mpf(10) ** -50
+        assert abs(table[2][0] - mp.mpf(25) / 6048) < mp.mpf(10) ** -50
+    for k, row in enumerate(table):
+        kept = _TEMME[k] if k < len(_TEMME) else ()
+        for n, coef in enumerate(kept):
+            assert coef == float(row[n]), (k, n)
+        # every coefficient left out stays below 1e-19 for a >= 20, |eta| <= 0.34
+        for n in range(len(kept), len(row)):
+            assert abs(row[n]) * 0.34 ** n * _TEMME_MIN_A ** -k < 1e-19, (k, n)
+
+
+def test_lgamma1p_tables_and_accuracy():
+    from subuniform.numerics import _ZETA_M1, _lgamma1p
+
+    with mp.workdps(50):
+        for j, v in enumerate(_ZETA_M1, start=2):
+            assert v == float(mp.zeta(j) - 1), j
+        for a in (1e-20, 1e-12, 1e-6, 1e-3, 0.1, 0.3, 0.4999):  # the series: relative
+            exact = mp.loggamma(1 + mp.mpf(a))
+            assert abs(_lgamma1p(a) - exact) <= 4e-16 * abs(exact), a
+        for a in (0.5, 0.7, 1.0, 1.2, 7.5):  # math.lgamma: absolute, near its zeros at 1 and 2
+            assert abs(_lgamma1p(a) - mp.loggamma(1 + mp.mpf(a))) <= 1e-15, a
 
 
 # ------------------------------------------------------------------ chi2_quantile
@@ -102,6 +239,22 @@ def test_chi2_quantile_domain():
     for p in (0.0, 1.0, -0.2, 1.3):
         with pytest.raises(ValueError):
             chi2_quantile(p, 2)
+    for p, k in ((math.nan, 2), (0.5, math.inf), (0.5, math.nan), (0.5, 0.0)):
+        with pytest.raises(ValueError):
+            chi2_quantile(p, k)
+
+
+def test_chi2_quantile_extreme_tails_and_df():
+    # tiny k puts the quantile near zero, p near 0 or 1 far out; every answer
+    # is finite and maps back to p (relative 1e-9; an ulp of x moves Q by
+    # ~1e-10 at k = 2e9), or underflows to 0.0 where the quantile does
+    for p, k in ((1e-300, 0.05), (0.999, 0.05), (0.5, 0.05), (1 - 1e-15, 1), (1e-300, 2e9),
+                 (1 - 1e-15, 2e9), (0.3, 1e-3), (1e-200, 3), (0.999999, 1e5), (1e-320, 1)):
+        q = chi2_quantile(p, k)
+        assert math.isfinite(q) and q > 0.0, (p, k)
+        assert chi2_sf(q, k) == pytest.approx(p, rel=1e-9), (p, k)
+    assert chi2_quantile(0.3, 1e-4) == 0.0  # 2 * 0.7**20000 underflows
+    assert chi2_quantile(0.5, 5e-324) == 0.0
 
 
 # ------------------------------------------------------------------ RngStream
