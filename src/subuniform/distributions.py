@@ -261,7 +261,8 @@ def _step_cdf_gap(dist: SubUniformDist, locs: np.ndarray,
     ends, E is constant and F monotone, so the sup is attained in the left or
     right limits at those points.  At a run of equal locs from index i to j
     (exclusive) those limits of E are level(i) and level(j), so the sup is
-    taken one block of runs at a time, with O(block) extra memory.
+    taken over the runs of one piece of locs at a time, with O(_WALK) extra
+    memory (see _run_blocks).
     """
     atoms = np.array([loc for loc, _ in dist.atoms], dtype=float)
     snap = None

@@ -45,10 +45,15 @@ def _posterior_cum(model: GenerativeModel, data: np.ndarray) -> np.ndarray:
     return cum
 
 
-def _draw_posterior(model: GenerativeModel, cum: np.ndarray, gen: np.random.Generator) -> np.ndarray:
+def _draw_posterior(cum: np.ndarray, gen: np.random.Generator) -> np.ndarray:
+    """One posterior draw per column of cum, as an index into theta_support:
+    the count of cum[j] < u over j < k - 1 (u < 1 = cum[-1]), in the narrowest
+    unsigned integers that hold k - 1."""
     u = gen.random(cum.shape[1])
-    idx = np.sum(u[None, :] > cum, axis=0)
-    return model.theta_support[idx]
+    idx = np.zeros(u.size, dtype=np.min_scalar_type(cum.shape[0] - 1))
+    for row in cum[:-1]:
+        idx += u > row
+    return idx
 
 
 @dataclass(frozen=True)
@@ -81,11 +86,16 @@ class PosteriorSampler:
     def draw_matrix(self, model: GenerativeModel, data: np.ndarray, m_draws: int,
                     gen: np.random.Generator) -> np.ndarray:
         """(m_draws, n) array of posterior draws, one column per replicate."""
+        return model.theta_support[self._draw_indices(model, data, m_draws, gen)]
+
+    def _draw_indices(self, model: GenerativeModel, data: np.ndarray, m_draws: int,
+                      gen: np.random.Generator) -> np.ndarray:
+        """draw_matrix's draws as indices into model.theta_support."""
         cum = _posterior_cum(model, data)
-        out = np.empty((m_draws, cum.shape[1]), dtype=model.theta_support.dtype)
-        out[0] = _draw_posterior(model, cum, gen)
+        out = np.empty((m_draws, cum.shape[1]), dtype=np.min_scalar_type(cum.shape[0] - 1))
+        out[0] = _draw_posterior(cum, gen)
         for m in range(1, m_draws):
-            fresh = _draw_posterior(model, cum, gen)
+            fresh = _draw_posterior(cum, gen)
             if self.kind == "iid":
                 out[m] = fresh
             else:
@@ -123,18 +133,27 @@ class EstimatorScheme:
 
     def draw_pvalues(self, gen: np.random.Generator, n: int) -> np.ndarray:
         model = self.model
-        theta0 = model.sample_prior(gen, n)
-        data = model.sample_data(theta0, gen)
-        thetas = self.sampler.draw_matrix(model, data, self.m_draws, gen)
+        data = model.sample_data(model.sample_prior(gen, n), gen)
+        draws = self.sampler._draw_indices(model, data, self.m_draws, gen)
+        # the term at the observed data, once per support point: a draw picks its row
+        if self.scheme == "r_hat":
+            rows = [model.conditional_sf(th, data) for th in model.theta_support]
+        else:
+            rows = [model.discrepancy(data, th) for th in model.theta_support]
+        table = np.asarray(rows, dtype=float).ravel()
+        at, flat, picked = np.arange(n), np.empty(n, dtype=np.intp), np.empty(n)
         acc = np.zeros(n)
-        for m in range(self.m_draws):
+        for idx in draws:
+            np.multiply(idx, np.intp(n), out=flat)  # the flat index of row idx, column at
+            flat += at
+            np.take(table, flat, out=picked)
             if self.scheme == "r_hat":
-                acc += np.asarray(model.conditional_sf(thetas[m], data), dtype=float)
+                acc += picked
             else:
-                replic = model.sample_data(thetas[m], gen)
-                f_rep = np.asarray(model.discrepancy(replic, thetas[m]), dtype=float)
-                f_obs = np.asarray(model.discrepancy(data, thetas[m]), dtype=float)
-                acc += (f_rep >= f_obs).astype(float)
+                theta = model.theta_support[idx]
+                f_rep = np.asarray(model.discrepancy(model.sample_data(theta, gen), theta),
+                                   dtype=float)
+                acc += (f_rep >= picked).astype(float)
         return acc / self.m_draws
 
 

@@ -24,9 +24,10 @@ Between consecutive nodes every CDF here is a polynomial (linear for
 piecewise IDFs and uniform01, cubic for beta22), so the convex-order check is
 exact: the gap of two IDFs peaks at a node or where their CDFs cross, each
 crossing has a closed form, and float rounding is the only error.  Against
-an analytic law the check walks the other side's nodes a block at a time,
+an analytic law the check walks the other side's nodes a block at a time
+(an empirical IDF's, one piece of numerics._WALK sample values per block),
 so an empirical IDF from n samples is checked against either analytic law,
-on either side, in O(block) memory beyond its sorted sample.
+on either side, in O(_WALK) memory beyond its sorted sample.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ class IntegratedDF:
     An empirical IDF (from_samples) keeps its sorted sample and builds its node
     arrays only when a caller asks for them: mean() and dominates_cx against
     either analytic law, on either side, walk the sample's runs of equal
-    values in blocks instead.
+    values piece by piece instead.
     """
 
     __slots__ = ("kind", "family", "sample_size", "_nodes", "_sample")
@@ -276,13 +277,13 @@ def _node_blocks(idf: IntegratedDF):
     for each segment the CDF at its right end: between x[k] and x[k+1] the
     CDF runs linearly from f[k] to f_end[k].  An IDF whose node arrays exist
     yields them as one block, with f_end = f[1:].  An empirical IDF yields
-    its distinct values one block of runs at a time, with the previous
-    block's last node in front (for the first block, the node just before
-    the first jump); its CDF is constant between nodes, so f_end = f[:-1].
-    The floats are those of from_atoms(distinct, counts / n): f is the
-    running sum of counts / n with its last value set to 1.0, and phi the
-    running sum of (x[k+1] - x[k]) * (f[k] + f[k]) / 2, each carried from
-    block to block.
+    its distinct values one block per piece of its sample (_run_blocks),
+    with the previous block's last node in front (for the first block, the
+    node just before the first jump); its CDF is constant between nodes, so
+    f_end = f[:-1].  The floats are those of from_atoms(distinct, counts / n):
+    f is the running sum of counts / n with its last value set to 1.0, and
+    phi the running sum of (x[k+1] - x[k]) * (f[k] + f[k]) / 2, each carried
+    from block to block.
     """
     if idf._nodes is not None:
         bx, f, phi = idf._nodes

@@ -27,7 +27,8 @@ from typing import Callable
 
 import numpy as np
 
-from .numerics import _BLOCK, EmpiricalSample, RngStream, _searchsorted_right, _write_values
+from .numerics import (_BLOCK, EmpiricalSample, RngStream, _pieces, _searchsorted_right,
+                       _write_values)
 
 __all__ = [
     "SurvivalG",
@@ -116,8 +117,13 @@ class GenerativeModel:
         return self.theta_support[idx]
 
     def draw_pvalues(self, gen: np.random.Generator, n: int) -> np.ndarray:
+        """n replicates' exact p-values: the draws for all n at once, then
+        exact_ppp one piece of the data at a time (see numerics._pieces)."""
         data = self.sample_data(self.sample_prior(gen, n), gen)  # theta is freed here
-        return exact_ppp(self, data)
+        out = np.empty(n)
+        for piece in _pieces(n):
+            out[piece] = exact_ppp(self, data[piece])
+        return out
 
 
 def exact_ppp(model: GenerativeModel, data) -> np.ndarray | float:

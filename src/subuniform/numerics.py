@@ -22,8 +22,14 @@ __all__ = [
     "ks_statistic",
 ]
 
-# values per block, for frequency runs and for passes over a sorted sample
+# values per RNG block of a frequency run: it fixes which generator draws
+# which replicate, so changing it changes every simulated sample
 _BLOCK = 1 << 16
+
+# values per piece of every pass over an n-array (128 KB of float64, about
+# the size of L2): a pass's temporaries stay small enough for glibc's malloc
+# to reuse them from piece to piece instead of faulting fresh pages
+_WALK = 1 << 14
 
 # how far a sample value may lie from an atom and count as on it (see tail_prob)
 _ATOM_TOL = 1e-9
@@ -108,7 +114,7 @@ class EmpiricalSample:
     def variance(self) -> float:
         """Population variance; callers needing the unbiased one scale by n/(n-1).
 
-        The same float as values.var(), in O(_BLOCK) extra memory instead of
+        The same float as values.var(), in O(_WALK) extra memory instead of
         an n-array of squared deviations (see _sum_sq_dev).
         """
         mean = np.add.reduce(self.values) / self.n
@@ -140,10 +146,10 @@ def _sum_sq_dev(x: np.ndarray, mean: float) -> float:
     """Sum of (x - mean)**2 in the order numpy's pairwise sum adds an n-array.
 
     numpy splits a contiguous sum at n // 2 rounded down to a multiple of 8
-    and adds the two halves' sums; pieces of at most _BLOCK values are summed
+    and adds the two halves' sums; pieces of at most _WALK values are summed
     by numpy itself, which follows the same tree inside them.
     """
-    if x.size <= _BLOCK:
+    if x.size <= _WALK:
         d = x - mean
         return np.add.reduce(np.multiply(d, d, out=d))
     h = x.size // 2
@@ -153,18 +159,18 @@ def _sum_sq_dev(x: np.ndarray, mean: float) -> float:
 
 def _run_blocks(values: np.ndarray, snap: Callable[[np.ndarray], np.ndarray] | None = None
                 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The runs of equal values of a sorted array, one block of values at a time.
+    """The runs of equal values of a sorted array, one piece of values at a time.
 
-    Yields (starts, ends, vals) for the runs that end in each block of _BLOCK
+    Yields (starts, ends, vals) for the runs that end in each piece of _WALK
     values: the index of each run's first value, the index one past its last,
-    and its value.  snap, if given, maps each block's values before runs are
-    found and must keep them sorted.  Extra memory is O(_BLOCK).
+    and its value.  snap, if given, maps each piece's values before runs are
+    found and must keep them sorted.  Extra memory is O(_WALK).
     """
     n = values.size
     start = 0
-    for lo in range(0, n, _BLOCK):
-        hi = min(lo + _BLOCK, n)
-        v = values[lo:hi + 1]  # one value past the block shows whether its last run ends in it
+    for lo in range(0, n, _WALK):
+        hi = min(lo + _WALK, n)
+        v = values[lo:hi + 1]  # one value past the piece shows whether its last run ends in it
         if snap is not None:
             v = snap(v)
         ends = lo + 1 + np.flatnonzero(v[1:] != v[:-1])
@@ -174,6 +180,23 @@ def _run_blocks(values: np.ndarray, snap: Callable[[np.ndarray], np.ndarray] | N
             starts = np.concatenate([[start], ends[:-1]])
             start = int(ends[-1])
             yield starts, ends, v[ends - 1 - lo]
+
+
+def _pieces(n: int) -> Iterator[slice]:
+    """Slices of range(n) of _WALK values each, the last one holding the
+    rest: up to _WALK + 1 values, so that it is never one value alone unless
+    n is 1.
+
+    exact_ppp evaluated piece by piece then gives the floats it gives on a
+    whole RNG block: numpy sums its (k, m) array of weighted survival
+    probabilities over axis 0 row by row for m >= 2, but a (k, 1) array in
+    pairwise order, which rounds differently for k >= 9.
+    """
+    lo = 0
+    while n - lo > _WALK + 1:
+        yield slice(lo, lo + _WALK)
+        lo += _WALK
+    yield slice(lo, n)
 
 
 def _searchsorted_right(table: np.ndarray, u: np.ndarray) -> np.ndarray:

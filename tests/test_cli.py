@@ -392,6 +392,63 @@ def test_simulate_out_of_memory_is_a_domain_error(model):
     assert "Traceback" not in proc.stderr and proc.stdout == ""
 
 
+# Digests of the stdout of one version of the package, recomputed only when an
+# output is meant to change.  n = 2 * 65536 + 17 crosses two RNG blocks and
+# several 16384-value pieces; the 10-application port model at 65536 + 16385
+# replicates has a last block of one piece plus one value, where a lone value
+# would round its 10-term posterior average differently.  Pinned with numpy
+# 2.4 on x86-64: another numpy or CPU may round pow, sin or exp differently.
+_N_PIN = str(2 * 65536 + 17)
+_PINNED = {
+    "lasso": (("simulate", "--model", "lasso", "--n", _N_PIN, "--seed", "1"),
+              "ab1c72ae7f1d77bcbfbe50d9da46757d3d7acb39c55cf0c9c0fa530bc72c8487"),
+    "lasso.power2": (("simulate", "--model", "lasso", "--g", "power2", "--n", _N_PIN,
+                      "--seed", "2"),
+                     "35fd6bc0f6cddaabef14b60743ea5eef7eeb45fcbb085a871fada89ffef55e09"),
+    "lasso.power3": (("simulate", "--model", "lasso", "--g", "power3", "--n", _N_PIN,
+                      "--seed", "3"),
+                     "8e26f927f582d578d498fb04a6032e2ef5d534517494cd6280d54924679f2a8b"),
+    "simplex": (("simulate", "--model", "simplex", "--n", _N_PIN, "--seed", "4"),
+                "46038f9b74f7c4d110eb2a4451b707dc8533957e4028a83258db240d3c2bdcc7"),
+    "port": (("simulate", "--model", "port", "--n", _N_PIN, "--seed", "5"),
+             "0f04e87bf835f23db4dc563670b5199b927803223b4771482a5a2d2c822f95f3"),
+    "port.10apps.csv": (("simulate", "--model", "port", "--pmfs", "pmfs10.csv",
+                         "--n", str(65536 + 16385), "--seed", "6", "--format", "csv"),
+                        "ebeb4d1ed3a6b5740213426ce61a90abcfec05df8176af889e06bdf06919438b"),
+    "ruschendorf": (("simulate", "--model", "ruschendorf", "--n", _N_PIN, "--seed", "7"),
+                    "58f30481e0049dfb1fd8c6c233f0ad6867517a6c43f947e09331ed2259ec33a7"),
+    "simplex.r_hat": (("simulate", "--model", "simplex", "--estimator", "r_hat", "--M", "4",
+                       "--sampler", "markov", "--rho", "0.9", "--n", _N_PIN, "--seed", "8"),
+                      "088a26c7f282fcf9e34c0f6a433d23eb67dd385d18546c21f6d37579fcc8bb32"),
+    "lasso.p_hat": (("simulate", "--model", "lasso", "--estimator", "p_hat", "--M", "3",
+                     "--n", _N_PIN, "--seed", "9"),
+                    "e4c93310d10183c349becd50e52e5b955ffc493488aed893fc9470ea72ad8d6e"),
+    "port.r_hat": (("simulate", "--model", "port", "--estimator", "r_hat", "--M", "2",
+                    "--n", _N_PIN, "--seed", "10"),
+                   "b2f8dfca6515d893c015563012cb42524e90f376115318ad95a70fd12ec87538"),
+    "lasso.csv": (("simulate", "--model", "lasso", "--n", _N_PIN, "--seed", "11",
+                   "--format", "csv"),
+                  "221e6b3928ce0a6a7ac5be21a6df43431a026196fd08f18ef95f7209aaec756a"),
+    "construct.beta22": (("construct", "--target", "beta22.json", "--n", "3000", "--seed", "12"),
+                         "d7654c85ea995d9f04bae5a8161980f68b19de267907b1fc5d06aa766bfd7a68"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED))
+def test_stdout_matches_pinned_digest(name, tmp_path):
+    # the package promises byte-identical stdout for the same flags and seed
+    import hashlib
+
+    pmfs = np.random.default_rng(5).random((10, 4)) + 0.05
+    np.savetxt(tmp_path / "pmfs10.csv", pmfs / pmfs.sum(axis=1, keepdims=True), fmt="%.17g",
+               delimiter=",")
+    (tmp_path / "beta22.json").write_text('{"variant": "beta22"}')
+    argv, digest = _PINNED[name]
+    proc = run_cli(*(str(tmp_path / a) if a.endswith((".csv", ".json")) else a for a in argv))
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
+
+
 # ------------------------------------------------------------------ construct
 
 def test_construct_p2alpha(tmp_path):

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from subuniform import (GenerativeModel, IntegratedDF, PosteriorSampler, RngStream,
-                        estimate_p_hat, estimate_r_hat, exact_ppp, frequency_run,
+from subuniform import (EstimatorScheme, GenerativeModel, IntegratedDF, PosteriorSampler,
+                        RngStream, estimate_p_hat, estimate_r_hat, exact_ppp, frequency_run,
                         iid_sampler, ks_statistic, lasso_model, marginal_estimator_run,
-                        markov_sampler, simplex_model)
+                        markov_sampler, port_model, simplex_model)
+from subuniform.numerics import _BLOCK
 
 GRID = np.linspace(0.0, 1.0, 1025)
 
@@ -169,6 +170,80 @@ def test_infinite_m_proxy_matches_frequency_run():
     a = frequency_run(model, 1_000_000, RngStream(seed=77)).pvalues.values
     b = frequency_run(model, 1_000_000, RngStream(seed=78)).pvalues.values
     assert _two_sample_ks(a, b) <= 0.003
+
+
+# ------------------------------------------------------------------ one term per support point
+
+def _draw_matrix_by_value(sampler, model, data, m_draws, gen):
+    """draw_matrix as it drew theta values, summing u > cum over all k rows."""
+    probs = np.asarray(model.posterior(data), dtype=float)
+    if probs.ndim == 1:
+        probs = np.broadcast_to(probs[:, None], (probs.size, np.asarray(data).size))
+    cum = np.cumsum(probs, axis=0)
+    cum[-1] = 1.0
+
+    def draw():
+        u = gen.random(cum.shape[1])
+        return model.theta_support[np.sum(u[None, :] > cum, axis=0)]
+
+    out = np.empty((m_draws, cum.shape[1]), dtype=model.theta_support.dtype)
+    out[0] = draw()
+    for m in range(1, m_draws):
+        fresh = draw()
+        if sampler.kind == "iid":
+            out[m] = fresh
+        else:
+            stay = gen.random(cum.shape[1]) < sampler.rho
+            out[m] = np.where(stay, out[m - 1], fresh)
+    return out
+
+
+def _draw_pvalues_per_draw(wired, gen, n):
+    """draw_pvalues as it evaluated the term at the data once per posterior draw."""
+    model = wired.model
+    data = model.sample_data(model.sample_prior(gen, n), gen)
+    thetas = _draw_matrix_by_value(wired.sampler, model, data, wired.m_draws, gen)
+    acc = np.zeros(n)
+    for m in range(wired.m_draws):
+        if wired.scheme == "r_hat":
+            acc += np.asarray(model.conditional_sf(thetas[m], data), dtype=float)
+        else:
+            replic = model.sample_data(thetas[m], gen)
+            f_rep = np.asarray(model.discrepancy(replic, thetas[m]), dtype=float)
+            f_obs = np.asarray(model.discrepancy(data, thetas[m]), dtype=float)
+            acc += (f_rep >= f_obs).astype(float)
+    return acc / wired.m_draws
+
+
+_EQUIV_MODELS = {"lasso": lasso_model(0.1), "simplex": simplex_model(0.2),
+                 "port": port_model(np.array([[0.7, 0.2, 0.1], [0.1, 0.2, 0.7]]))}
+
+
+@pytest.mark.parametrize("name", sorted(_EQUIV_MODELS))
+def test_draw_pvalues_equals_the_per_draw_loop(name):
+    model = _EQUIV_MODELS[name]
+    n = _BLOCK + 17
+    for scheme in ("p_hat", "r_hat"):
+        for sampler in (iid_sampler(), markov_sampler(0.9)):
+            for m_draws in (1, 8):
+                wired = EstimatorScheme(model, scheme, m_draws, sampler)
+                got = wired.draw_pvalues(RngStream(seed=91).generator(), n)
+                want = _draw_pvalues_per_draw(wired, RngStream(seed=91).generator(), n)
+                assert got.tobytes() == want.tobytes(), (scheme, sampler.label, m_draws)
+
+
+def test_draw_matrix_returns_the_theta_values():
+    # indices are drawn as uint8 (uint16 above 256 support points) and mapped
+    # to theta at the end
+    pmfs = np.random.default_rng(92).random((300, 3))
+    models = [*_EQUIV_MODELS.values(), port_model(pmfs / pmfs.sum(axis=1, keepdims=True))]
+    for model in models:
+        data = model.sample_data(model.sample_prior(RngStream(seed=93).generator(), 5000),
+                                 RngStream(seed=94).generator())
+        for sampler in (iid_sampler(), markov_sampler(0.9)):
+            got = sampler.draw_matrix(model, data, 5, RngStream(seed=95).generator())
+            want = _draw_matrix_by_value(sampler, model, data, 5, RngStream(seed=95).generator())
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 # ------------------------------------------------------------------ plumbing

@@ -276,7 +276,7 @@ def _sample_for(seed: int, n: int, kind: int) -> np.ndarray:
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1),
-       st.sampled_from([1, 2, 3, 7, 1000, 2 * 65536 + 17]),
+       st.sampled_from([1, 2, 3, 7, 1000, 16384 + 1, 2 * 65536 + 17]),
        st.integers(0, 4))
 def test_empirical_dominance_equals_atom_walk(seed, n, kind):
     # dominates_cx walks the sample's runs in blocks; from_atoms over the
@@ -301,22 +301,22 @@ def test_empirical_dominance_equals_atom_walk(seed, n, kind):
 
 
 def test_empirical_summaries_stay_within_three_sample_sizes():
-    # the sub-uniformity check and the KS distance of a 1e6-sample each peak
-    # below 3 * 8n bytes of extra memory (whole-array node arrays took ~11x);
-    # the checks against beta22, either way round, and the mean below 5 * 8n
-    # (node arrays took ~37x and ~12x; the cubic roots of one block cost a
-    # constant of about 18 MB)
+    # extra memory of each summary of a 1e6-sample, in units of its 8n bytes,
+    # measured: 0.235 for the uniform check, 0.164 for the KS distance, 0.736
+    # for the checks against beta22 (the cubic roots of one piece) and 0.181
+    # for the mean.  Whole-array node arrays took ~11x, ~37x and ~12x; pieces
+    # of 65536 values took 0.94, 0.66, 2.94 and 0.66.
     import tracemalloc
 
     n = 1_000_000
     samp = EmpiricalSample(np.where(RngStream(seed=8).generator().random(n) < 0.2, 0.1,
                                     RngStream(seed=9).generator().uniform(0.2, 1.0, n)))
     for summary, times in (
-            (lambda: dominates_cx(IntegratedDF.from_samples(samp), uniform_idf()), 3),
-            (lambda: ks_distance(p2alpha(0.1), samp), 3),
-            (lambda: dominates_cx(IntegratedDF.from_samples(samp), beta22_idf()), 5),
-            (lambda: dominates_cx(beta22_idf(), IntegratedDF.from_samples(samp)), 5),
-            (lambda: IntegratedDF.from_samples(samp).mean(), 5)):
+            (lambda: dominates_cx(IntegratedDF.from_samples(samp), uniform_idf()), 0.3),
+            (lambda: ks_distance(p2alpha(0.1), samp), 0.2),
+            (lambda: dominates_cx(IntegratedDF.from_samples(samp), beta22_idf()), 0.8),
+            (lambda: dominates_cx(beta22_idf(), IntegratedDF.from_samples(samp)), 0.8),
+            (lambda: IntegratedDF.from_samples(samp).mean(), 0.25)):
         tracemalloc.start()
         try:
             summary()
@@ -324,3 +324,26 @@ def test_empirical_summaries_stay_within_three_sample_sizes():
         finally:
             tracemalloc.stop()
         assert peak < times * 8 * n
+
+
+@pytest.mark.parametrize("n", [1_000_000, 3_000_000])
+def test_uniform_check_and_ks_distance_memory_does_not_grow_with_n(n):
+    # both walk the sorted sample in pieces of _WALK values: each peaks below
+    # 16 * 8 * _WALK bytes at any n (measured 14.3 for the uniform check and
+    # 10.0 for the KS distance, at both sizes)
+    import tracemalloc
+
+    from subuniform.numerics import _WALK
+
+    gen = RngStream(seed=5).generator()
+    samp = EmpiricalSample(np.where(gen.random(n) < 0.2, 0.1, gen.uniform(0.2, 1.0, n)),
+                           _owned=True)
+    for summary in (lambda: dominates_cx(IntegratedDF.from_samples(samp), uniform_idf()),
+                    lambda: ks_distance(p2alpha(0.1), samp)):
+        tracemalloc.start()
+        try:
+            summary()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 8 * _WALK

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subuniform import EmpiricalSample, RngStream, chi2_quantile, chi2_sf, ks_statistic
+from subuniform.numerics import _WALK
 
 
 # ------------------------------------------------------------------ chi2_sf
@@ -225,7 +226,7 @@ def test_chi2_quantile_huge_df():
 def test_chi2_quantile_matches_mpmath_in_x():
     # x-space oracle: the root of Q(k/2, x/2) = p at 40 digits; p-space
     # round trips are loose where the tail is flat
-    for k in (2, 40, 1024, 2e6, 2e9):
+    for k in (1, 2, 3, 40, 1024, 2e6, 2e9):
         for p in (1e-5, 1e-3, 0.05):
             q = chi2_quantile(p, k)
             with mp.workdps(40):
@@ -318,7 +319,8 @@ def test_sample_rejects_non_finite_anywhere(bad, at):
         EmpiricalSample(vals)
 
 
-_VARIANCE_SIZES = (1, 7, 8, 9, 128, 129, 65536, 65537, 2 * 65536 + 17, 1_000_000)
+_VARIANCE_SIZES = (1, 7, 8, 9, 128, 129, _WALK - 1, _WALK, _WALK + 1, 2 * _WALK + 17, 65536,
+                   65537, 2 * 65536 + 17, 1_000_000)
 
 
 @pytest.mark.parametrize("n", _VARIANCE_SIZES)
@@ -326,7 +328,7 @@ _VARIANCE_SIZES = (1, 7, 8, 9, 128, 129, 65536, 65537, 2 * 65536 + 17, 1_000_000
 @given(kind=st.sampled_from(("uniform", "lattice", "constant", "wide")),
        seed=st.integers(0, 2**32 - 1))
 def test_variance_is_bit_identical_to_numpy(n, kind, seed):
-    # variance() sums in O(block) memory but in numpy's pairwise order, so it
+    # variance() sums in O(_WALK) memory but in numpy's pairwise order, so it
     # must give values.var() to the last bit, ties and constants included
     gen = np.random.default_rng(seed)
     if kind == "uniform":
