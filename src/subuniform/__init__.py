@@ -10,40 +10,33 @@ prescribed sub-uniform law.
 """
 
 from .bounds import (FisherReport, FisherScore, MinpLimit, conservative_single,
-                     fisher_bounds, fisher_critical, fisher_report, fisher_score,
-                     h_bound, minp_bound, minp_limit_check)
+                     fisher_bounds, fisher_critical, fisher_score, h_bound, minp_bound,
+                     minp_limit_check)
 from .coupling import (ConditionalLaw, SingularRow, SyntheticPPPModel, TransportInfeasible,
                        UniformMixRow, explicit_p2alpha_coupling, left_curtain_coupling,
                        mod1_family, synthesize_ppp, uniform_coupling)
-from .distributions import (SubUniformDist, as_p2alpha, atom_frequencies,
-                            continuous_part_ks, discretize, ks_distance,
-                            p2alpha)
-from .estimators import (EstimatorScheme, PosteriorSampler, estimate_p_hat,
-                         estimate_r_hat, iid_sampler, markov_sampler,
-                         marginal_estimator_run)
-from .idf import (DominanceResult, IntegratedDF, ValidationReport, beta22_idf,
-                  dominates_cx, uniform_idf)
+from .distributions import (SubUniformDist, as_p2alpha, continuous_part_ks, discretize,
+                            ks_distance, p2alpha)
+from .estimators import EstimatorScheme, PosteriorSampler, marginal_estimator_run
+from .idf import DominanceResult, IntegratedDF, beta22_idf, dominates_cx, uniform_idf
 from .models import (FrequencyRun, G_FAMILIES, GenerativeModel, SurvivalG, exact_ppp,
                      frequency_run, lasso_model, load_port_pmfs, port_model, power_g,
                      ruschendorf_sample, simplex_atom, simplex_model, uniform_g)
-from .numerics import EmpiricalSample, RngStream, chi2_quantile, chi2_sf, ks_statistic
+from .numerics import EmpiricalSample, RngStream, chi2_quantile, chi2_sf
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "EmpiricalSample", "RngStream", "chi2_quantile", "chi2_sf", "ks_statistic",
-    "IntegratedDF", "DominanceResult", "ValidationReport", "dominates_cx",
-    "uniform_idf", "beta22_idf",
-    "SubUniformDist", "p2alpha", "as_p2alpha", "ks_distance",
-    "atom_frequencies", "continuous_part_ks", "discretize",
+    "EmpiricalSample", "RngStream", "chi2_quantile", "chi2_sf",
+    "IntegratedDF", "DominanceResult", "dominates_cx", "uniform_idf", "beta22_idf",
+    "SubUniformDist", "p2alpha", "as_p2alpha", "ks_distance", "continuous_part_ks",
+    "discretize",
     "conservative_single", "h_bound", "FisherScore", "FisherReport", "fisher_score",
-    "fisher_bounds", "fisher_report", "fisher_critical", "minp_bound", "MinpLimit",
-    "minp_limit_check",
+    "fisher_bounds", "fisher_critical", "minp_bound", "MinpLimit", "minp_limit_check",
     "GenerativeModel", "SurvivalG", "uniform_g", "power_g", "G_FAMILIES", "exact_ppp",
     "lasso_model", "simplex_model", "simplex_atom", "port_model", "load_port_pmfs",
     "ruschendorf_sample", "FrequencyRun", "frequency_run",
-    "PosteriorSampler", "iid_sampler", "markov_sampler", "EstimatorScheme",
-    "estimate_p_hat", "estimate_r_hat", "marginal_estimator_run",
+    "PosteriorSampler", "EstimatorScheme", "marginal_estimator_run",
     "SingularRow", "UniformMixRow", "ConditionalLaw", "uniform_coupling",
     "explicit_p2alpha_coupling", "left_curtain_coupling", "TransportInfeasible",
     "mod1_family", "SyntheticPPPModel",

@@ -41,7 +41,6 @@ __all__ = [
     "FisherReport",
     "fisher_score",
     "fisher_bounds",
-    "fisher_report",
     "fisher_critical",
     "minp_bound",
     "MinpLimit",
@@ -175,16 +174,6 @@ def fisher_bounds(score: float, m: int, warnings: Sequence[str] = ()) -> FisherR
         conservative_p=conservative, inapplicable=inapplicable,
         warnings=tuple(warnings),
     )
-
-
-def fisher_report(pvals: Sequence[float] | np.ndarray) -> FisherReport:
-    """fisher_score followed by fisher_bounds, carrying any flooring flag."""
-    sc = fisher_score(pvals)
-    notes = ()
-    if sc.floored_zeros:
-        notes = (f"{sc.floored_zeros} zero p-value(s) floored at {_ZERO_FLOOR:g}; "
-                 "score reflects the floor, true score is infinite",)
-    return fisher_bounds(sc.score, sc.m, warnings=notes)
 
 
 def fisher_critical(alpha: float, m: int) -> float:

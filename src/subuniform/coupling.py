@@ -26,13 +26,12 @@ from __future__ import annotations
 
 import json
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .distributions import SubUniformDist, as_p2alpha, discretize, _step_cdf_gap
+from .distributions import SubUniformDist, _json_field, _step_cdf_gap, as_p2alpha, discretize
 from .idf import IntegratedDF, dominates_cx, uniform_idf
 from .numerics import RngStream, _pieces, _searchsorted_right, _sorted_unique
 
@@ -142,16 +141,6 @@ Row = SingularRow | UniformMixRow
 
 
 # ------------------------------------------------------------------ conditional law
-
-@contextmanager
-def _json_field(name: str):
-    """Report a missing key, a wrongly typed value or a bad value read under
-    name as a ValueError that names it."""
-    try:
-        yield
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed model JSON field {name}: {exc!r}") from exc
-
 
 @dataclass(frozen=True)
 class ConditionalLaw:
@@ -352,22 +341,13 @@ def _logistic_cdf(t: float) -> float:
     return float(np.exp(-np.logaddexp(0.0, -t)))
 
 
-def _logistic_sample(gen: np.random.Generator, n: int) -> np.ndarray:
-    u = gen.random(n)
-    return np.log(u) - np.log1p(-u)
-
-
 def _normal_cdf(t: float) -> float:
     return 0.5 * math.erfc(-t / math.sqrt(2.0))
 
 
-def _normal_sample(gen: np.random.Generator, n: int) -> np.ndarray:
-    return gen.standard_normal(n)
-
-
-G_CHOICES: dict[str, tuple[Callable, Callable]] = {
-    "logistic": (_logistic_cdf, _logistic_sample),
-    "normal": (_normal_cdf, _normal_sample),
+G_CHOICES: dict[str, Callable[[float], float]] = {
+    "logistic": _logistic_cdf,
+    "normal": _normal_cdf,
 }
 
 
@@ -446,13 +426,10 @@ class SyntheticPPPModel:
 
     # -- pointwise model pieces ---------------------------------------------
 
-    def sample_theta(self, gen: np.random.Generator, n: int) -> np.ndarray:
-        return G_CHOICES[self.g_name][1](gen, n)
-
     def conditional_sf(self, t: float, d: tuple[float, float]) -> float:
         """U_t at data d = (s, p): survival prob of the discrepancy given t."""
         s, p = d
-        return mod1_family(self.coupling.entry(p), G_CHOICES[self.g_name][0], t, s)
+        return mod1_family(self.coupling.entry(p), G_CHOICES[self.g_name], t, s)
 
     def discrepancy(self, d: tuple[float, float], t: float) -> float:
         """f(d, t) = Fbar_inv(U_t) with Fbar the standard exponential survival."""

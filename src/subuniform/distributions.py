@@ -18,8 +18,9 @@ Built-in variants:
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -32,7 +33,6 @@ __all__ = [
     "SubUniformDist",
     "p2alpha",
     "ks_distance",
-    "atom_frequencies",
     "continuous_part_ks",
     "discretize",
     "as_p2alpha",
@@ -45,6 +45,16 @@ def _as_generator(rng) -> np.random.Generator:
     if isinstance(rng, np.random.Generator):
         return rng
     raise TypeError("rng must be an RngStream or numpy Generator")
+
+
+@contextmanager
+def _json_field(name: str, doc: str = "model"):
+    """Report a missing key, a wrongly typed value or a bad value read under
+    name, in a JSON document of kind doc, as a ValueError that names it."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"malformed {doc} JSON field {name}: {exc!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -183,18 +193,20 @@ class SubUniformDist:
         if not isinstance(payload, dict) or "variant" not in payload:
             raise ValueError("distribution JSON must be an object with a 'variant' key")
         variant = payload["variant"]
-        try:
-            if variant in _ANALYTIC_FAMILIES:
-                return cls(variant)
-            if variant == "p2alpha":  # accepted shorthand
-                return p2alpha(float(payload["alpha"]))
-            if variant == "mixture":
+        if variant in _ANALYTIC_FAMILIES:
+            return cls(variant)
+        doc = f"{variant!r} distribution"
+        if variant == "p2alpha":  # accepted shorthand
+            with _json_field("alpha", doc):
+                alpha = float(payload["alpha"])
+            return p2alpha(alpha)
+        if variant == "mixture":
+            with _json_field("atoms", doc):
                 atoms = tuple((float(a), float(m)) for a, m in payload.get("atoms", []))
+            with _json_field("pieces", doc):
                 pieces = tuple((float(lo), float(hi), float(m))
                                for lo, hi, m in payload.get("pieces", []))
-                return cls("mixture", atoms, pieces)
-        except (KeyError, TypeError) as exc:  # a missing key or a wrongly typed field
-            raise ValueError(f"malformed {variant!r} distribution JSON: {exc!r}") from exc
+            return cls("mixture", atoms, pieces)
         raise ValueError(f"unknown distribution variant {variant!r}")
 
     @classmethod
@@ -303,34 +315,22 @@ def _cdf_limits(dist: SubUniformDist, x: np.ndarray) -> tuple[np.ndarray, np.nda
     return f, f - atom_mass
 
 
-def atom_frequencies(dist: SubUniformDist, samp: EmpiricalSample) -> dict[float, float]:
-    """Empirical frequency within _ATOM_TOL of each atom of dist."""
-    return {loc: samp.atom_frequency(loc) for loc, _ in dist.atoms}
-
-
 def continuous_part_ks(dist: SubUniformDist, samp: EmpiricalSample) -> float:
-    """KS distance of the sample values farther than _ATOM_TOL from every atom
-    against the conditional continuous part of dist."""
-    total_atom = sum(m for _, m in dist.atoms)
-    if total_atom >= 1.0 - 1e-12:
+    """ks_distance of the sample values farther than _ATOM_TOL from every atom
+    against dist's continuous part: its uniform pieces, their masses divided by
+    their sum (an analytic law is its own continuous part)."""
+    if dist.variant != "mixture":
+        return ks_distance(dist, samp)
+    if not dist.pieces:
         raise ValueError("distribution has no continuous part")
     keep = np.ones(samp.n, dtype=bool)
     for loc, _ in dist.atoms:
         keep &= np.abs(samp.values - loc) > _ATOM_TOL
     if not np.any(keep):
         raise ValueError("sample has no values outside the atoms")
-    sub = EmpiricalSample(samp.values[keep], _owned=True)
-    atoms = dist.atoms
-
-    def cond_cdf(x):
-        xq = np.atleast_1d(np.asarray(x, dtype=float))
-        f = np.asarray(dist.cdf(xq), dtype=float)
-        for loc, mass in atoms:
-            f -= mass * (xq >= loc)
-        return f / (1.0 - total_atom)
-
-    from .numerics import ks_statistic
-    return ks_statistic(sub, cond_cdf)
+    total = sum(m for _, _, m in dist.pieces)
+    part = SubUniformDist("mixture", pieces=tuple((lo, hi, m / total) for lo, hi, m in dist.pieces))
+    return ks_distance(part, EmpiricalSample(samp.values[keep], _owned=True))
 
 
 # ------------------------------------------------------------------ discretization

@@ -27,30 +27,27 @@ from .numerics import RngStream
 
 __all__ = [
     "PosteriorSampler",
-    "iid_sampler",
-    "markov_sampler",
     "EstimatorScheme",
-    "estimate_p_hat",
-    "estimate_r_hat",
     "marginal_estimator_run",
 ]
 
 
 def _posterior_cum(model: GenerativeModel, data: np.ndarray) -> np.ndarray:
+    """The posterior's cumulative sums over theta_support, one column per data
+    value, or one column for them all when the posterior does not depend on
+    the data."""
     probs = np.asarray(model.posterior(data), dtype=float)
-    if probs.ndim == 1:
-        probs = np.broadcast_to(probs[:, None], (probs.size, np.asarray(data).size)).copy()
-    cum = np.cumsum(probs, axis=0)
+    cum = np.cumsum(probs[:, None] if probs.ndim == 1 else probs, axis=0)
     cum[-1] = 1.0
     return cum
 
 
-def _draw_posterior(cum: np.ndarray, gen: np.random.Generator) -> np.ndarray:
-    """One posterior draw per column of cum, as an index into theta_support:
-    the count of cum[j] < u over j < k - 1 (u < 1 = cum[-1]), in the narrowest
-    unsigned integers that hold k - 1."""
-    u = gen.random(cum.shape[1])
-    idx = np.zeros(u.size, dtype=np.min_scalar_type(cum.shape[0] - 1))
+def _draw_posterior(cum: np.ndarray, n: int, gen: np.random.Generator) -> np.ndarray:
+    """One posterior draw for each of n data values, as an index into
+    theta_support: the count of cum[j] < u over j < k - 1 (u < 1 = cum[-1]),
+    in the narrowest unsigned integers that hold k - 1."""
+    u = gen.random(n)
+    idx = np.zeros(n, dtype=np.min_scalar_type(cum.shape[0] - 1))
     for row in cum[:-1]:
         idx += u > row
     return idx
@@ -83,33 +80,22 @@ class PosteriorSampler:
     def label(self) -> str:
         return "iid" if self.kind == "iid" else f"markov(rho={self.rho:g})"
 
-    def draw_matrix(self, model: GenerativeModel, data: np.ndarray, m_draws: int,
-                    gen: np.random.Generator) -> np.ndarray:
-        """(m_draws, n) array of posterior draws, one column per replicate."""
-        return model.theta_support[self._draw_indices(model, data, m_draws, gen)]
-
-    def _draw_indices(self, model: GenerativeModel, data: np.ndarray, m_draws: int,
-                      gen: np.random.Generator) -> np.ndarray:
-        """draw_matrix's draws as indices into model.theta_support."""
+    def draw_indices(self, model: GenerativeModel, data: np.ndarray, m_draws: int,
+                     gen: np.random.Generator) -> np.ndarray:
+        """(m_draws, n) posterior draws for the n values of data, one column per
+        value, as indices into model.theta_support."""
+        n = np.asarray(data).size
         cum = _posterior_cum(model, data)
-        out = np.empty((m_draws, cum.shape[1]), dtype=np.min_scalar_type(cum.shape[0] - 1))
-        out[0] = _draw_posterior(cum, gen)
+        out = np.empty((m_draws, n), dtype=np.min_scalar_type(cum.shape[0] - 1))
+        out[0] = _draw_posterior(cum, n, gen)
         for m in range(1, m_draws):
-            fresh = _draw_posterior(cum, gen)
+            fresh = _draw_posterior(cum, n, gen)
             if self.kind == "iid":
                 out[m] = fresh
             else:
-                stay = gen.random(cum.shape[1]) < self.rho
+                stay = gen.random(n) < self.rho
                 out[m] = np.where(stay, out[m - 1], fresh)
         return out
-
-
-def iid_sampler() -> PosteriorSampler:
-    return PosteriorSampler(kind="iid")
-
-
-def markov_sampler(rho: float) -> PosteriorSampler:
-    return PosteriorSampler(kind="markov", rho=rho)
 
 
 @dataclass(frozen=True)
@@ -132,15 +118,23 @@ class EstimatorScheme:
         return f"{self.scheme}(M={self.m_draws},sampler={self.sampler.label})@{self.model.model_id}"
 
     def draw_pvalues(self, gen: np.random.Generator, n: int) -> np.ndarray:
+        """The estimate for n replicates of (theta ~ prior, data ~ model)."""
         model = self.model
-        data = model.sample_data(model.sample_prior(gen, n), gen)
-        draws = self.sampler._draw_indices(model, data, self.m_draws, gen)
-        # the term at the observed data, once per support point: a draw picks its row
-        if self.scheme == "r_hat":
-            rows = [model.conditional_sf(th, data) for th in model.theta_support]
-        else:
-            rows = [model.discrepancy(data, th) for th in model.theta_support]
-        table = np.asarray(rows, dtype=float).ravel()
+        return self.estimate(model.sample_data(model.sample_prior(gen, n), gen), gen)
+
+    def estimate(self, data: np.ndarray, gen: np.random.Generator) -> np.ndarray:
+        """The estimate at each value of the 1-d array data, from m_draws
+        posterior draws per value; estimate(np.array([x]), gen) estimates at
+        one observed value."""
+        model, n = self.model, data.size
+        draws = self.sampler.draw_indices(model, data, self.m_draws, gen)
+        # the term at the observed data, once per support point and written in
+        # place: a draw picks its row
+        table = np.empty((model.theta_support.size, n))
+        for row, th in zip(table, model.theta_support):
+            row[...] = (model.conditional_sf(th, data) if self.scheme == "r_hat"
+                        else model.discrepancy(data, th))
+        table = table.ravel()
         at, flat, picked = np.arange(n), np.empty(n, dtype=np.intp), np.empty(n)
         acc = np.zeros(n)
         for idx in draws:
@@ -161,39 +155,6 @@ def marginal_estimator_run(model: GenerativeModel, scheme: str, m_draws: int, n:
                            rng: RngStream, sampler: PosteriorSampler | None = None) -> FrequencyRun:
     """Marginal law of the estimator over fresh (theta, data, posterior draws)."""
     if sampler is None:
-        sampler = iid_sampler()
+        sampler = PosteriorSampler()
     wired = EstimatorScheme(model=model, scheme=scheme, m_draws=m_draws, sampler=sampler)
     return frequency_run(wired, n, rng)
-
-
-def estimate_p_hat(model: GenerativeModel, data, m_draws: int,
-                   rng: RngStream | np.random.Generator,
-                   sampler: PosteriorSampler | None = None) -> float:
-    """Indicator-averaging estimate of the p-value at fixed observed data."""
-    return _estimate_at(model, data, m_draws, rng, sampler, "p_hat")
-
-
-def estimate_r_hat(model: GenerativeModel, data, m_draws: int,
-                   rng: RngStream | np.random.Generator,
-                   sampler: PosteriorSampler | None = None) -> float:
-    """Conditional-probability-averaging estimate at fixed observed data."""
-    return _estimate_at(model, data, m_draws, rng, sampler, "r_hat")
-
-
-def _estimate_at(model, data, m_draws, rng, sampler, scheme) -> float:
-    if sampler is None:
-        sampler = iid_sampler()
-    if m_draws < 1:
-        raise ValueError("m_draws must be >= 1")
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
-    arr = np.asarray([data], dtype=float) if np.asarray(data).ndim == 0 else np.asarray(data, dtype=float)
-    if arr.size != 1:
-        raise ValueError("pointwise estimates take a single observed data value")
-    thetas = sampler.draw_matrix(model, arr, m_draws, gen)[:, 0]
-    if scheme == "r_hat":
-        vals = np.asarray(model.conditional_sf(thetas, np.broadcast_to(arr, thetas.shape)), dtype=float)
-        return float(vals.mean())
-    replic = model.sample_data(thetas, gen)
-    f_rep = np.asarray(model.discrepancy(replic, thetas), dtype=float)
-    f_obs = np.asarray(model.discrepancy(np.broadcast_to(arr, thetas.shape), thetas), dtype=float)
-    return float(np.mean(f_rep >= f_obs))

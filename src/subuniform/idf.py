@@ -18,7 +18,8 @@ Two representations are supported:
 * piecewise CDFs: node arrays (breakpoints, cdf) where the CDF interpolates
   linearly between nodes and a repeated breakpoint encodes a jump (point
   mass).  phi is then piecewise quadratic (linear across constant-CDF spans)
-  and is integrated exactly.
+  and is integrated exactly.  The constructor rejects a CDF that leaves
+  [0, 1] or decreases, so every piecewise IDF is one.
 
 Between consecutive nodes every CDF here is a polynomial (linear for
 piecewise IDFs and uniform01, cubic for beta22), so the convex-order check is
@@ -32,7 +33,6 @@ on either side, in O(_WALK) memory beyond its sorted sample.
 
 from __future__ import annotations
 
-import json
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -42,7 +42,6 @@ from .numerics import EmpiricalSample, _run_blocks
 __all__ = [
     "IntegratedDF",
     "DominanceResult",
-    "ValidationReport",
     "dominates_cx",
     "uniform_idf",
     "beta22_idf",
@@ -61,18 +60,6 @@ class DominanceResult(NamedTuple):
 
     def __bool__(self) -> bool:
         return self.holds
-
-
-class ValidationReport(NamedTuple):
-    """First violated IDF property, if any."""
-
-    ok: bool
-    property: str | None = None
-    location: float | None = None
-    detail: str | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 class IntegratedDF:
@@ -102,6 +89,17 @@ class IntegratedDF:
                 raise ValueError("breakpoints must be non-decreasing")
             if not (np.all(np.isfinite(breakpoints)) and np.all(np.isfinite(cdf))):
                 raise ValueError("breakpoints and cdf must be finite")
+            # the CDF must lie in [0, 1] and not decrease (phi convex), to within 1e-12
+            bad = np.flatnonzero((cdf < -1e-12) | (cdf > 1.0 + 1e-12))
+            if bad.size:
+                i = int(bad[0])
+                raise ValueError(f"not an IDF (derivative-range): CDF value {float(cdf[i])!r} outside "
+                                 f"[0,1] at breakpoint index {i}, x = {float(breakpoints[i])!r}")
+            dec = np.flatnonzero(cdf[1:] - cdf[:-1] < -1e-12)
+            if dec.size:
+                i = int(dec[0]) + 1
+                raise ValueError(f"not an IDF (convexity): CDF decreases at breakpoint index {i}, "
+                                 f"x = {float(breakpoints[i])!r} (phi not convex there)")
             nodes = (breakpoints, cdf, _node_integrals(breakpoints, cdf))
         else:
             raise ValueError(f"unknown IDF kind {kind!r}")
@@ -216,53 +214,6 @@ class IntegratedDF:
         for x, f, _, phi in _node_blocks(self):
             pass  # only the last block holds the right end
         return _tail_mean(x, f, phi)
-
-    def validate(self) -> ValidationReport:
-        """Check the defining IDF properties; report the first violation."""
-        if self.kind == "analytic":
-            return ValidationReport(True)  # both analytic families are IDFs by construction
-        f, bx = self.cdf, self.breakpoints
-        bad = np.nonzero((f < -1e-12) | (f > 1.0 + 1e-12))[0]
-        if bad.size:
-            i = int(bad[0])
-            return ValidationReport(False, "derivative-range", float(bx[i]),
-                                    f"CDF value {f[i]!r} outside [0,1] at breakpoint index {i}")
-        dec = np.nonzero(np.diff(f) < -1e-12)[0]
-        if dec.size:
-            i = int(dec[0]) + 1
-            return ValidationReport(False, "convexity", float(bx[i]),
-                                    f"CDF decreases at breakpoint index {i} (phi not convex there)")
-        return ValidationReport(True)
-
-    # ---------------------------------------------------------------- serde
-
-    def to_json(self) -> str:
-        if self.kind == "analytic":
-            payload = {"kind": "analytic", "breakpoints": None, "cdf": None, "family": self.family}
-        else:
-            payload = {
-                "kind": "piecewise",
-                "breakpoints": [float(v) for v in self.breakpoints],
-                "cdf": [float(v) for v in self.cdf],
-                "family": None,
-            }
-        return json.dumps(payload)
-
-    @classmethod
-    def from_json(cls, text: str) -> "IntegratedDF":
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"malformed IDF JSON: {exc}") from exc
-        kind = payload.get("kind")
-        if kind == "analytic":
-            return cls.analytic(payload.get("family"))
-        if kind == "piecewise":
-            bx, f = payload.get("breakpoints"), payload.get("cdf")
-            if bx is None or f is None:
-                raise ValueError("piecewise IDF JSON requires breakpoints and cdf arrays")
-            return cls.piecewise(bx, f)
-        raise ValueError(f"unknown IDF kind {kind!r}")
 
 
 def _node_integrals(x: np.ndarray, f: np.ndarray) -> np.ndarray:

@@ -372,23 +372,6 @@ class FrequencyRun:
     stream_id: int
     pvalues: EmpiricalSample
 
-    def summary(self) -> dict:
-        """Moments, P(X <= a) for a in 0.01, 0.05, 0.1, 0.25, and a 512-point ECDF."""
-        grid = np.linspace(0.0, 1.0, 512)
-        return {
-            "model": self.model_id,
-            "n": self.n,
-            "seed": self.seed,
-            "stream_id": self.stream_id,
-            "mean": self.pvalues.mean(),
-            "variance": self.pvalues.variance(),
-            "tail_probs": {f"{a:g}": self.pvalues.tail_prob(a) for a in (0.01, 0.05, 0.1, 0.25)},
-            "ecdf": {
-                "x": [float(v) for v in grid],
-                "F": [float(v) for v in self.pvalues.ecdf(grid)],
-            },
-        }
-
     def to_csv(self, path: str) -> None:
         with open(path, "w") as fh:
             _write_values(fh, self.pvalues.values)

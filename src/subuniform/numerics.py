@@ -19,7 +19,6 @@ __all__ = [
     "EmpiricalSample",
     "chi2_sf",
     "chi2_quantile",
-    "ks_statistic",
 ]
 
 # values per RNG block of a frequency run: it fixes which generator draws
@@ -68,10 +67,6 @@ class RngStream:
         """
         ss = np.random.SeedSequence(self.seed, spawn_key=(self.stream_id, block))
         return np.random.Generator(np.random.PCG64(ss))
-
-    def substream(self, offset: int) -> "RngStream":
-        """A sibling stream; used when one operation needs several streams."""
-        return RngStream(self.seed, self.stream_id + offset)
 
 
 class EmpiricalSample:
@@ -137,9 +132,6 @@ class EmpiricalSample:
         lo = np.searchsorted(self.values, location - _ATOM_TOL, side="left")
         hi = np.searchsorted(self.values, location + _ATOM_TOL, side="right")
         return float(hi - lo) / self.n
-
-    def ecdf(self, x: np.ndarray) -> np.ndarray:
-        return np.searchsorted(self.values, x, side="right") / self.n
 
 
 def _sum_sq_dev(x: np.ndarray, mean: float) -> float:
@@ -626,19 +618,3 @@ def chi2_quantile(p: float, k: float) -> float:
             break
     return 2.0 * y
 
-
-def ks_statistic(sample: EmpiricalSample, cdf: Callable[[np.ndarray], np.ndarray]) -> float:
-    """Kolmogorov-Smirnov sup-distance between a sample and a continuous CDF.
-
-    Standard form: max over order statistics v_(i) of
-    max(i/n - F(v_i), F(v_i) - (i-1)/n).
-    """
-    v = sample.values
-    n = sample.n
-    f = np.asarray(cdf(v), dtype=float)
-    if f.shape != v.shape:
-        raise ValueError("cdf must evaluate elementwise on the sample")
-    i = np.arange(1, n + 1)
-    d_plus = np.max(i / n - f)
-    d_minus = np.max(f - (i - 1) / n)
-    return float(max(d_plus, d_minus, 0.0))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from subuniform import (IntegratedDF, RngStream, SubUniformDist, beta22_idf,
-                        conservative_single, fisher_bounds, fisher_critical, fisher_report,
+                        conservative_single, fisher_bounds, fisher_critical,
                         fisher_score, h_bound, minp_bound, minp_limit_check, p2alpha,
                         uniform_idf)
 
@@ -176,17 +176,6 @@ def test_fisher_conservative_against_subuniform_mc():
                 emp = float(np.mean(scores >= x))
                 sigma = math.sqrt(cons * (1.0 - cons) / reps)
                 assert emp <= cons + 3.0 * sigma, (dist.variant, m, alpha)
-
-
-def test_fisher_report_wrapper():
-    rep = fisher_report([0.05])
-    assert rep.score == pytest.approx(5.99146, abs=1e-5)
-    assert rep.m == 1
-    assert rep.nominal_p == pytest.approx(0.05, abs=1e-6)
-    assert rep.bound_shifted_chi2 == pytest.approx(0.1, abs=1e-6)
-    with pytest.warns(UserWarning):
-        rep = fisher_report([0.0])
-    assert rep.warnings
 
 
 # ------------------------------------------------------------------ fisher_critical

@@ -517,6 +517,22 @@ def test_construct_rejects_malformed_target_cleanly(tmp_path, spec):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("spec, field", [
+    ('{"variant": "p2alpha", "alpha": "abc"}', "'p2alpha' distribution JSON field alpha"),
+    ('{"variant": "mixture", "atoms": [["x", 1.0]]}', "'mixture' distribution JSON field atoms"),
+    ('{"variant": "mixture", "atoms": [[0.5]]}', "'mixture' distribution JSON field atoms"),
+])
+def test_construct_malformed_target_names_its_field(tmp_path, spec, field):
+    # a value that does not parse is reported with the variant and the field,
+    # as a missing key is, not as a bare conversion or unpacking error
+    target = tmp_path / "target.json"
+    target.write_text(spec)
+    proc = run_cli("construct", "--target", str(target), "--n", "100", "--seed", "513")
+    assert proc.returncode == 1
+    assert f"error: invalid target spec: malformed {field}:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_construct_missing_target_is_io_error():
     proc = run_cli("construct", "--target", "/no/such/target.json",
                    "--n", "100", "--seed", "510")

@@ -13,10 +13,12 @@ from hypothesis import strategies as st
 from subuniform import (EmpiricalSample, IntegratedDF, RngStream, SingularRow,
                         SubUniformDist, SyntheticPPPModel, TransportInfeasible,
                         UniformMixRow, discretize, dominates_cx,
-                        explicit_p2alpha_coupling, ks_distance, ks_statistic,
-                        left_curtain_coupling, mod1_family, p2alpha, synthesize_ppp,
-                        uniform_coupling, uniform_idf)
+                        explicit_p2alpha_coupling, ks_distance, left_curtain_coupling,
+                        mod1_family, p2alpha, synthesize_ppp, uniform_coupling, uniform_idf)
 from subuniform.coupling import G_CHOICES
+from _oracles import ks_statistic
+
+UNIFORM = SubUniformDist("uniform01")
 
 
 # ------------------------------------------------------------------ rows and explicit couplings
@@ -44,7 +46,7 @@ def test_explicit_p2alpha_uniform_marginal():
     gen = RngStream(seed=90).generator()
     model = synthesize_ppp(p2alpha(0.1), rng=RngStream(seed=90))
     _p, s = model.draw_joint(gen, 400_000)
-    assert ks_statistic(EmpiricalSample(s), lambda x: np.clip(x, 0.0, 1.0)) <= 0.004
+    assert ks_distance(UNIFORM, EmpiricalSample(s)) <= 0.004
 
 
 def test_row_outside_domain():
@@ -97,7 +99,7 @@ def test_g_law_cdfs_match_scipy():
                          gen.standard_normal(4000) * 3.0, gen.uniform(-800.0, 800.0, 4000),
                          np.linspace(-40.0, 40.0, 4001)])
     for name, oracle in (("logistic", expit), ("normal", ndtr)):
-        cdf = G_CHOICES[name][0]
+        cdf = G_CHOICES[name]
         got = np.array([cdf(float(t)) for t in ts])
         assert np.max(np.abs(got - oracle(ts))) <= 4.4e-16, name
 
@@ -167,7 +169,7 @@ def test_synthesize_uniform_target():
     model = synthesize_ppp(SubUniformDist("uniform01"), rng=RngStream(seed=92))
     assert model.meta["path"] == "explicit-uniform"
     pvals = model.draw_pvalues(RngStream(seed=93).generator(), 200_000)
-    assert ks_statistic(EmpiricalSample(pvals), lambda x: np.clip(x, 0.0, 1.0)) <= 0.004
+    assert ks_distance(UNIFORM, EmpiricalSample(pvals)) <= 0.004
 
 
 def test_synthesize_p2alpha_target():
@@ -188,9 +190,8 @@ def test_synthesize_beta22_target_via_transport():
     _assert_exact_coupling(model.coupling)
     gen = RngStream(seed=97).generator()
     pvals, svals = model.draw_joint(gen, 200_000)
-    beta_cdf = SubUniformDist("beta22").cdf
-    assert ks_statistic(EmpiricalSample(pvals), beta_cdf) <= 0.01
-    assert ks_statistic(EmpiricalSample(svals), lambda x: np.clip(x, 0.0, 1.0)) <= 0.004
+    assert ks_distance(SubUniformDist("beta22"), EmpiricalSample(pvals)) <= 0.01
+    assert ks_distance(UNIFORM, EmpiricalSample(svals)) <= 0.004
     # realized p-values stay sub-uniform even after discretization
     emp = IntegratedDF.from_samples(pvals)
     assert dominates_cx(emp, uniform_idf()).holds
@@ -228,7 +229,7 @@ def test_synthetic_model_exact_ppp_and_conditional_sf():
     d = (0.05, 0.1)  # a point inside the atom row
     assert model.exact_ppp(d) == pytest.approx(0.1, abs=1e-9)
     # averaging the conditional survival over theta ~ G recovers the p-value
-    ts = model.sample_theta(gen, 50_000)
+    ts = gen.logistic(size=50_000)  # theta ~ G, the model's logistic law
     vals = np.array([model.conditional_sf(float(t), d) for t in ts])
     assert vals.mean() == pytest.approx(0.1, abs=0.005)
     # and the values themselves follow the row law uniform[0, 0.2]

@@ -1,10 +1,13 @@
 """Smoke test of the scripts in demos/: each runs to the end in a cold process.
+Also the check that every public name is reached by the ppp command, a demo
+or the README.
 
 fisher_calibration.py exercises the chi-square tails of the Fisher bounds,
 which numerics computes in math code, without scipy.
 """
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -29,3 +32,14 @@ def test_demo_runs_cleanly(demo):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
     assert "Traceback" not in proc.stdout + proc.stderr
+
+
+def test_every_public_name_is_reached():
+    # a public name that no ppp path, demo or README sentence reaches is test-only
+    import subuniform
+
+    texts = [(ROOT / "src" / "subuniform" / "cli.py").read_text(),
+             (ROOT / "README.md").read_text(), *(demo.read_text() for demo in DEMOS)]
+    unreached = [name for name in subuniform.__all__
+                 if not any(re.search(rf"(?<!\w){re.escape(name)}(?!\w)", text) for text in texts)]
+    assert not unreached

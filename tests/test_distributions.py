@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subuniform import (EmpiricalSample, RngStream, SubUniformDist, as_p2alpha,
-                        atom_frequencies, continuous_part_ks, discretize, dominates_cx,
-                        IntegratedDF, ks_distance, ks_statistic, p2alpha,
-                        synthesize_ppp, uniform_idf)
+                        continuous_part_ks, discretize, dominates_cx, IntegratedDF,
+                        ks_distance, p2alpha, synthesize_ppp, uniform_idf)
+from _oracles import ks_statistic
 
 BUILTINS = [SubUniformDist("uniform01"), SubUniformDist("beta22"),
             p2alpha(0.05), p2alpha(0.1), p2alpha(0.25), p2alpha(0.4)]
@@ -77,14 +77,14 @@ def test_sample_atom_lands_exactly():
 
 def test_sample_uniform_ks():
     samp = SubUniformDist("uniform01").sample(RngStream(seed=12).generator(), 1_000_000)
-    assert ks_statistic(samp, lambda x: np.clip(x, 0.0, 1.0)) <= 0.002
+    assert ks_distance(SubUniformDist("uniform01"), samp) <= 0.002
 
 
 def test_sample_beta22_moments():
     samp = SubUniformDist("beta22").sample(RngStream(seed=13).generator(), 1_000_000)
     assert samp.mean() == pytest.approx(0.5, abs=0.001)
     assert samp.variance() == pytest.approx(0.05, abs=0.001)  # Beta(2,2) variance 1/20
-    assert ks_statistic(samp, lambda x: np.clip(x, 0, 1) ** 2 * (3 - 2 * np.clip(x, 0, 1))) <= 0.002
+    assert ks_distance(SubUniformDist("beta22"), samp) <= 0.002
 
 
 # ------------------------------------------------------------------ idf
@@ -136,13 +136,43 @@ def test_every_builtin_certifies_and_sample_behaves():
 
 # ------------------------------------------------------------------ sample diagnostics
 
-def test_atom_frequencies_and_continuous_ks():
+def test_atom_frequency_and_continuous_ks():
     dist = p2alpha(0.1)
     samp = dist.sample(RngStream(seed=21).generator(), 400_000)
-    freqs = atom_frequencies(dist, samp)
-    assert set(freqs) == {0.1}
-    assert freqs[0.1] == pytest.approx(0.2, abs=0.003)
-    assert continuous_part_ks(dist, samp) <= 0.004
+    assert samp.atom_frequency(0.1) == pytest.approx(0.2, abs=0.003)
+    ks = continuous_part_ks(dist, samp)
+    assert ks <= 0.004
+    # the continuous part is uniform on [0.2, 1]: the textbook KS of the
+    # off-atom values against that CDF is the same number
+    off = EmpiricalSample(samp.values[samp.values != 0.1])
+    assert ks == pytest.approx(ks_statistic(off, lambda x: np.clip((x - 0.2) / 0.8, 0.0, 1.0)),
+                               abs=1e-12)
+    assert continuous_part_ks(SubUniformDist("beta22"), samp) == ks_distance(
+        SubUniformDist("beta22"), samp)
+    with pytest.raises(ValueError, match="no continuous part"):
+        continuous_part_ks(p2alpha(0.5), samp)
+
+
+def test_ks_distance_single_point():
+    e = EmpiricalSample([0.5])
+    assert ks_distance(SubUniformDist("uniform01"), e) == pytest.approx(0.5)
+    assert ks_statistic(e, lambda x: np.clip(x, 0.0, 1.0)) == pytest.approx(0.5)
+
+
+def test_ks_distance_two_points():
+    e = EmpiricalSample([0.25, 0.75])
+    assert ks_distance(SubUniformDist("uniform01"), e) == pytest.approx(0.25)
+    assert ks_statistic(e, lambda x: np.clip(x, 0.0, 1.0)) == pytest.approx(0.25)
+
+
+def test_ks_distance_matches_the_textbook_form_at_scale():
+    # for a continuous law the two forms agree; Kolmogorov: the sup-distance
+    # is ~ 1.63/sqrt(n) at the 99th percentile
+    gen = RngStream(seed=77).generator()
+    e = EmpiricalSample(gen.random(1_000_000))
+    ks = ks_distance(SubUniformDist("uniform01"), e)
+    assert ks == pytest.approx(ks_statistic(e, lambda x: np.clip(x, 0.0, 1.0)), abs=1e-12)
+    assert ks <= 0.002
 
 
 def test_ks_distance_exact_atoms():
@@ -267,3 +297,12 @@ def test_json_round_trip():
         assert back == dist
         doc = json.loads(dist.to_json())
         assert doc["variant"] == dist.variant
+
+
+def test_from_json_keeps_the_constructor_domain_errors():
+    # a field that parses but is out of the family's domain is the
+    # constructor's error, not a malformed field
+    with pytest.raises(ValueError, match=r"p2alpha requires alpha in \(0, 0.5\]"):
+        SubUniformDist.from_json('{"variant": "p2alpha", "alpha": 0.7}')
+    with pytest.raises(ValueError, match="mixture masses must sum to 1"):
+        SubUniformDist.from_json('{"variant": "mixture", "atoms": [[0.5, 0.5]]}')

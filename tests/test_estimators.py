@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from subuniform import (EstimatorScheme, GenerativeModel, IntegratedDF, PosteriorSampler,
-                        RngStream, estimate_p_hat, estimate_r_hat, exact_ppp, frequency_run,
-                        iid_sampler, ks_statistic, lasso_model, marginal_estimator_run,
-                        markov_sampler, port_model, simplex_model)
+                        RngStream, SubUniformDist, exact_ppp, frequency_run, ks_distance,
+                        lasso_model, marginal_estimator_run, port_model, simplex_model)
 from subuniform.numerics import _BLOCK
 
 GRID = np.linspace(0.0, 1.0, 1025)
+IID = PosteriorSampler()
+MARKOV = PosteriorSampler(kind="markov", rho=0.9)
 
 
 def _assert_sub_uniform(samp, idf_tol=0.003, mean_tol=0.003):
@@ -21,11 +22,13 @@ def _assert_sub_uniform(samp, idf_tol=0.003, mean_tol=0.003):
 # ------------------------------------------------------------------ samplers
 
 def test_sampler_validation():
-    assert iid_sampler().kind == "iid"
-    assert markov_sampler(0.9).rho == 0.9
+    assert IID.kind == "iid" and IID.rho == 0.0
+    assert MARKOV.rho == 0.9
     for bad in (-0.1, 1.0, 1.5):
         with pytest.raises(ValueError):
-            markov_sampler(bad)
+            PosteriorSampler(kind="markov", rho=bad)
+    with pytest.raises(ValueError):
+        PosteriorSampler(kind="iid", rho=0.5)
 
 
 def test_markov_sampler_stationary_with_prescribed_autocorrelation():
@@ -33,7 +36,7 @@ def test_markov_sampler_stationary_with_prescribed_autocorrelation():
     model = lasso_model(0.1)
     data = np.full(200_000, 0.9)
     gen = RngStream(seed=50).generator()
-    mat = markov_sampler(0.7).draw_matrix(model, data, 3, gen)
+    mat = PosteriorSampler(kind="markov", rho=0.7).draw_indices(model, data, 3, gen)
     for row in mat:
         assert row.mean() == pytest.approx(0.5, abs=0.005)  # marginal = posterior
     for lag_pair in ((0, 1), (1, 2)):
@@ -46,23 +49,23 @@ def test_markov_sampler_stationary_with_prescribed_autocorrelation():
 def test_iid_sampler_rows_uncorrelated():
     model = lasso_model(0.1)
     data = np.full(100_000, 0.9)
-    mat = iid_sampler().draw_matrix(model, data, 2, RngStream(seed=51).generator())
+    mat = IID.draw_indices(model, data, 2, RngStream(seed=51).generator())
     assert abs(np.corrcoef(mat[0], mat[1])[0, 1]) <= 0.02
 
 
 # ------------------------------------------------------------------ pointwise estimates
 
 def test_p_hat_m1_is_binary():
-    model = lasso_model(0.1)
-    vals = {estimate_p_hat(model, 0.35, 1, RngStream(seed=52, stream_id=i))
-            for i in range(32)}
-    assert vals <= {0.0, 1.0}
-    assert len(vals) == 2
+    wired = EstimatorScheme(lasso_model(0.1), "p_hat", 1, IID)
+    vals = set(wired.estimate(np.full(32, 0.35), RngStream(seed=52).generator()).tolist())
+    assert vals == {0.0, 1.0}
 
 
 def test_p_hat_converges_to_exact():
+    # one single-draw estimate is Bernoulli(p(x)): the mean of 1e6 of them is p(x)
     model = lasso_model(0.1)
-    est = estimate_p_hat(model, 0.7, 1_000_000, RngStream(seed=53))
+    wired = EstimatorScheme(model, "p_hat", 1, IID)
+    est = wired.estimate(np.full(1_000_000, 0.7), RngStream(seed=53).generator()).mean()
     assert est == pytest.approx(exact_ppp(model, 0.7), abs=0.005)
 
 
@@ -76,13 +79,16 @@ def test_p_hat_degenerate_discrepancy_returns_one():
         discrepancy=lambda x, theta: np.zeros(np.broadcast(x, theta).shape),
         conditional_sf=lambda theta, x: 1.0,
     )
-    assert estimate_p_hat(flat, 0.4, 16, RngStream(seed=54)) == 1.0
+    est = EstimatorScheme(flat, "p_hat", 16, IID).estimate(np.array([0.4]),
+                                                           RngStream(seed=54).generator())
+    assert est.tolist() == [1.0]
 
 
 def test_r_hat_converges_to_exact():
-    model = lasso_model(0.1)
-    est = estimate_r_hat(model, 0.85, 10_000, RngStream(seed=55))
-    assert est == pytest.approx(0.1, abs=0.005)  # far arc: exact p-value is alpha
+    wired = EstimatorScheme(lasso_model(0.1), "r_hat", 10_000, IID)
+    est = wired.estimate(np.array([0.85]), RngStream(seed=55).generator())
+    assert est.shape == (1,)
+    assert est[0] == pytest.approx(0.1, abs=0.005)  # far arc: exact p-value is alpha
 
 
 # ------------------------------------------------------------------ marginal laws
@@ -96,7 +102,7 @@ def test_marginal_p_hat_m1_bernoulli_half():
 
 def test_marginal_r_hat_m1_uniform():
     run = marginal_estimator_run(lasso_model(0.1), "r_hat", 1, 100_000, RngStream(seed=57))
-    assert ks_statistic(run.pvalues, lambda x: np.clip(x, 0.0, 1.0)) <= 0.005
+    assert ks_distance(SubUniformDist("uniform01"), run.pvalues) <= 0.005
 
 
 def test_marginal_r_hat_mean_half_any_m():
@@ -108,13 +114,13 @@ def test_marginal_r_hat_mean_half_any_m():
 
 def test_marginal_r_hat_tail_bound():
     run = marginal_estimator_run(lasso_model(0.1), "r_hat", 16, 100_000,
-                                 RngStream(seed=61), sampler=iid_sampler())
+                                 RngStream(seed=61), sampler=IID)
     assert run.pvalues.tail_prob(0.05) <= 0.1 + 0.003
 
 
 def test_r_hat_sub_uniform_all_m_both_samplers():
     model = lasso_model(0.1)
-    for sampler in (iid_sampler(), markov_sampler(0.9)):
+    for sampler in (IID, MARKOV):
         for m, seed in ((1, 62), (4, 63), (16, 64), (64, 65)):
             run = marginal_estimator_run(model, "r_hat", m, 100_000,
                                          RngStream(seed=seed), sampler=sampler)
@@ -175,7 +181,8 @@ def test_infinite_m_proxy_matches_frequency_run():
 # ------------------------------------------------------------------ one term per support point
 
 def _draw_matrix_by_value(sampler, model, data, m_draws, gen):
-    """draw_matrix as it drew theta values, summing u > cum over all k rows."""
+    """The posterior draws as theta values, drawn by summing u > cum over all
+    k rows of a (k, n) cumulative posterior."""
     probs = np.asarray(model.posterior(data), dtype=float)
     if probs.ndim == 1:
         probs = np.broadcast_to(probs[:, None], (probs.size, np.asarray(data).size))
@@ -224,7 +231,7 @@ def test_draw_pvalues_equals_the_per_draw_loop(name):
     model = _EQUIV_MODELS[name]
     n = _BLOCK + 17
     for scheme in ("p_hat", "r_hat"):
-        for sampler in (iid_sampler(), markov_sampler(0.9)):
+        for sampler in (IID, MARKOV):
             for m_draws in (1, 8):
                 wired = EstimatorScheme(model, scheme, m_draws, sampler)
                 got = wired.draw_pvalues(RngStream(seed=91).generator(), n)
@@ -232,32 +239,51 @@ def test_draw_pvalues_equals_the_per_draw_loop(name):
                 assert got.tobytes() == want.tobytes(), (scheme, sampler.label, m_draws)
 
 
-def test_draw_matrix_returns_the_theta_values():
-    # indices are drawn as uint8 (uint16 above 256 support points) and mapped
-    # to theta at the end
+def test_draw_indices_index_the_theta_values():
+    # indices are drawn as uint8 (uint16 above 256 support points)
     pmfs = np.random.default_rng(92).random((300, 3))
     models = [*_EQUIV_MODELS.values(), port_model(pmfs / pmfs.sum(axis=1, keepdims=True))]
     for model in models:
         data = model.sample_data(model.sample_prior(RngStream(seed=93).generator(), 5000),
                                  RngStream(seed=94).generator())
-        for sampler in (iid_sampler(), markov_sampler(0.9)):
-            got = sampler.draw_matrix(model, data, 5, RngStream(seed=95).generator())
+        for sampler in (IID, MARKOV):
+            idx = sampler.draw_indices(model, data, 5, RngStream(seed=95).generator())
+            assert idx.dtype == (np.uint8 if model.theta_support.size <= 256 else np.uint16)
             want = _draw_matrix_by_value(sampler, model, data, 5, RngStream(seed=95).generator())
-            assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert np.array_equal(model.theta_support[idx], want)
+
+
+def test_estimator_block_holds_one_table():
+    # the one (k, n) array of a block is the table of the term at the data,
+    # k * n * 8 = 105 MB here, filled in place; a data-independent posterior
+    # is one cumulative column.  A (k, n) copy of the posterior, its cumsum or
+    # a list of k rows stacked into the table would each add another 105 MB
+    import tracemalloc
+
+    pmfs = np.random.default_rng(96).random((200, 4))
+    wired = EstimatorScheme(port_model(pmfs / pmfs.sum(axis=1, keepdims=True)), "r_hat", 2, IID)
+    wired.draw_pvalues(RngStream(seed=97).generator(), 10)
+    tracemalloc.start()
+    try:
+        wired.draw_pvalues(RngStream(seed=97).generator(), _BLOCK)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 130e6
 
 
 # ------------------------------------------------------------------ plumbing
 
 def test_marginal_run_metadata_and_determinism(monkeypatch):
     run = marginal_estimator_run(lasso_model(0.1), "r_hat", 4, 50_000,
-                                 RngStream(seed=79), sampler=markov_sampler(0.5))
+                                 RngStream(seed=79), sampler=PosteriorSampler("markov", 0.5))
     assert "r_hat" in run.model_id and "M=4" in run.model_id and "markov" in run.model_id
     again = marginal_estimator_run(lasso_model(0.1), "r_hat", 4, 50_000,
-                                   RngStream(seed=79), sampler=markov_sampler(0.5))
+                                   RngStream(seed=79), sampler=PosteriorSampler("markov", 0.5))
     assert np.array_equal(run.pvalues.values, again.pvalues.values)
     monkeypatch.setenv("PPP_THREADS", "4")
     threaded = marginal_estimator_run(lasso_model(0.1), "r_hat", 4, 50_000,
-                                      RngStream(seed=79), sampler=markov_sampler(0.5))
+                                      RngStream(seed=79), sampler=PosteriorSampler("markov", 0.5))
     assert np.array_equal(run.pvalues.values, threaded.pvalues.values)
 
 

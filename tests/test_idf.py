@@ -1,7 +1,5 @@
 """Integrated distribution functions and convex-order dominance."""
 
-import json
-
 import mpmath as mp
 import numpy as np
 import pytest
@@ -41,26 +39,29 @@ def test_right_derivative_is_cdf():
     assert beta22_idf().right_derivative(-5.0) == 0.0
 
 
-def test_validate_accepts_builtins():
-    for phi in (uniform_idf(), beta22_idf(), p2alpha(0.1).idf()):
-        rep = phi.validate()
-        assert rep.ok, rep
+def test_piecewise_accepts_builtins():
+    two_atoms = SubUniformDist("mixture", atoms=((0.0, 0.5), (1.0, 0.5)))
+    for dist in (p2alpha(0.1), p2alpha(0.5), two_atoms):
+        phi = dist.idf()
+        assert IntegratedDF.piecewise(phi.breakpoints, phi.cdf).mean() == pytest.approx(0.5)
 
 
-def test_validate_flags_decreasing_cdf():
-    bad = IntegratedDF(kind="piecewise", breakpoints=np.array([0.0, 0.5, 1.0]),
-                       cdf=np.array([0.2, 0.8, 0.5]))
-    rep = bad.validate()
-    assert not rep.ok
-    assert rep.property in ("convexity", "monotonicity")
+def test_piecewise_rejects_decreasing_cdf():
+    # dominates_cx and h_bound would otherwise certify results on a non-IDF
+    with pytest.raises(ValueError, match=r"convexity.*index 2, x = 1\.0"):
+        IntegratedDF.piecewise([0.0, 0.5, 1.0], [0.2, 0.8, 0.5])
+    with pytest.raises(ValueError, match="convexity"):
+        IntegratedDF(kind="piecewise", breakpoints=np.array([0.0, 0.5, 1.0]),
+                     cdf=np.array([0.2, 0.8, 0.5]))
 
 
-def test_validate_flags_derivative_range():
-    bad = IntegratedDF(kind="piecewise", breakpoints=np.array([0.0, 1.0]),
-                       cdf=np.array([0.5, 1.2]))
-    rep = bad.validate()
-    assert not rep.ok
-    assert rep.property == "derivative-range"
+def test_piecewise_rejects_derivative_range():
+    with pytest.raises(ValueError, match=r"derivative-range.*1\.2.*index 1, x = 1\.0"):
+        IntegratedDF.piecewise([0.0, 1.0], [0.5, 1.2])
+    with pytest.raises(ValueError, match="derivative-range"):
+        IntegratedDF.piecewise([0.0, 1.0], [-0.1, 1.0])
+    # the tolerance is 1e-12: rounding dust above 1 or in a flat run passes
+    IntegratedDF.piecewise([0.0, 0.5, 1.0], [0.5, 0.5 - 1e-13, 1.0 + 1e-13])
 
 
 def test_dominates_cx_p2alpha_below_uniform():
@@ -245,17 +246,6 @@ def test_evaluate_convex(a, b):
     for phi in (beta22_idf(), p2alpha(0.15).idf()):
         mid = phi.evaluate((a + b) / 2.0)
         assert mid <= (phi.evaluate(a) + phi.evaluate(b)) / 2.0 + 1e-12
-
-
-def test_json_round_trip():
-    for phi in (uniform_idf(), beta22_idf(), p2alpha(0.1).idf(),
-                IntegratedDF.from_samples([0.2, 0.4, 0.9])):
-        text = phi.to_json()
-        doc = json.loads(text)
-        assert doc["kind"] in ("piecewise", "analytic")
-        back = IntegratedDF.from_json(text)
-        assert np.allclose(back.evaluate(GRID), phi.evaluate(GRID), atol=1e-12)
-        assert back.mean() == pytest.approx(phi.mean(), abs=1e-12)
 
 
 # ------------------------------------------------------------------ the blocked empirical check

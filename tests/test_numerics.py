@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subuniform import EmpiricalSample, RngStream, chi2_quantile, chi2_sf, ks_statistic
+from subuniform import EmpiricalSample, RngStream, chi2_quantile, chi2_sf
 from subuniform.numerics import _WALK
 
 
@@ -282,14 +282,6 @@ def test_rngstream_block_generators_order_free():
         assert np.array_equal(arr, first[b])
 
 
-def test_rngstream_substream():
-    s = RngStream(seed=9, stream_id=1)
-    a = s.substream(3).generator().random(16)
-    b = s.substream(4).generator().random(16)
-    assert not np.array_equal(a, b)
-    assert np.array_equal(a, RngStream(seed=9, stream_id=1).substream(3).generator().random(16))
-
-
 # ------------------------------------------------------------------ EmpiricalSample
 
 def test_sample_sorted_and_moments():
@@ -355,41 +347,6 @@ def test_atom_frequency_window():
     assert e.atom_frequency(0.25) == pytest.approx(2.0 / 3.0)
     assert e.atom_frequency(0.7) == pytest.approx(1.0 / 3.0)
     assert e.atom_frequency(0.5) == 0.0
-
-
-def test_ecdf_matches_counts():
-    e = EmpiricalSample([0.2, 0.4, 0.4, 0.8])
-    x = np.array([0.0, 0.2, 0.3, 0.4, 1.0])
-    assert np.allclose(e.ecdf(x), [0.0, 0.25, 0.25, 0.75, 1.0])
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=40))
-def test_ecdf_monotone_in_unit_interval(vals):
-    e = EmpiricalSample(vals)
-    grid = np.linspace(-0.5, 1.5, 41)
-    f = e.ecdf(grid)
-    assert np.all(np.diff(f) >= 0.0)
-    assert np.all((f >= 0.0) & (f <= 1.0))
-
-
-# ------------------------------------------------------------------ ks_statistic
-
-def test_ks_statistic_single_point():
-    e = EmpiricalSample([0.5])
-    assert ks_statistic(e, lambda x: np.clip(x, 0.0, 1.0)) == pytest.approx(0.5)
-
-
-def test_ks_statistic_two_points():
-    e = EmpiricalSample([0.25, 0.75])
-    assert ks_statistic(e, lambda x: np.clip(x, 0.0, 1.0)) == pytest.approx(0.25)
-
-
-def test_ks_statistic_self_consistent_at_scale():
-    # Kolmogorov: sup-distance ~ 1.63/sqrt(n) at the 99th percentile
-    gen = RngStream(seed=77).generator()
-    e = EmpiricalSample(gen.random(1_000_000))
-    assert ks_statistic(e, lambda x: np.clip(x, 0.0, 1.0)) <= 0.002
 
 
 # ------------------------------------------------------------------ the sample writer
