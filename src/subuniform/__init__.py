@@ -7,39 +7,44 @@ convex order.  This package provides the calibration bounds that follow
 that attain them, Monte Carlo estimation schemes with their distinct marginal
 laws, and a synthesizer that manufactures a model whose exact p-value has any
 prescribed sub-uniform law.
+
+Each public name is imported from its module on first use, so importing the
+package, or only the scalar bounds, loads no numpy.
 """
 
-from .bounds import (FisherReport, FisherScore, MinpLimit, conservative_single,
-                     fisher_bounds, fisher_critical, fisher_score, h_bound, minp_bound,
-                     minp_limit_check)
-from .coupling import (ConditionalLaw, SingularRow, SyntheticPPPModel, TransportInfeasible,
-                       UniformMixRow, explicit_p2alpha_coupling, left_curtain_coupling,
-                       mod1_family, synthesize_ppp, uniform_coupling)
-from .distributions import (SubUniformDist, as_p2alpha, continuous_part_ks, discretize,
-                            ks_distance, p2alpha)
-from .estimators import EstimatorScheme, PosteriorSampler, marginal_estimator_run
-from .idf import DominanceResult, IntegratedDF, beta22_idf, dominates_cx, uniform_idf
-from .models import (FrequencyRun, G_FAMILIES, GenerativeModel, SurvivalG, exact_ppp,
-                     frequency_run, lasso_model, load_port_pmfs, port_model, power_g,
-                     ruschendorf_sample, simplex_atom, simplex_model, uniform_g)
-from .numerics import EmpiricalSample, RngStream, chi2_quantile, chi2_sf
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "EmpiricalSample", "RngStream", "chi2_quantile", "chi2_sf",
-    "IntegratedDF", "DominanceResult", "dominates_cx", "uniform_idf", "beta22_idf",
-    "SubUniformDist", "p2alpha", "as_p2alpha", "ks_distance", "continuous_part_ks",
-    "discretize",
-    "conservative_single", "h_bound", "FisherScore", "FisherReport", "fisher_score",
-    "fisher_bounds", "fisher_critical", "minp_bound", "MinpLimit", "minp_limit_check",
-    "GenerativeModel", "SurvivalG", "uniform_g", "power_g", "G_FAMILIES", "exact_ppp",
-    "lasso_model", "simplex_model", "simplex_atom", "port_model", "load_port_pmfs",
-    "ruschendorf_sample", "FrequencyRun", "frequency_run",
-    "PosteriorSampler", "EstimatorScheme", "marginal_estimator_run",
-    "SingularRow", "UniformMixRow", "ConditionalLaw", "uniform_coupling",
-    "explicit_p2alpha_coupling", "left_curtain_coupling", "TransportInfeasible",
-    "mod1_family", "SyntheticPPPModel",
-    "synthesize_ppp",
-    "__version__",
-]
+# public name -> the module that defines it
+_MODULE_OF = {name: module for module, names in (
+    ("numerics", "EmpiricalSample RngStream"),
+    ("idf", "IntegratedDF DominanceResult dominates_cx uniform_idf beta22_idf"),
+    ("distributions", "SubUniformDist p2alpha as_p2alpha ks_distance continuous_part_ks "
+                      "discretize"),
+    ("bounds", "chi2_quantile chi2_sf conservative_single h_bound FisherScore FisherReport "
+               "fisher_score fisher_bounds fisher_critical minp_bound MinpLimit "
+               "minp_limit_check"),
+    ("models", "GenerativeModel SurvivalG uniform_g power_g G_FAMILIES exact_ppp lasso_model "
+               "simplex_model simplex_atom port_model load_port_pmfs ruschendorf_sample "
+               "FrequencyRun frequency_run"),
+    ("estimators", "PosteriorSampler EstimatorScheme marginal_estimator_run"),
+    ("coupling", "SingularRow UniformMixRow ConditionalLaw uniform_coupling "
+                 "explicit_p2alpha_coupling left_curtain_coupling TransportInfeasible "
+                 "mod1_family SyntheticPPPModel synthesize_ppp"),
+) for name in names.split()}
+
+__all__ = [*_MODULE_OF, "__version__"]
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

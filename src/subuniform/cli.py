@@ -7,27 +7,27 @@ export.  Payload goes to stdout as JSON (or CSV with --format csv);
 diagnostics go to stderr.  Exit codes: 0 success, 1 domain or validation
 error or out of memory, 2 I/O error.  Identical flags and seed give
 byte-identical stdout; PPP_THREADS changes speed only.
+
+calibrate, fisher, minp and the fisher figure are scalar math code; only
+simulate, construct and the idf figure import numpy and the array layers,
+inside their functions, so the scalar commands start without numpy.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import warnings
 from dataclasses import asdict
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .bounds import (FisherReport, conservative_single, fisher_bounds, fisher_critical,
                      fisher_score, minp_bound)
-from .coupling import synthesize_ppp
-from .distributions import SubUniformDist, ks_distance, p2alpha
-from .estimators import PosteriorSampler, marginal_estimator_run
-from .idf import IntegratedDF, beta22_idf, dominates_cx, uniform_idf
-from .models import (G_FAMILIES, frequency_run, lasso_model, load_port_pmfs, port_model,
-                     ruschendorf_sample, simplex_atom, simplex_model)
-from .numerics import EmpiricalSample, RngStream, _write_values
+
+if TYPE_CHECKING:
+    from .numerics import EmpiricalSample
 
 _TAIL_GRID = (0.01, 0.05, 0.1, 0.25)
 
@@ -63,19 +63,19 @@ def _emit_table(columns: list[str], rows: list[list], fmt: str) -> None:
         sys.stdout.write(",".join("" if v is None else f"{v}" for v in row) + "\n")
 
 
-def _read_pvals(path: str) -> np.ndarray:
+def _read_pvals(path: str) -> list[float]:
     try:
         with open(path) as fh:
             lines = [ln.strip() for ln in fh if ln.strip()]
     except OSError as exc:
         raise OSError(f"cannot read {path!r}: {exc}") from exc
     try:
-        vals = np.array([float(ln) for ln in lines])
+        vals = [float(ln) for ln in lines]
     except ValueError as exc:
         raise ValueError(f"non-numeric entry in {path!r}: {exc}") from exc
-    if vals.size == 0:
+    if not vals:
         raise ValueError(f"{path!r} contains no p-values")
-    if not np.all((vals >= 0.0) & (vals <= 1.0)):  # NaN fails both
+    if not all(0.0 <= v <= 1.0 for v in vals):  # NaN fails both
         raise ValueError("p-values must lie in [0, 1]")
     return vals
 
@@ -103,7 +103,7 @@ def _cmd_fisher(args) -> None:
 def _cmd_minp(args) -> None:
     if args.pvals is not None:
         vals = _read_pvals(args.pvals)
-        x, m = float(vals.min()), int(vals.size)
+        x, m = min(vals), len(vals)
     else:
         if args.min is None or args.m is None:
             raise ValueError("provide either --pvals or both --min and --m")
@@ -112,7 +112,7 @@ def _cmd_minp(args) -> None:
             raise ValueError(f"--min must lie in [0, 1], got {x!r}")
         if m < 1:
             raise ValueError(f"--m must be >= 1, got {m!r}")
-    nominal_q = float(-np.expm1(m * np.log1p(-min(x, 1.0)))) if x < 1.0 else 1.0
+    nominal_q = -math.expm1(m * math.log1p(-x)) if x < 1.0 else 1.0
     _emit({
         "min": x,
         "m": m,
@@ -122,10 +122,12 @@ def _cmd_minp(args) -> None:
     }, args.format)
 
 
-_WORKED_PMFS = np.array([[0.7, 0.2, 0.1], [0.1, 0.2, 0.7]])
+_WORKED_PMFS = ((0.7, 0.2, 0.1), (0.1, 0.2, 0.7))
 
 
 def _build_model(args):
+    from .models import G_FAMILIES, lasso_model, load_port_pmfs, port_model, simplex_model
+
     if args.model == "lasso":
         if args.g not in G_FAMILIES:
             raise ValueError(f"--g must be one of {sorted(G_FAMILIES)}")
@@ -139,6 +141,8 @@ def _build_model(args):
 
 
 def _write_sample(path: str, sample: EmpiricalSample) -> None:
+    from .numerics import _write_values
+
     try:
         with open(path, "w") as fh:
             _write_values(fh, sample.values)
@@ -147,12 +151,19 @@ def _write_sample(path: str, sample: EmpiricalSample) -> None:
 
 
 def _sub_uniformity_payload(sample: EmpiricalSample) -> dict:
+    from .idf import IntegratedDF, dominates_cx, uniform_idf
+
     emp = IntegratedDF.from_samples(sample)
     res = dominates_cx(emp, uniform_idf())
     return {"holds": bool(res), "max_violation": res.max_violation, "tol": res.tol}
 
 
 def _cmd_simulate(args) -> None:
+    from .distributions import ks_distance, p2alpha
+    from .estimators import PosteriorSampler, marginal_estimator_run
+    from .models import frequency_run, ruschendorf_sample, simplex_atom
+    from .numerics import RngStream, _write_values
+
     if args.n < 1:
         raise ValueError("--n must be >= 1")
     rng = RngStream(seed=args.seed)
@@ -200,6 +211,10 @@ def _cmd_simulate(args) -> None:
 
 
 def _cmd_construct(args) -> None:
+    from .coupling import synthesize_ppp
+    from .distributions import SubUniformDist, ks_distance
+    from .numerics import EmpiricalSample, RngStream
+
     if args.n < 1:
         raise ValueError("--n must be >= 1")
     try:
@@ -248,8 +263,25 @@ def _cmd_construct(args) -> None:
     _emit(payload, args.format)
 
 
+def _alpha_grid(points: int) -> list[float]:
+    """np.geomspace(1e-5, 0.1, points) in math code: 10**y on numpy's linspace
+    of the exponents, with the endpoints exact."""
+    if points < 0:
+        raise ValueError(f"--points must be >= 0, got {points!r}")
+    if points < 2:
+        return [1e-5] * points
+    lo, hi = math.log10(1e-5), math.log10(0.1)
+    step = (hi - lo) / (points - 1)
+    return [1e-5, *(10.0 ** (i * step + lo) for i in range(1, points - 1)), 0.1]
+
+
 def _cmd_curves(args) -> None:
     if args.figure == "idf":
+        import numpy as np
+
+        from .distributions import p2alpha
+        from .idf import beta22_idf, uniform_idf
+
         if not 0.0 < args.alpha < 0.5:
             raise ValueError(f"--alpha must lie in (0, 0.5), got {args.alpha!r}")
         grid = np.linspace(0.0, 1.0, args.points)
@@ -260,12 +292,11 @@ def _cmd_curves(args) -> None:
     if args.figure == "fisher":
         if args.m < 1:
             raise ValueError(f"--m must be >= 1, got {args.m!r}")
-        alphas = np.geomspace(1e-5, 0.1, args.points)
         rows = []
-        for a in alphas:
-            score = fisher_critical(float(a), args.m)
+        for a in _alpha_grid(args.points):
+            score = fisher_critical(a, args.m)
             rep = fisher_bounds(score, args.m)
-            rows.append([float(a), score, rep.nominal_p, rep.bound_shifted_chi2,
+            rows.append([a, score, rep.nominal_p, rep.bound_shifted_chi2,
                          rep.bound_cantelli, rep.bound_mgf])
         _emit_table(["alpha", "score", "nominal", "bound_shifted_chi2",
                      "bound_cantelli", "bound_mgf"], rows, args.format)

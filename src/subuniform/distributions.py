@@ -157,9 +157,10 @@ class SubUniformDist:
                         | {e for lo, hi, _ in self.pieces for e in (lo, hi)})
         bx: list[float] = []
         fv: list[float] = []
-        for e in events:
-            left = float(self.cdf(e)) - self.atom_mass_at(e)
+        for e in events:  # the running CDF capped at 1, as in IntegratedDF.from_atoms
             right = float(self.cdf(e))
+            left = min(right - self.atom_mass_at(e), 1.0)
+            right = min(right, 1.0)
             if not bx or left > fv[-1] + 1e-15 or e > bx[-1]:
                 bx.append(e)
                 fv.append(left)

@@ -152,7 +152,8 @@ class IntegratedDF:
         total = masses.sum()
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"atom masses must sum to 1, got {total!r}")
-        cum = np.cumsum(masses)
+        # capped: masses summing to 1 + 1e-9 would put the running CDF above 1
+        cum = np.minimum(np.cumsum(masses), 1.0)
         cum[-1] = 1.0
         x = np.repeat(values, 2)
         f = np.empty_like(x)
@@ -232,9 +233,9 @@ def _node_blocks(idf: IntegratedDF):
     with the previous block's last node in front (for the first block, the
     node just before the first jump); its CDF is constant between nodes, so
     f_end = f[:-1].  The floats are those of from_atoms(distinct, counts / n):
-    f is the running sum of counts / n with its last value set to 1.0, and
-    phi the running sum of (x[k+1] - x[k]) * (f[k] + f[k]) / 2, each carried
-    from block to block.
+    f is the running sum of counts / n capped at 1.0, with its last value set
+    to 1.0, and phi the running sum of (x[k+1] - x[k]) * (f[k] + f[k]) / 2,
+    each carried from block to block.
     """
     if idf._nodes is not None:
         bx, f, phi = idf._nodes
@@ -244,7 +245,7 @@ def _node_blocks(idf: IntegratedDF):
     x_last, f_last, phi_last = idf._sample.values[0], 0.0, 0.0
     for starts, ends, vals in _run_blocks(idf._sample.values):
         x = np.concatenate([[x_last], vals])
-        f = np.cumsum(np.concatenate([[f_last], (ends - starts) / n]))
+        f = np.minimum(np.cumsum(np.concatenate([[f_last], (ends - starts) / n])), 1.0)
         if ends[-1] == n:
             f[-1] = 1.0
         phi = np.cumsum(np.concatenate([[phi_last], np.diff(x) * (f[:-1] + f[:-1]) / 2.0]))

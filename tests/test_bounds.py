@@ -3,6 +3,7 @@
 import json
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -95,6 +96,26 @@ def test_fisher_score_domain_and_zero_flooring():
         res = fisher_score([0.0, 0.5])
     assert res.floored_zeros == 1
     assert math.isfinite(res.score)  # floored at 1e-300, not infinite
+
+
+def test_fisher_score_rejects_what_is_not_a_1d_sequence():
+    for bad in ([], 0.5, np.float64(0.5), np.array(0.5), [[0.5, 0.2]], np.array([[0.5], [0.2]])):
+        with pytest.raises(ValueError, match="non-empty 1-d"):
+            fisher_score(bad)
+    for bad in ([math.nan], [math.inf], [0.5, -1e-300]):
+        with pytest.raises(ValueError, match=r"lie in \[0,1\]"):
+            fisher_score(bad)
+    assert fisher_score(np.array([0.5, 0.25])) == fisher_score((0.5, 0.25))
+
+
+@pytest.mark.parametrize("m", [1, 20, 100_000])
+def test_fisher_score_matches_mpmath(m):
+    # each log is within an ulp and fsum adds the logs exactly, all of one
+    # sign, so the score is within 1.5 * 2**-52 relative of -2 * sum(log p)
+    p = np.random.default_rng(m).random(m) ** 3  # reaching down to 1e-15 and below
+    with mp.workdps(50):
+        exact = -2 * mp.fsum(mp.log(v) for v in p.tolist())
+        assert abs(fisher_score(p).score - exact) <= 3 * 2.0**-53 * exact
 
 
 # ------------------------------------------------------------------ fisher_bounds

@@ -2,16 +2,19 @@
 
 import ast
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from subuniform import (RngStream, SubUniformDist, SyntheticPPPModel, fisher_bounds,
                         fisher_critical, fisher_score, p2alpha)
+from subuniform.cli import _alpha_grid, main
 
 
 def run_cli(*argv, env_extra=None):
@@ -40,13 +43,13 @@ def test_cli_import_needs_no_solver():
 
 def _cold_main(argv, tmp_path):
     """Run main(argv) in a cold interpreter; return its process and the scipy
-    modules and numpy.ma, if loaded, when it ended (written to a file: stdout
-    is main's)."""
+    modules, numpy and numpy.ma, if loaded, when it ended (written to a file:
+    stdout is main's)."""
     mods = tmp_path / "modules.json"
     code = ("import json, sys; from subuniform.cli import main; "
             f"rc = main({argv!r}); "
             "json.dump(sorted(m for m in sys.modules "
-            "if m in ('scipy', 'numpy.ma') or m.startswith('scipy.')), "
+            "if m in ('scipy', 'numpy', 'numpy.ma') or m.startswith('scipy.')), "
             f"open({str(mods)!r}, 'w')); sys.exit(rc)")
     env = os.environ.copy()
     env.pop("PPP_THREADS", None)
@@ -69,15 +72,44 @@ def test_cli_loads_scipy_only_where_used(argv, tmp_path):
     target = tmp_path / "beta22.json"
     target.write_text('{"variant": "beta22"}')
     _, loaded = _cold_main([a.format(beta22=target) for a in argv], tmp_path)
+    assert [m for m in loaded if m != "numpy"] == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["calibrate", "--p", "0.03"],
+    ["minp", "--min", "0.01", "--m", "12"],
+    ["minp", "--pvals", "{pvals}"],
+    ["fisher", "--pvals", "{pvals}"],
+    ["curves", "--figure", "fisher", "--m", "20", "--points", "16"],
+    ["curves", "--figure", "fisher", "--m", "20", "--points", "16", "--format", "csv"],
+])
+def test_scalar_commands_load_no_numpy(argv, tmp_path):
+    # the scalar commands are math code: importing numpy would be about 60%
+    # of their cold start
+    path = tmp_path / "p.csv"
+    path.write_text("0.01\n0.2\n0.03\n0.5\n")
+    _, loaded = _cold_main([a.format(pvals=path) for a in argv], tmp_path)
     assert loaded == []
+
+
+def test_package_import_loads_no_numpy():
+    code = "import sys, subuniform; print(sorted(m for m in sys.modules if m.startswith('numpy')))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_only_numerics_imports_scipy():
     # no module imports scipy: a stray import would show only later, as a
-    # slower cold start
-    importers = set()
+    # slower cold start.  Nor do the modules a scalar command loads import
+    # numpy when they load: only inside the functions that use it
+    scipy_importers, numpy_at_load = set(), set()
     for path in sorted((Path(__file__).resolve().parents[1] / "src" / "subuniform").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
+        tree = ast.parse(path.read_text())
+        in_functions = {id(node) for fn in ast.walk(tree)
+                        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        for node in ast.walk(fn)}
+        for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom):
@@ -85,8 +117,13 @@ def test_only_numerics_imports_scipy():
             else:
                 continue
             if any(n == "scipy" or n.startswith("scipy.") for n in names):
-                importers.add(path.name)
-    assert importers == set()
+                scipy_importers.add(path.name)
+            if id(node) not in in_functions and any(n == "numpy" or n.startswith("numpy.")
+                                                    for n in names):
+                numpy_at_load.add(path.name)
+    assert scipy_importers == set()
+    assert numpy_at_load.isdisjoint({"__init__.py", "bounds.py", "cli.py"})
+    assert {"idf.py", "numerics.py"} <= numpy_at_load  # the check sees such imports
 
 
 def test_fisher_loads_scipy_on_use(tmp_path):
@@ -248,6 +285,19 @@ def test_minp_from_file(tmp_path):
 
 def test_minp_requires_arguments():
     assert run_cli("minp").returncode == 1
+
+
+def test_minp_nominal_q_matches_mpmath(capsys):
+    # -expm1(m * log1p(-x)): log1p and expm1 within an ulp each, and the
+    # product's error damped by expm1, so within 5 * 2**-53 relative
+    rng = np.random.default_rng(12)
+    xs, ms = 10.0 ** rng.uniform(-12, 0, 300), np.floor(10.0 ** rng.uniform(0, 9, 300))
+    for x, m in zip(xs.tolist(), ms.astype(int).tolist()):
+        assert main(["minp", "--min", repr(x), "--m", str(m)]) == 0
+        q = json.loads(capsys.readouterr().out)["nominal_q"]
+        with mp.workdps(50):
+            exact = -mp.expm1(m * mp.log1p(-mp.mpf(x)))
+            assert abs(q - exact) <= 5 * 2.0**-53 * exact, (x, m)
 
 
 # ------------------------------------------------------------------ simulate
@@ -572,6 +622,27 @@ def test_curves_fisher_huge_m():
     assert shifted >= 0.5  # location shift is vacuous at this scale
     assert cantelli < 0.06  # Gaussian limit 1/(1 + z^2) at alpha = 1e-5
     assert mgf < 1e-3
+
+
+def test_curves_fisher_alpha_grid_is_geomspace():
+    # numpy's geomspace, in math code: 10**y on the same exponents, with the
+    # endpoints exact; a moved value is the correctly rounded 10**y
+    for points in range(1, 601):
+        grid, ref = _alpha_grid(points), np.geomspace(1e-5, 0.1, points).tolist()
+        assert len(grid) == points and grid[0] == 1e-5
+        assert points == 1 or grid[-1] == 0.1
+        assert all(abs(a - b) <= math.ulp(b) for a, b in zip(grid, ref)), points
+    step = 4.0 / 63
+    with mp.workdps(50):
+        assert all(a == float(mp.power(10, i * step - 5.0))
+                   for i, a in enumerate(_alpha_grid(64)))
+
+
+def test_curves_fisher_points_edges():
+    doc = payload(run_cli("curves", "--figure", "fisher", "--points", "0"))
+    assert doc["rows"] == []
+    proc = run_cli("curves", "--figure", "fisher", "--points", "-1")
+    assert proc.returncode == 1 and "--points" in proc.stderr
 
 
 def test_curves_rejects_bad_alpha():

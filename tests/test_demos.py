@@ -3,7 +3,7 @@ Also the check that every public name is reached by the ppp command, a demo
 or the README.
 
 fisher_calibration.py exercises the chi-square tails of the Fisher bounds,
-which numerics computes in math code, without scipy.
+which bounds.py computes in math code, without scipy.
 """
 
 import os

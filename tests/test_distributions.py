@@ -114,6 +114,18 @@ def test_is_sub_uniform_rejects_off_mean_mass():
     assert not res.holds
 
 
+def test_mass_overshoot_within_tolerance_still_builds_an_idf():
+    # masses may sum to 1 within 1e-9; the running CDF is capped at 1, which
+    # the IDF constructor allows only 1e-12 above
+    overshoot = SubUniformDist("mixture", atoms=((0.2, 0.5), (0.5, 0.5 + 5e-10), (0.9, 1e-10)))
+    assert overshoot.idf().cdf.max() == 1.0
+    assert IntegratedDF.from_atoms(*zip(*overshoot.atoms)).cdf.max() == 1.0
+    res = overshoot.is_sub_uniform()  # mean 0.35: phi(1) = 0.65 > 1/2
+    assert not res.holds and res.witness == 1.0
+    centred = SubUniformDist("mixture", atoms=((0.25, 0.5), (0.75, 0.5 + 5e-10), (0.9, 1e-10)))
+    assert centred.is_sub_uniform().holds
+
+
 def test_every_builtin_certifies_and_sample_behaves():
     for i, dist in enumerate(BUILTINS):
         assert dist.is_sub_uniform().holds, dist

@@ -1,4 +1,4 @@
-"""Special functions, RNG streams, and empirical-sample statistics."""
+"""The chi-square tails of bounds, RNG streams, and empirical-sample statistics."""
 
 import io
 import math
@@ -152,7 +152,7 @@ def _temme_table(n_rows, n_cols, dps=120):
 
 
 def test_temme_table_matches_its_recursion():
-    from subuniform.numerics import _TEMME, _TEMME_MIN_A
+    from subuniform.bounds import _TEMME, _TEMME_MIN_A
 
     table = _temme_table(len(_TEMME) + 1, len(_TEMME[0]) + 1)
     with mp.workdps(60):  # two values in the literature (DiDonato & Morris 1986)
@@ -168,7 +168,7 @@ def test_temme_table_matches_its_recursion():
 
 
 def test_lgamma1p_tables_and_accuracy():
-    from subuniform.numerics import _ZETA_M1, _lgamma1p
+    from subuniform.bounds import _ZETA_M1, _lgamma1p
 
     with mp.workdps(50):
         for j, v in enumerate(_ZETA_M1, start=2):
