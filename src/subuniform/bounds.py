@@ -30,6 +30,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import sys
 import warnings as _warnings
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
@@ -148,6 +149,14 @@ class FisherReport:
         return json.dumps(asdict(self))
 
 
+def _check_m(m: int) -> None:
+    """m counts p-values: at least 1, and no more than a double holds, since
+    every bound takes it into float arithmetic."""
+    if not 1 <= m <= sys.float_info.max:
+        raise ValueError(f"m must be a positive integer at most {sys.float_info.max:g}, "
+                         f"got {m!r}")
+
+
 def fisher_bounds(score: float, m: int, warnings: Sequence[str] = ()) -> FisherReport:
     """Evaluate the nominal tail and the three worst-case bounds at the score.
 
@@ -156,8 +165,7 @@ def fisher_bounds(score: float, m: int, warnings: Sequence[str] = ()) -> FisherR
     and MGF bounds require score >= 2m (the worst-case mean); below that they
     are reported as inapplicable rather than extrapolated.
     """
-    if m < 1:
-        raise ValueError(f"m must be a positive integer, got {m!r}")
+    _check_m(m)
     if not math.isfinite(score):
         raise ValueError(f"score must be finite, got {score!r}")
     k = 2.0 * m
@@ -188,8 +196,7 @@ def fisher_bounds(score: float, m: int, warnings: Sequence[str] = ()) -> FisherR
 
 def fisher_critical(alpha: float, m: int) -> float:
     """Nominal critical value: upper-alpha quantile of chi-square with 2m df."""
-    if m < 1:
-        raise ValueError(f"m must be a positive integer, got {m!r}")
+    _check_m(m)
     return chi2_quantile(alpha, 2.0 * m)
 
 
@@ -199,8 +206,7 @@ def minp_bound(x: float, m: int) -> float:
     Valid for x in [0, 1/2]; beyond that the bound saturates at 1.  Attained
     by independent draws of the extremal law with atom at x.
     """
-    if m < 1:
-        raise ValueError(f"m must be a positive integer, got {m!r}")
+    _check_m(m)
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"x must lie in [0,1], got {x!r}")
     if x >= 0.5:
@@ -226,8 +232,7 @@ def minp_limit_check(q: float, m: int) -> MinpLimit:
     """
     if not 0.0 <= q < 1.0:
         raise ValueError(f"q must lie in [0,1), got {q!r}")
-    if m < 1:
-        raise ValueError(f"m must be a positive integer, got {m!r}")
+    _check_m(m)
     if q == 0.0:
         return MinpLimit(0.0, 0.0, False, None)
     limit = 2.0 * q - q * q

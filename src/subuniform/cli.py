@@ -112,11 +112,12 @@ def _cmd_minp(args) -> None:
             raise ValueError(f"--min must lie in [0, 1], got {x!r}")
         if m < 1:
             raise ValueError(f"--m must be >= 1, got {m!r}")
+    conservative = minp_bound(x, m)  # first: it rejects an m too large for a float
     nominal_q = -math.expm1(m * math.log1p(-x)) if x < 1.0 else 1.0
     _emit({
         "min": x,
         "m": m,
-        "conservative_p": minp_bound(x, m),
+        "conservative_p": conservative,
         "nominal_q": nominal_q,
         "limit_2q_minus_q2": 2.0 * nominal_q - nominal_q ** 2,
     }, args.format)

@@ -33,7 +33,7 @@ import numpy as np
 
 from .distributions import SubUniformDist, _json_field, _step_cdf_gap, as_p2alpha, discretize
 from .idf import IntegratedDF, dominates_cx, uniform_idf
-from .numerics import RngStream, _pieces, _searchsorted_right, _sorted_unique
+from .numerics import RngStream, _inverse_draws, _searchsorted_right, _sorted_unique
 
 __all__ = [
     "SingularRow",
@@ -44,7 +44,6 @@ __all__ = [
     "left_curtain_coupling",
     "TransportInfeasible",
     "mod1_family",
-    "G_CHOICES",
     "SyntheticPPPModel",
     "synthesize_ppp",
 ]
@@ -129,12 +128,7 @@ class UniformMixRow:
         return lo + np.clip(frac, 0.0, 1.0) * (hi - lo)
 
     def sample(self, gen: np.random.Generator, n: int) -> np.ndarray:
-        """n draws: the uniforms all at once, then their inverse piece by piece
-        in place, so the temporaries of inverse stay O(_WALK)."""
-        u = gen.random(n)
-        for piece in _pieces(n):
-            u[piece] = self.inverse(u[piece])
-        return u
+        return _inverse_draws(gen, n, self.inverse)
 
 
 Row = SingularRow | UniformMixRow
@@ -405,11 +399,10 @@ class SyntheticPPPModel:
         masses = np.array([mass for _p, mass, _row in atom_rows])
         cum = np.cumsum(masses)
         cum[-1] = 1.0
-        # random() < 1 = cum[-1]; the row labels are kept in the narrowest
+        # random() < 1 = cum[-1]; the row labels come in the narrowest
         # unsigned integers that hold them (uint8 up to 256 rows), which
         # numpy's stable argsort radix-sorts
-        labels = np.min_scalar_type(len(atom_rows) - 1)
-        idx = _searchsorted_right(cum[:-1], gen.random(n)).astype(labels, copy=False)
+        idx = _searchsorted_right(cum[:-1], gen.random(n))
         means = np.array([row.mean() for _p, _mass, row in atom_rows])
         # the draws of each row, in draw order: one stable sort of the labels
         order = np.argsort(idx, kind="stable")

@@ -24,9 +24,8 @@ from typing import Callable
 
 import numpy as np
 
-from .idf import (_ANALYTIC_FAMILIES, DominanceResult, IntegratedDF, dominates_cx, uniform_idf,
-                  _analytic_quantile, _quantile_integral)
-from .numerics import (_ATOM_TOL, EmpiricalSample, RngStream, _run_blocks, _searchsorted_right,
+from .idf import _ANALYTIC_FAMILIES, DominanceResult, IntegratedDF, dominates_cx, uniform_idf
+from .numerics import (_ATOM_TOL, EmpiricalSample, RngStream, _inverse_draws, _run_blocks,
                        _sorted_unique)
 
 __all__ = [
@@ -118,57 +117,29 @@ class SubUniformDist:
         m += sum(mass * (lo + hi) / 2.0 for lo, hi, mass in self.pieces)
         return float(m)
 
-    def atom_mass_at(self, x: float) -> float:
-        return float(sum(mass for loc, mass in self.atoms if loc == x))
-
     def sample(self, rng, n: int) -> EmpiricalSample:
-        """n inverse-CDF draws.  Atom draws return the atom location verbatim,
-        so equality tests against atom locations are exact."""
+        """n inverse-CDF draws, idf().quantile of uniforms.  Atom draws return
+        the atom location verbatim, so equality tests against atom locations
+        are exact."""
         g = _as_generator(rng)
         if n <= 0:
             raise ValueError("n must be positive")
-        if self.variant != "mixture":
-            return EmpiricalSample(_analytic_quantile(self.variant, g.random(n)), _owned=True)
-        # mixture: pick a component by mass, then sample within it
-        comps: list[tuple[float, tuple]] = [(m, ("atom", loc)) for loc, m in self.atoms]
-        comps += [(m, ("piece", lo, hi)) for lo, hi, m in self.pieces]
-        cum = np.cumsum([m for m, _ in comps])
-        cum[-1] = 1.0
-        u = g.random(n)
-        idx = _searchsorted_right(cum[:-1], u)  # u < 1 = cum[-1]
-        out = np.empty(n)
-        prev = np.concatenate([[0.0], cum[:-1]])
-        for k, (m, spec) in enumerate(comps):
-            sel = idx == k
-            if not np.any(sel):
-                continue
-            if spec[0] == "atom":
-                out[sel] = spec[1]
-            else:
-                _, lo, hi = spec
-                out[sel] = lo + (u[sel] - prev[k]) / m * (hi - lo)
-        return EmpiricalSample(out, _owned=True)
+        return EmpiricalSample(_inverse_draws(g, n, self.idf().quantile), _owned=True)
 
     def idf(self) -> IntegratedDF:
         if self.variant != "mixture":
             return IntegratedDF.analytic(self.variant)
-        # events: atom locations and piece endpoints; CDF is linear between them
-        events = sorted({loc for loc, _ in self.atoms}
-                        | {e for lo, hi, _ in self.pieces for e in (lo, hi)})
-        bx: list[float] = []
-        fv: list[float] = []
-        for e in events:  # the running CDF capped at 1, as in IntegratedDF.from_atoms
-            right = float(self.cdf(e))
-            left = min(right - self.atom_mass_at(e), 1.0)
-            right = min(right, 1.0)
-            if not bx or left > fv[-1] + 1e-15 or e > bx[-1]:
-                bx.append(e)
-                fv.append(left)
-            if right > left:
-                bx.append(e)
-                fv.append(right)
+        # a node at each atom and piece end (the CDF is linear between them)
+        # at its left limit, and one more where it jumps; capped at 1 as in
+        # IntegratedDF.from_atoms
+        events = _sorted_unique(np.array([loc for loc, _ in self.atoms]
+                                         + [e for lo, hi, _ in self.pieces for e in (lo, hi)],
+                                         dtype=float))
+        right, left = (np.minimum(c, 1.0) for c in _cdf_limits(self, events))
+        keep = np.stack([np.ones_like(events, dtype=bool), right > left], axis=1).ravel()
+        fv = np.stack([left, right], axis=1).ravel()[keep]
         fv[-1] = 1.0
-        return IntegratedDF.piecewise(np.array(bx), np.array(fv))
+        return IntegratedDF.piecewise(np.repeat(events, 2)[keep], fv)
 
     def is_sub_uniform(self) -> DominanceResult:
         """Convex-order check against the uniform law (tol 1e-9), with witness."""
@@ -340,19 +311,21 @@ def discretize(dist: SubUniformDist, n_cells: int) -> tuple[np.ndarray, np.ndarr
     """Collapse dist to at most n_cells atoms by conditional means over
     equal-mass quantile cells.
 
-    Replacing cell mass by a point at its conditional mean is a convex-order
-    reduction, so the result stays sub-uniform and keeps the exact mean.
-    Returns (values, masses) with strictly increasing values.
+    A cell's mean is the integral of the quantile Q over its levels, divided
+    by its mass, and that integral is closed form for every law:
+    int_0^u Q = u*Q(u) - phi(Q(u)).  A cell on which Q is constant (inside
+    an atom) has that value as its mean.  Replacing cell mass by a point at
+    its conditional mean is a convex-order reduction, so the result stays
+    sub-uniform and keeps the exact mean.  Returns (values, masses) with
+    strictly increasing values.
     """
     if n_cells < 2:
         raise ValueError("n_cells must be at least 2")
     levels = np.linspace(0.0, 1.0, n_cells + 1)
-    if dist.variant != "mixture":
-        # a cell's mean is the integral of the quantile over its levels, / its mass
-        masses = np.diff(levels)
-        vals = np.diff(_quantile_integral(dist.variant, levels)) / masses
-    else:
-        vals, masses = _discretize_mixture(dist, levels)
+    idf = dist.idf()
+    q = idf.quantile(levels)
+    masses = np.diff(levels)
+    vals = np.where(q[1:] == q[:-1], q[:-1], np.diff(levels * q - idf.evaluate(q)) / masses)
     # merge cells that collapsed onto the same point (atoms spanning cells);
     # each group's mean is taken once, from sums, and kept inside the group's
     # own range, so the merged values stay strictly increasing
@@ -361,38 +334,3 @@ def discretize(dist: SubUniformDist, n_cells: int) -> tuple[np.ndarray, np.ndarr
     vals_out = np.clip(np.add.reduceat(vals * masses, starts) / masses_out,
                        np.minimum.reduceat(vals, starts), np.maximum.reduceat(vals, starts))
     return vals_out, masses_out / masses_out.sum()
-
-
-def _discretize_mixture(dist: SubUniformDist, levels: np.ndarray):
-    """Quantile-cell conditional means via the piecewise-linear quantile function."""
-    nodes = dist.idf()
-    bx, fv = nodes.breakpoints, nodes.cdf
-    # level segments: [fv[i], fv[i+1]] maps linearly to [bx[i], bx[i+1]];
-    # an atom is a level span at constant x, a CDF flat is level-measure zero.
-    seg_lo_f, seg_hi_f = fv[:-1], fv[1:]
-    seg_lo_x, seg_hi_x = bx[:-1], bx[1:]
-    keep = seg_hi_f > seg_lo_f
-    seg_lo_f, seg_hi_f = seg_lo_f[keep], seg_hi_f[keep]
-    seg_lo_x, seg_hi_x = seg_lo_x[keep], seg_hi_x[keep]
-
-    def q_integral(a: float, b: float) -> float:
-        """integral of the quantile function over levels [a, b]"""
-        lo = np.clip(seg_lo_f, a, b)
-        hi = np.clip(seg_hi_f, a, b)
-        w = hi - lo
-        act = w > 0
-        if not np.any(act):
-            return 0.0
-        t0 = (lo[act] - seg_lo_f[act]) / (seg_hi_f[act] - seg_lo_f[act])
-        t1 = (hi[act] - seg_lo_f[act]) / (seg_hi_f[act] - seg_lo_f[act])
-        x0 = seg_lo_x[act] + t0 * (seg_hi_x[act] - seg_lo_x[act])
-        x1 = seg_lo_x[act] + t1 * (seg_hi_x[act] - seg_lo_x[act])
-        return float(np.sum(w[act] * (x0 + x1) / 2.0))
-
-    vals = []
-    masses = []
-    for a, b in zip(levels[:-1], levels[1:]):
-        m = b - a
-        vals.append(q_integral(a, b) / m)
-        masses.append(m)
-    return np.array(vals), np.array(masses)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import FrequencyRun, GenerativeModel, frequency_run
-from .numerics import RngStream
+from .numerics import RngStream, _searchsorted_right
 
 __all__ = [
     "PosteriorSampler",
@@ -44,13 +44,9 @@ def _posterior_cum(model: GenerativeModel, data: np.ndarray) -> np.ndarray:
 
 def _draw_posterior(cum: np.ndarray, n: int, gen: np.random.Generator) -> np.ndarray:
     """One posterior draw for each of n data values, as an index into
-    theta_support: the count of cum[j] < u over j < k - 1 (u < 1 = cum[-1]),
-    in the narrowest unsigned integers that hold k - 1."""
-    u = gen.random(n)
-    idx = np.zeros(n, dtype=np.min_scalar_type(cum.shape[0] - 1))
-    for row in cum[:-1]:
-        idx += u > row
-    return idx
+    theta_support: the count of cum[j] <= u over j < k - 1 (u < 1 = cum[-1]),
+    each row of cum a column over the data (see numerics._searchsorted_right)."""
+    return _searchsorted_right(cum[:-1], gen.random(n))
 
 
 @dataclass(frozen=True)
@@ -86,16 +82,12 @@ class PosteriorSampler:
         value, as indices into model.theta_support."""
         n = np.asarray(data).size
         cum = _posterior_cum(model, data)
-        out = np.empty((m_draws, n), dtype=np.min_scalar_type(cum.shape[0] - 1))
-        out[0] = _draw_posterior(cum, n, gen)
-        for m in range(1, m_draws):
+        out = [_draw_posterior(cum, n, gen)]
+        for _ in range(1, m_draws):
             fresh = _draw_posterior(cum, n, gen)
-            if self.kind == "iid":
-                out[m] = fresh
-            else:
-                stay = gen.random(n) < self.rho
-                out[m] = np.where(stay, out[m - 1], fresh)
-        return out
+            out.append(fresh if self.kind == "iid"
+                       else np.where(gen.random(n) < self.rho, out[-1], fresh))
+        return np.stack(out)
 
 
 @dataclass(frozen=True)

@@ -208,6 +208,25 @@ class IntegratedDF:
         """The right derivative of phi, i.e. the right-continuous CDF."""
         return self._at(x, 1)
 
+    def quantile(self, u) -> np.ndarray | float:
+        """The generalized inverse CDF Q(u), with F(Q(u)-) <= u <= F(Q(u)), at
+        levels u in [0, 1]; vectorized.  On a piecewise IDF, u falls in the
+        segment from the last node with F <= u and is interpolated linearly;
+        a jump returns its location, so an atom comes back verbatim.
+        """
+        uq = np.asarray(u, dtype=float)
+        scalar = uq.ndim == 0
+        uq = np.atleast_1d(uq)
+        if self.kind == "analytic":
+            out = _analytic_quantile(self.family, uq)
+        else:
+            x, f, _ = self._node_arrays()
+            j = np.clip(np.searchsorted(f, uq, side="right") - 1, 0, f.size - 2)
+            df = f[j + 1] - f[j]
+            t = np.divide(uq - f[j], df, out=np.zeros_like(uq), where=df > 0.0)
+            out = x[j] + t * (x[j + 1] - x[j])
+        return float(out[0]) if scalar else out
+
     def mean(self) -> float:
         """E(X), recovered from x - phi(x) at the right end of the support."""
         if self.kind == "analytic":
@@ -316,12 +335,6 @@ def _analytic_quantile(family: str, u: np.ndarray) -> np.ndarray:
     h *= np.sin(a, out=a)
     h *= 2.0  # h = 2*sin(a)*sin(a + pi/3), the same float
     return np.subtract(1.0, h, out=h, where=u > 0.5)
-
-
-def _quantile_integral(family: str, u: np.ndarray) -> np.ndarray:
-    """The integral of an analytic law's quantile over [0, u]: u*Q(u) - phi(Q(u))."""
-    q = _analytic_quantile(family, u)
-    return u * q - _analytic_phi(family, q)
 
 
 def uniform_idf() -> IntegratedDF:

@@ -253,6 +253,15 @@ def simplex_atom(alpha: float) -> float:
 
 # ------------------------------------------------------------------ port model
 
+def _require_finite(a: np.ndarray, name: str) -> None:
+    """Name the first non-finite entry of a: NaN passes every range check."""
+    bad = np.argwhere(~np.isfinite(a))
+    if bad.size:
+        axes = ("row", "column") if a.ndim == 2 else ("entry",)
+        at = ", ".join(f"{axis} {i}" for axis, i in zip(axes, bad[0]))
+        raise ValueError(f"{name} {at} is not finite: {float(a[tuple(bad[0])])!r}")
+
+
 def port_model(pmfs: np.ndarray,
                posterior_spec: np.ndarray | Callable | None = None,
                prior: np.ndarray | None = None) -> GenerativeModel:
@@ -272,6 +281,7 @@ def port_model(pmfs: np.ndarray,
     h = np.asarray(pmfs, dtype=float)
     if h.ndim != 2 or h.shape[0] < 1 or h.shape[1] < 2:
         raise ValueError("pmfs must be a (n_apps, n_ports) array with >= 2 ports")
+    _require_finite(h, "pmf")
     if np.any(h < 0.0):
         raise ValueError("pmf entries must be non-negative")
     if np.any(np.abs(h.sum(axis=1) - 1.0) > 1e-9):
@@ -280,6 +290,7 @@ def port_model(pmfs: np.ndarray,
     if prior is None:
         prior = np.full(n_apps, 1.0 / n_apps)
     prior = np.asarray(prior, dtype=float)
+    _require_finite(prior, "prior")
     if prior.shape != (n_apps,) or np.any(prior < 0) or abs(prior.sum() - 1.0) > 1e-9:
         raise ValueError("prior must be a probability vector over applications")
 
@@ -294,6 +305,7 @@ def port_model(pmfs: np.ndarray,
         post_fn = posterior_spec
     else:
         w = np.asarray(posterior_spec, dtype=float)
+        _require_finite(w, "posterior_spec")
         if w.shape != (n_apps,) or np.any(w < 0) or abs(w.sum() - 1.0) > 1e-9:
             raise ValueError("posterior_spec vector must be a probability vector over applications")
 
@@ -304,13 +316,9 @@ def port_model(pmfs: np.ndarray,
     cum[:, -1] = 1.0
 
     def sample_data(theta, gen):
-        theta = np.asarray(theta, dtype=int)
-        u = gen.random(theta.size)
         # the port is the count of cum[theta] <= u, and u < 1 = cum[theta, -1]
-        out = np.zeros(theta.size, dtype=int)
-        for j in range(n_ports - 1):
-            out += u >= cum[theta, j]
-        return out
+        theta = np.asarray(theta, dtype=int)
+        return _searchsorted_right(cum[:, :-1].T[:, theta], gen.random(theta.size))
 
     def conditional_sf(theta, pi):
         return q_table[np.asarray(theta, dtype=int), np.asarray(pi, dtype=int)]

@@ -190,19 +190,29 @@ def _pieces(n: int) -> Iterator[slice]:
 
 
 def _searchsorted_right(table: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """np.searchsorted(table, u, side="right") for a sorted table.
-
-    Up to 64 entries the result is counted, one comparison pass per entry,
-    into uint8: a binary search mispredicts a branch per key, which costs
-    more than the passes on short tables (about 10x on 2 entries); above 64
-    entries the search is faster.
-    """
-    if table.size > 64:
-        return np.searchsorted(table, u, side="right")
-    count = np.zeros(np.shape(u), dtype=np.uint8)
-    for t in table:
-        count += u >= t
+    """The count of rows of table <= u, in np.min_scalar_type(len(table)):
+    np.searchsorted(table, u, side="right") for a sorted 1-d table.  A row
+    may also be a column of thresholds that broadcasts against u, each value's
+    own cumulative masses.  Up to 64 rows, or for columns, one comparison pass
+    per row: a binary search mispredicts a branch per key, which costs more
+    on short tables (about 10x on 2 entries)."""
+    dtype = np.min_scalar_type(len(table))
+    if table.ndim == 1 and table.size > 64:
+        return np.searchsorted(table, u, side="right").astype(dtype)
+    count = np.zeros(np.shape(u), dtype=dtype)
+    for row in table:
+        count += u >= row
     return count
+
+
+def _inverse_draws(gen: np.random.Generator, n: int,
+                   inverse: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """n inverse-CDF draws: the uniforms all at once, then their inverse piece
+    by piece in place, so the temporaries of inverse stay O(_WALK)."""
+    u = gen.random(n)
+    for piece in _pieces(n):
+        u[piece] = inverse(u[piece])
+    return u
 
 
 def _sorted_unique(a: np.ndarray) -> np.ndarray:

@@ -287,6 +287,18 @@ def test_minp_requires_arguments():
     assert run_cli("minp").returncode == 1
 
 
+@pytest.mark.parametrize("argv", [("minp", "--min", "0.1"),
+                                  ("curves", "--figure", "fisher", "--points", "2")],
+                         ids=["minp", "curves.fisher"])
+def test_m_past_the_largest_double_is_a_domain_error(argv):
+    # such an m cannot enter the float formulas; 1e20 still can
+    proc = run_cli(*argv, "--m", "1" + "0" * 400)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error: m must be a positive integer at most 1.79769e+308")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    assert run_cli(*argv, "--m", str(10**20)).returncode == 0
+
+
 def test_minp_nominal_q_matches_mpmath(capsys):
     # -expm1(m * log1p(-x)): log1p and expm1 within an ulp each, and the
     # product's error damped by expm1, so within 5 * 2**-53 relative
@@ -365,6 +377,15 @@ def test_simulate_port_empty_pmfs_is_domain_error(tmp_path, text):
                    "--seed", "1")
     assert proc.returncode == 1
     assert proc.stderr == f"error: {str(path)!r} contains no pmf rows\n"  # no numpy warning
+
+
+def test_simulate_port_nan_pmf_is_domain_error(tmp_path):
+    path = tmp_path / "pmfs.csv"
+    path.write_text("nan,0.5,0.5\n0.1,0.2,0.7\n")  # every range check passes NaN
+    proc = run_cli("simulate", "--model", "port", "--pmfs", str(path), "--n", "1000",
+                   "--seed", "1")
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == "error: pmf row 0, column 0 is not finite: nan\n"
 
 
 def test_simulate_estimator_flags():
@@ -481,6 +502,12 @@ _PINNED = {
                   "221e6b3928ce0a6a7ac5be21a6df43431a026196fd08f18ef95f7209aaec756a"),
     "construct.beta22": (("construct", "--target", "beta22.json", "--n", "3000", "--seed", "12"),
                          "d7654c85ea995d9f04bae5a8161980f68b19de267907b1fc5d06aa766bfd7a68"),
+    # the singular-span path: SubUniformDist.sample feeds the rows
+    "construct.p2alpha": (("construct", "--target", "p2alpha.json", "--n", _N_PIN, "--seed", "13"),
+                          "0c747583c0187848527cd21b453466fbaa6080da306768984901ada455231d21"),
+    "construct.uniform01": (("construct", "--target", "uniform01.json", "--n", _N_PIN,
+                             "--seed", "13"),
+                            "7dee9b53cb54b08d2bb7c9bafa94e151c7a1c3ca493389b68b90709f46a721a1"),
 }
 
 
@@ -493,6 +520,8 @@ def test_stdout_matches_pinned_digest(name, tmp_path):
     np.savetxt(tmp_path / "pmfs10.csv", pmfs / pmfs.sum(axis=1, keepdims=True), fmt="%.17g",
                delimiter=",")
     (tmp_path / "beta22.json").write_text('{"variant": "beta22"}')
+    (tmp_path / "p2alpha.json").write_text('{"variant": "p2alpha", "alpha": 0.2}')
+    (tmp_path / "uniform01.json").write_text('{"variant": "uniform01"}')
     argv, digest = _PINNED[name]
     proc = run_cli(*(str(tmp_path / a) if a.endswith((".csv", ".json")) else a for a in argv))
     assert proc.returncode == 0, proc.stderr

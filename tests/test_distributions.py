@@ -1,6 +1,7 @@
 """The concrete sub-uniform family: sampling, CDFs, IDFs, certification."""
 
 import json
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -75,6 +76,16 @@ def test_sample_atom_lands_exactly():
     assert exact == pytest.approx(0.2, abs=0.002)
 
 
+def test_sample_out_of_order_mixture_is_its_quantile_of_the_uniforms():
+    # components listed against location order still draw Q(u), sorted
+    dist = SubUniformDist("mixture", atoms=((0.7, 0.2), (0.3, 0.2)),
+                          pieces=((0.5, 1.0, 0.3), (0.0, 0.5, 0.3)))
+    n = 40_000  # more than one piece of the walk
+    u = RngStream(seed=17).generator().random(n)
+    assert np.array_equal(dist.sample(RngStream(seed=17), n).values,
+                          np.sort(dist.idf().quantile(u)))
+
+
 def test_sample_uniform_ks():
     samp = SubUniformDist("uniform01").sample(RngStream(seed=12).generator(), 1_000_000)
     assert ks_distance(SubUniformDist("uniform01"), samp) <= 0.002
@@ -93,6 +104,38 @@ def test_idf_endpoint_values():
     assert SubUniformDist("uniform01").idf().evaluate(1.0) == pytest.approx(0.5, abs=1e-12)
     assert SubUniformDist("beta22").idf().evaluate(1.0) == pytest.approx(0.5, abs=1e-12)
     assert p2alpha(0.25).idf().evaluate(1.0) == pytest.approx(0.5, abs=1e-12)
+
+
+def _idf_nodes_by_loop(dist: SubUniformDist) -> tuple[np.ndarray, np.ndarray]:
+    """A mixture's IDF nodes, one event at a time: the left limit of the CDF
+    at each atom and piece end, and its value where it jumps, capped at 1."""
+    bx, fv = [], []
+    for e in sorted({loc for loc, _ in dist.atoms}
+                    | {e for lo, hi, _ in dist.pieces for e in (lo, hi)}):
+        right = float(dist.cdf(e))
+        left = min(right - sum(mass for loc, mass in dist.atoms if loc == e), 1.0)
+        bx.append(e)
+        fv.append(left)
+        if min(right, 1.0) > left:
+            bx.append(e)
+            fv.append(min(right, 1.0))
+    fv[-1] = 1.0
+    return np.array(bx), np.array(fv)
+
+
+def test_idf_nodes_match_the_event_loop():
+    gen = np.random.default_rng(18)
+    dists = [p2alpha(a) for a in (0.05, 0.1, 0.25, 0.5)]
+    for _ in range(200):  # random mixtures, with atoms at piece ends and masses over 1
+        ends = np.sort(gen.choice(np.round(0.9 * gen.random(6), 2), 4))
+        w = gen.random(4)
+        w /= w.sum() * (1.0 - gen.choice([0.0, 5e-10]))
+        atoms = tuple((float(e), float(m)) for e, m in zip(ends[:2], w[:2]))
+        pieces = tuple((float(lo), float(lo) + 0.1, float(m)) for lo, m in zip(ends[2:], w[2:]))
+        dists.append(SubUniformDist("mixture", atoms, pieces))
+    for dist in dists:
+        idf, (bx, fv) = dist.idf(), _idf_nodes_by_loop(dist)
+        assert np.array_equal(idf.breakpoints, bx) and np.array_equal(idf.cdf, fv), dist
 
 
 def test_idf_beta22_closed_form():
@@ -299,6 +342,59 @@ def test_discretize_cells_are_quantile_integrals():
         means = [(g[k + 1] - g[k]) * 256 for k in range(256)]
         err = max(abs(mp.mpf(float(v)) - m) for v, m in zip(values, means))
     assert err <= 1e-13
+    # mixtures: the same identity, against the exact rational integral of
+    # their piecewise-linear quantile over each cell
+    for dist in (p2alpha(0.1),
+                 SubUniformDist("mixture", atoms=((0.3, 0.2), (0.7, 0.2)),
+                                pieces=((0.0, 1.0, 0.6),)),
+                 # atoms at the piece ends, and a gap between the pieces
+                 SubUniformDist("mixture", atoms=((0.4, 0.2), (0.6, 0.2)),
+                                pieces=((0.2, 0.4, 0.3), (0.6, 0.8, 0.3))),
+                 # overlapping pieces, listed out of location order, and an atom
+                 SubUniformDist("mixture", atoms=((0.45, 0.2),),
+                                pieces=((0.5, 1.0, 0.3), (0.0, 0.6, 0.5)))):
+        values, _masses = discretize(dist, 256)
+        means = _exact_cell_means(dist, levels)
+        assert len(values) == len(means)
+        assert max(abs(Fraction(float(v)) - m) for v, m in zip(values, means)) <= 1e-13
+
+
+def _exact_cell_means(dist: SubUniformDist, levels: np.ndarray) -> list[Fraction]:
+    """The mean of each quantile cell of a mixture, in rationals: the integral
+    of the piecewise-linear quantile over the cell's levels, over its mass.
+    Runs of cells whose means lie within 1e-15 (the cells inside one atom)
+    are merged into their mass-weighted mean, as discretize merges them."""
+    atoms = [(Fraction(a), Fraction(m)) for a, m in dist.atoms]
+    pieces = [(Fraction(lo), Fraction(hi), Fraction(m)) for lo, hi, m in dist.pieces]
+
+    def cdf(x):
+        return (sum(m for a, m in atoms if a <= x)
+                + sum(m * min(max((x - lo) / (hi - lo), 0), 1) for lo, hi, m in pieces))
+
+    nodes = []  # (x, F) at the left limit and at the value of each event
+    for e in sorted({a for a, _ in atoms} | {e for lo, hi, _ in pieces for e in (lo, hi)}):
+        nodes += [(e, cdf(e) - sum(m for a, m in atoms if a == e)), (e, cdf(e))]
+
+    def integral(u):  # of Q over levels [0, u]
+        total = Fraction(0)
+        for (x0, f0), (x1, f1) in zip(nodes[:-1], nodes[1:]):
+            if f1 > f0 and u > f0:
+                top = min(u, f1)
+                total += (top - f0) * (x0 + (x0 + (top - f0) / (f1 - f0) * (x1 - x0))) / 2
+        return total
+
+    lv = [Fraction(float(u)) for u in levels]
+    g = [integral(u) for u in lv]
+    cells = [((g[k + 1] - g[k]) / (lv[k + 1] - lv[k]), lv[k + 1] - lv[k])
+             for k in range(len(lv) - 1)]
+    groups = []  # (last mean, mass-weighted sum, mass) of each run
+    for mean, mass in cells:
+        if groups and mean - groups[-1][0] <= Fraction(1e-15):
+            _last, total, weight = groups.pop()
+            groups.append((mean, total + mean * mass, weight + mass))
+        else:
+            groups.append((mean, mean * mass, mass))
+    return [total / weight for _last, total, weight in groups]
 
 
 # ------------------------------------------------------------------ serialization

@@ -3,7 +3,7 @@
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from subuniform import (EmpiricalSample, IntegratedDF, RngStream, SubUniformDist, beta22_idf,
@@ -136,7 +136,9 @@ def _assert_exact_max(lower, upper):
     res = dominates_cx(lower, upper, tol=0.0)
     sampled = (lower.evaluate(_DENSE) - upper.evaluate(_DENSE)).max()
     assert res.max_violation >= sampled - 1e-15
-    if sampled > 0.0:  # the gap check fails, so the witness is the argmax
+    # past rounding the gap check fails, so the witness is the argmax; a grid
+    # gap within 1e-15 of 0 may be rounding, and a mean gap then has the say
+    if sampled > 1e-15:
         at_witness = lower.evaluate(res.witness) - upper.evaluate(res.witness)
         assert at_witness == pytest.approx(res.max_violation, abs=1e-15)
 
@@ -175,6 +177,36 @@ def test_beta22_quantile_matches_oracle():
     assert np.array_equal(_analytic_quantile("uniform01", u), u)
 
 
+# atoms at both ends of the first piece, and a gap (0.4, 0.6) between atoms:
+# Q is flat on each atom's levels and jumps across the gap
+_GAPPED = SubUniformDist("mixture", atoms=((0.2, 0.1), (0.4, 0.15), (0.6, 0.15)),
+                         pieces=((0.6, 0.8, 0.3), (0.2, 0.4, 0.3)))
+
+
+@pytest.mark.parametrize("dist, ends", [
+    (SubUniformDist("uniform01"), (0.0, 1.0)),
+    (SubUniformDist("beta22"), (0.0, 1.0)),
+    (p2alpha(0.1), (0.1, 1.0)),
+    (SubUniformDist("mixture", atoms=((0.25, 0.5), (0.75, 0.5))), (0.25, 0.75)),
+    (_GAPPED, (0.2, 0.8)),
+], ids=["uniform01", "beta22", "p2alpha", "atoms", "gapped"])
+def test_quantile_inverts_the_cdf(dist, ends):
+    from subuniform.distributions import _cdf_limits
+
+    idf = dist.idf()
+    u = np.concatenate([np.linspace(0.0, 1.0, 4097), np.random.default_rng(8).random(4000),
+                        idf.cdf if idf.kind == "piecewise" else []])
+    q = idf.quantile(u)
+    f, f_left = _cdf_limits(dist, q)
+    # the generalized inverse: F(Q(u)-) <= u <= F(Q(u)), up to rounding
+    assert np.all(f >= u - 1e-15) and np.all(f_left <= u + 1e-15)
+    assert np.all(np.diff(q[:4097]) >= 0.0)
+    assert idf.quantile(0.0) == ends[0]
+    assert idf.quantile(1.0) == pytest.approx(ends[1], abs=1e-15)
+    for loc, _mass in dist.atoms:  # an atom comes back verbatim
+        assert loc in q
+
+
 def test_dominates_cx_between_analytic_laws():
     # beta22 precedes the uniform law; phi_uniform - phi_beta22 peaks at 1/2
     assert dominates_cx(beta22_idf(), uniform_idf()).holds
@@ -187,6 +219,9 @@ def test_dominates_cx_between_analytic_laws():
 
 @settings(max_examples=150, deadline=None)
 @given(_atoms, _atoms)
+@example(first=[(0.0, 0.2075202695462979), (1.0, 0.625), (1.0, 0.625), (1.0, 1 / 3), (1.0, 0.125)],
+         second=[(0.0, 0.2075202695462979), (1.0, 0.625), (1.0, 0.625), (1.0, 0.125),
+                 (0.078125, 1 / 3)])  # equal up to 0.078125, then a mean gap of 0.16
 def test_dominates_cx_exact_between_atom_lists(first, second):
     _assert_exact_max(_atoms_idf(first), _atoms_idf(second))
 

@@ -1,6 +1,7 @@
 """Generative models, their exact p-values, and the frequency-simulation loop."""
 
 import os
+import re
 import warnings
 
 import numpy as np
@@ -131,6 +132,18 @@ def test_port_pmf_validation():
         port_model(np.array([[0.5, 0.2]]))  # does not sum to 1
     with pytest.raises(ValueError):
         port_model(np.array([[1.2, -0.2]]))
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"pmfs": [[0.7, 0.2, 0.1], [0.1, np.nan, 0.7]]}, "pmf row 1, column 1 is not finite: nan"),
+    ({"prior": [np.inf, 0.5]}, "prior entry 0 is not finite: inf"),
+    ({"posterior_spec": [0.5, np.nan]}, "posterior_spec entry 1 is not finite: nan"),
+])
+def test_port_rejects_non_finite_entries(kwargs, message):
+    # NaN fails no range or sum check, so it is named before them
+    kwargs = {"pmfs": WORKED_PMFS, **kwargs}
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        port_model(**kwargs)
 
 
 def test_port_tail_and_dcx_bounds():

@@ -453,6 +453,24 @@ def test_searchsorted_right_counts_like_the_search(table, seed):
     assert np.array_equal(_searchsorted_right(table, u), np.searchsorted(table, u, side="right"))
 
 
+def test_searchsorted_right_counts_columns_of_thresholds():
+    # a categorical draw per value: row j holds each value's cumulative mass j
+    from subuniform.numerics import _searchsorted_right
+
+    gen = np.random.default_rng(16)
+    for k in (3, 70, 300):
+        cum = np.cumsum(gen.random((k, 500)), axis=0)
+        cum /= cum[-1]
+        u = gen.random(500)
+        expect = [np.searchsorted(cum[:-1, i], u[i], side="right") for i in range(500)]
+        for table in (cum[:-1], cum[:-1, :1]):  # one column per value, or one for all
+            got = _searchsorted_right(table, u)
+            assert got.dtype == np.min_scalar_type(k - 1)
+            assert np.array_equal(got, expect if table.shape[1] > 1 else
+                                  np.searchsorted(table[:, 0], u, side="right"))
+        assert _searchsorted_right(cum[:-1, 0], u).dtype == np.min_scalar_type(k - 1)
+
+
 def test_sorted_unique_matches_numpy():
     from subuniform.numerics import _sorted_unique
 

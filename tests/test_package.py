@@ -17,6 +17,13 @@ def test_every_public_name_resolves_to_its_module_object():
             assert name in module.__all__, name
 
 
+def test_each_module_exports_exactly_the_names_the_package_maps_to_it():
+    # one list per module would otherwise drift from the package's map
+    for module in set(subuniform._MODULE_OF.values()):
+        names = sorted(name for name, home in subuniform._MODULE_OF.items() if home == module)
+        assert sorted(importlib.import_module(f"subuniform.{module}").__all__) == names, module
+
+
 def test_star_import_and_dir_list_every_public_name():
     namespace = {}
     exec("from subuniform import *", namespace)
