@@ -82,12 +82,16 @@ class PosteriorSampler:
         value, as indices into model.theta_support."""
         n = np.asarray(data).size
         cum = _posterior_cum(model, data)
-        out = [_draw_posterior(cum, n, gen)]
-        for _ in range(1, m_draws):
+        out = np.empty((m_draws, n), dtype=np.min_scalar_type(cum.shape[0] - 1))
+        out[0] = _draw_posterior(cum, n, gen)
+        for m in range(1, m_draws):
             fresh = _draw_posterior(cum, n, gen)
-            out.append(fresh if self.kind == "iid"
-                       else np.where(gen.random(n) < self.rho, out[-1], fresh))
-        return np.stack(out)
+            if self.kind == "iid":
+                out[m] = fresh
+            else:
+                stay = gen.random(n) < self.rho
+                out[m] = np.where(stay, out[m - 1], fresh)
+        return out
 
 
 @dataclass(frozen=True)

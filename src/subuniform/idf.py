@@ -209,11 +209,11 @@ class IntegratedDF:
         return self._at(x, 1)
 
     def quantile(self, u) -> np.ndarray | float:
-        """The generalized inverse CDF Q(u), with F(Q(u)-) <= u <= F(Q(u)), at
-        levels u in [0, 1]; vectorized.  On a piecewise IDF, u falls in the
-        segment from the last node with F <= u and is interpolated linearly;
-        a jump returns its location, so an atom comes back verbatim.
-        """
+        """The right-continuous inverse CDF Q(u) = inf{x : F(x) > u} at levels
+        u in [0, 1), vectorized, and the right end of the support at u = 1: a
+        level on a flat of F maps to the flat's right end.  On a piecewise IDF,
+        u is interpolated linearly from the last node with F <= u; a jump
+        returns its location, so an atom comes back verbatim."""
         uq = np.asarray(u, dtype=float)
         scalar = uq.ndim == 0
         uq = np.atleast_1d(uq)

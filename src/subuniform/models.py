@@ -316,9 +316,14 @@ def port_model(pmfs: np.ndarray,
     cum[:, -1] = 1.0
 
     def sample_data(theta, gen):
-        # the port is the count of cum[theta] <= u, and u < 1 = cum[theta, -1]
+        # the port is the count of cum[theta] <= u, and u < 1 = cum[theta, -1];
+        # one port's thresholds at a time keeps the peak O(n) for any n_ports
         theta = np.asarray(theta, dtype=int)
-        return _searchsorted_right(cum[:, :-1].T[:, theta], gen.random(theta.size))
+        u = gen.random(theta.size)
+        port = np.zeros(theta.size, dtype=np.min_scalar_type(n_ports - 1))
+        for col in cum[:, :-1].T:
+            port += u >= col[theta]
+        return port
 
     def conditional_sf(theta, pi):
         return q_table[np.asarray(theta, dtype=int), np.asarray(pi, dtype=int)]

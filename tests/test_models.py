@@ -156,6 +156,27 @@ def test_port_tail_and_dcx_bounds():
         assert emp <= c * c / 2.0 + 0.003
 
 
+def test_port_draw_of_a_wide_pmf_holds_o_n():
+    # one port's thresholds are gathered at a time: a block of 65536 values
+    # under 1000 ports peaks at about 1.8 MB, where gathering every port's
+    # thresholds for the block at once held a 999 x 65536 table, 524 MB
+    import tracemalloc
+
+    from subuniform.models import _BLOCK
+
+    pmfs = np.random.default_rng(5).random((4, 1000))
+    model = port_model(pmfs / pmfs.sum(axis=1, keepdims=True))
+    model.draw_pvalues(RngStream(seed=6).generator(), 10)
+    tracemalloc.start()
+    try:
+        pvals = model.draw_pvalues(RngStream(seed=6).generator(), _BLOCK)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pvals.shape == (_BLOCK,) and np.all((pvals >= 0.0) & (pvals <= 1.0))
+    assert peak < 8 * 8 * _BLOCK
+
+
 def test_load_port_pmfs(tmp_path):
     path = os.path.join(tmp_path, "pmfs.csv")
     np.savetxt(path, WORKED_PMFS, delimiter=",")
