@@ -157,6 +157,17 @@ def _check_m(m: int) -> None:
                          f"got {m!r}")
 
 
+def _fisher_dof(m: int) -> float:
+    """The 2m degrees of freedom of Fisher's chi-square, after checking m:
+    2m must be a finite double too."""
+    _check_m(m)
+    k = 2.0 * m
+    if math.isinf(k):
+        raise ValueError(f"m must be at most {sys.float_info.max / 2.0:g} for the chi-square "
+                         f"with 2m degrees of freedom, got {m!r}")
+    return k
+
+
 def fisher_bounds(score: float, m: int, warnings: Sequence[str] = ()) -> FisherReport:
     """Evaluate the nominal tail and the three worst-case bounds at the score.
 
@@ -165,10 +176,9 @@ def fisher_bounds(score: float, m: int, warnings: Sequence[str] = ()) -> FisherR
     and MGF bounds require score >= 2m (the worst-case mean); below that they
     are reported as inapplicable rather than extrapolated.
     """
-    _check_m(m)
+    k = _fisher_dof(m)
     if not math.isfinite(score):
         raise ValueError(f"score must be finite, got {score!r}")
-    k = 2.0 * m
     nominal = chi2_sf(score, k)
     shifted = chi2_sf(max(0.0, score - k * math.log(2.0)), k)
     inapplicable: dict[str, str] = {}
@@ -196,8 +206,7 @@ def fisher_bounds(score: float, m: int, warnings: Sequence[str] = ()) -> FisherR
 
 def fisher_critical(alpha: float, m: int) -> float:
     """Nominal critical value: upper-alpha quantile of chi-square with 2m df."""
-    _check_m(m)
-    return chi2_quantile(alpha, 2.0 * m)
+    return chi2_quantile(alpha, _fisher_dof(m))
 
 
 def minp_bound(x: float, m: int) -> float:

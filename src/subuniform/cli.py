@@ -10,7 +10,9 @@ byte-identical stdout; PPP_THREADS changes speed only.
 
 calibrate, fisher, minp and the fisher figure are scalar math code; only
 simulate, construct and the idf figure import numpy and the array layers,
-inside their functions, so the scalar commands start without numpy.
+inside their functions, so the scalar commands start without numpy.  Those
+three load numpy with its BLAS on one thread (see _import_numpy): the package
+calls no BLAS routine, and OpenBLAS otherwise starts a thread per CPU.
 """
 
 from __future__ import annotations
@@ -18,18 +20,39 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import warnings
 from dataclasses import asdict
 from typing import TYPE_CHECKING
 
-from .bounds import (FisherReport, conservative_single, fisher_bounds, fisher_critical,
-                     fisher_score, minp_bound)
+from .bounds import (FisherReport, _fisher_dof, conservative_single, fisher_bounds,
+                     fisher_critical, fisher_score, minp_bound)
 
 if TYPE_CHECKING:
     from .numerics import EmpiricalSample
 
 _TAIL_GRID = (0.01, 0.05, 0.1, 0.25)
+
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _import_numpy() -> None:
+    """Import numpy with its BLAS on one thread, unless numpy is loaded
+    already or the user set the thread count.
+
+    BLAS reads these variables once, when numpy loads it; a variable the user
+    set is left as it is, and the ones set here are removed again, so the
+    caller's os.environ is unchanged."""
+    if "numpy" in sys.modules:
+        return
+    unset = [var for var in _BLAS_THREAD_VARS if var not in os.environ]
+    os.environ.update(dict.fromkeys(unset, "1"))
+    try:
+        import numpy  # noqa: F401
+    finally:
+        for var in unset:
+            del os.environ[var]
 
 
 def _flatten(payload: dict, prefix: str = "") -> dict:
@@ -160,6 +183,7 @@ def _sub_uniformity_payload(sample: EmpiricalSample) -> dict:
 
 
 def _cmd_simulate(args) -> None:
+    _import_numpy()
     from .distributions import ks_distance, p2alpha
     from .estimators import PosteriorSampler, marginal_estimator_run
     from .models import frequency_run, ruschendorf_sample, simplex_atom
@@ -212,6 +236,7 @@ def _cmd_simulate(args) -> None:
 
 
 def _cmd_construct(args) -> None:
+    _import_numpy()
     from .coupling import synthesize_ppp
     from .distributions import SubUniformDist, ks_distance
     from .numerics import EmpiricalSample, RngStream
@@ -278,6 +303,7 @@ def _alpha_grid(points: int) -> list[float]:
 
 def _cmd_curves(args) -> None:
     if args.figure == "idf":
+        _import_numpy()
         import numpy as np
 
         from .distributions import p2alpha
@@ -291,8 +317,7 @@ def _cmd_curves(args) -> None:
         _emit_table(["x", "phi_uniform", "phi_beta22", "phi_p2alpha"], rows, args.format)
         return
     if args.figure == "fisher":
-        if args.m < 1:
-            raise ValueError(f"--m must be >= 1, got {args.m!r}")
+        _fisher_dof(args.m)  # before the rows: --points 0 computes none
         rows = []
         for a in _alpha_grid(args.points):
             score = fisher_critical(a, args.m)

@@ -375,8 +375,10 @@ class SyntheticPPPModel:
 
     # -- coupling marginals ------------------------------------------------
 
-    def draw_joint(self, gen: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """(pvalues, svalues): P ~ target row labels, S | P from the rows.
+    def draw_joint(self, gen: np.random.Generator, n: int,
+                   out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """(pvalues, svalues): P ~ target row labels, S | P from the rows; the
+        p-values are written into out if given.
 
         The emitted p-value is the row mean computed from the coupling
         tables, not the label itself, so martingale error is visible.
@@ -388,7 +390,8 @@ class SyntheticPPPModel:
             draws = self.target.sample(gen, n).values
             draws = draws[gen.permutation(n)]
             svals = draws.copy()
-            pvals = draws.copy()
+            pvals = np.empty(n) if out is None else out
+            pvals[...] = draws
             for p, _mass, row in atom_rows:
                 sel = draws == p
                 k = int(np.count_nonzero(sel))
@@ -412,10 +415,14 @@ class SyntheticPPPModel:
             lo, hi = bounds[k], bounds[k + 1]
             if hi > lo:
                 svals[order[lo:hi]] = row.sample(gen, int(hi - lo))
-        return means[idx], svals
+        # the gather converts the labels to intp, as large as order, so free
+        # order first; mode="clip" writes into out unbuffered (labels are in range)
+        del order
+        return np.take(means, idx, out=out, mode="clip"), svals
 
-    def draw_pvalues(self, gen: np.random.Generator, n: int) -> np.ndarray:
-        return self.draw_joint(gen, n)[0]
+    def draw_pvalues(self, gen: np.random.Generator, n: int,
+                     out: np.ndarray | None = None) -> np.ndarray:
+        return self.draw_joint(gen, n, out)[0]
 
     # -- pointwise model pieces ---------------------------------------------
 

@@ -113,15 +113,18 @@ class EstimatorScheme:
     def model_id(self) -> str:
         return f"{self.scheme}(M={self.m_draws},sampler={self.sampler.label})@{self.model.model_id}"
 
-    def draw_pvalues(self, gen: np.random.Generator, n: int) -> np.ndarray:
-        """The estimate for n replicates of (theta ~ prior, data ~ model)."""
+    def draw_pvalues(self, gen: np.random.Generator, n: int,
+                     out: np.ndarray | None = None) -> np.ndarray:
+        """The estimate for n replicates of (theta ~ prior, data ~ model),
+        written into out if given."""
         model = self.model
-        return self.estimate(model.sample_data(model.sample_prior(gen, n), gen), gen)
+        return self.estimate(model.sample_data(model.sample_prior(gen, n), gen), gen, out=out)
 
-    def estimate(self, data: np.ndarray, gen: np.random.Generator) -> np.ndarray:
+    def estimate(self, data: np.ndarray, gen: np.random.Generator,
+                 out: np.ndarray | None = None) -> np.ndarray:
         """The estimate at each value of the 1-d array data, from m_draws
-        posterior draws per value; estimate(np.array([x]), gen) estimates at
-        one observed value."""
+        posterior draws per value, accumulated in out if given;
+        estimate(np.array([x]), gen) estimates at one observed value."""
         model, n = self.model, data.size
         draws = self.sampler.draw_indices(model, data, self.m_draws, gen)
         # the term at the observed data, once per support point and written in
@@ -132,7 +135,8 @@ class EstimatorScheme:
                         else model.discrepancy(data, th))
         table = table.ravel()
         at, flat, picked = np.arange(n), np.empty(n, dtype=np.intp), np.empty(n)
-        acc = np.zeros(n)
+        acc = np.empty(n) if out is None else out
+        acc[...] = 0.0
         for idx in draws:
             np.multiply(idx, np.intp(n), out=flat)  # the flat index of row idx, column at
             flat += at
@@ -144,7 +148,8 @@ class EstimatorScheme:
                 f_rep = np.asarray(model.discrepancy(model.sample_data(theta, gen), theta),
                                    dtype=float)
                 acc += (f_rep >= picked).astype(float)
-        return acc / self.m_draws
+        acc /= self.m_draws
+        return acc
 
 
 def marginal_estimator_run(model: GenerativeModel, scheme: str, m_draws: int, n: int,

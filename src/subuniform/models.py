@@ -21,7 +21,6 @@ without inner Monte Carlo.  The built-ins realize the extreme behaviours:
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -116,11 +115,13 @@ class GenerativeModel:
         idx = _searchsorted_right(cum[:-1], gen.random(n))  # random() < 1 = cum[-1]
         return self.theta_support[idx]
 
-    def draw_pvalues(self, gen: np.random.Generator, n: int) -> np.ndarray:
-        """n replicates' exact p-values: the draws for all n at once, then
-        exact_ppp one piece of the data at a time (see numerics._pieces)."""
+    def draw_pvalues(self, gen: np.random.Generator, n: int,
+                     out: np.ndarray | None = None) -> np.ndarray:
+        """n replicates' exact p-values, written into out if given: the draws
+        for all n at once, then exact_ppp one piece of the data at a time (see
+        numerics._pieces)."""
         data = self.sample_data(self.sample_prior(gen, n), gen)  # theta is freed here
-        out = np.empty(n)
+        out = np.empty(n) if out is None else out
         for piece in _pieces(n):
             out[piece] = exact_ppp(self, data[piece])
         return out
@@ -413,7 +414,8 @@ def frequency_run(model, n: int, rng: RngStream, threads: int | None = None) -> 
     Work is split into fixed-size blocks, each with its own derived RNG
     stream; the block partition does not depend on the worker count, so the
     result is bit-identical for any thread count (threads if given, else
-    PPP_THREADS, else 1).
+    PPP_THREADS, else 1).  Each block's draw_pvalues writes straight into
+    the block's slice of the one n-array.
     """
     if n <= 0:
         raise ValueError("n must be positive")
@@ -422,13 +424,16 @@ def frequency_run(model, n: int, rng: RngStream, threads: int | None = None) -> 
 
     def run_block(b: int) -> None:
         lo, hi = b * _BLOCK, min((b + 1) * _BLOCK, n)
-        values[lo:hi] = model.draw_pvalues(rng.block_generator(b), hi - lo)
+        model.draw_pvalues(rng.block_generator(b), hi - lo, out=values[lo:hi])
 
     workers = _thread_count(threads)
     if workers == 1 or n_blocks == 1:
         for b in range(n_blocks):
             run_block(b)
     else:
+        # imported here: it loads logging, a cost the one-thread default skips
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(run_block, range(n_blocks)))  # re-raises a block's error
     return FrequencyRun(

@@ -41,21 +41,45 @@ def test_cli_import_needs_no_solver():
     assert proc.stdout.strip() == "[]"
 
 
-def _cold_main(argv, tmp_path):
-    """Run main(argv) in a cold interpreter; return its process and the scipy
-    modules, numpy and numpy.ma, if loaded, when it ended (written to a file:
-    stdout is main's)."""
-    mods = tmp_path / "modules.json"
-    code = ("import json, sys; from subuniform.cli import main; "
-            f"rc = main({argv!r}); "
-            "json.dump(sorted(m for m in sys.modules "
-            "if m in ('scipy', 'numpy', 'numpy.ma') or m.startswith('scipy.')), "
-            f"open({str(mods)!r}, 'w')); sys.exit(rc)")
-    env = os.environ.copy()
-    env.pop("PPP_THREADS", None)
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+# main(argv) in a cold interpreter, then a report of what the process held
+_COLD_MAIN = """\
+import json, os, sys
+from subuniform.cli import main
+
+argv, path, blas_vars = json.loads(sys.argv[1])
+before = dict(os.environ)
+rc = main(argv)
+task = "/proc/self/task"
+with open(path, "w") as fh:
+    json.dump({"modules": sorted(m for m in sys.modules
+                                 if m in ("scipy", "numpy", "numpy.ma", "concurrent.futures")
+                                 or m.startswith("scipy.")),
+               "threads": len(os.listdir(task)) if os.path.isdir(task) else None,
+               "environ_kept": dict(os.environ) == before,
+               "blas_env": {var: os.environ.get(var) for var in blas_vars}}, fh)
+sys.exit(rc)
+"""
+
+
+def _cold_main(argv, tmp_path, env_extra=None):
+    """Run main(argv) in a cold interpreter, with PPP_THREADS and the BLAS
+    thread variables unset unless env_extra sets them.  Return its process
+    and what it held when main returned (written to a file: stdout is
+    main's): "modules", the scipy modules, numpy, numpy.ma and
+    concurrent.futures, if loaded; "threads", its thread count, or None
+    without /proc/self/task; "environ_kept", whether os.environ equals its
+    value before main; and "blas_env", the BLAS thread variables."""
+    report = tmp_path / "report.json"
+    env = {k: v for k, v in os.environ.items() if k not in ("PPP_THREADS", *_BLAS_THREAD_VARS)}
+    env.update(env_extra or {})
+    proc = subprocess.run([sys.executable, "-c", _COLD_MAIN,
+                           json.dumps([argv, str(report), _BLAS_THREAD_VARS])],
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    return proc, json.loads(mods.read_text())
+    return proc, json.loads(report.read_text())
 
 
 @pytest.mark.parametrize("argv", [
@@ -65,14 +89,19 @@ def _cold_main(argv, tmp_path):
     ["construct", "--target", "{beta22}", "--n", "1000", "--seed", "1"],
     ["curves", "--figure", "fisher", "--m", "20", "--points", "16"],
     ["curves", "--figure", "fisher", "--m", "1000000000", "--points", "4"],
+    ["simulate", "--model", "port", "--estimator", "r_hat", "--M", "2", "--n", "1000",
+     "--seed", "1"],
+    ["curves", "--figure", "idf", "--points", "8"],
 ])
 def test_cli_loads_scipy_only_where_used(argv, tmp_path):
-    # no command loads scipy, the chi-square tails included; and none needs
-    # numpy.ma, which np.unique imports (about 18 ms of a cold start)
+    # no command loads scipy, the chi-square tails included; none needs
+    # numpy.ma, which np.unique imports (about 18 ms of a cold start); and at
+    # one PPP_THREADS worker none loads concurrent.futures, which loads
+    # logging (about 7 ms)
     target = tmp_path / "beta22.json"
     target.write_text('{"variant": "beta22"}')
-    _, loaded = _cold_main([a.format(beta22=target) for a in argv], tmp_path)
-    assert [m for m in loaded if m != "numpy"] == []
+    _, report = _cold_main([a.format(beta22=target) for a in argv], tmp_path)
+    assert [m for m in report["modules"] if m != "numpy"] == []
 
 
 @pytest.mark.parametrize("argv", [
@@ -88,8 +117,37 @@ def test_scalar_commands_load_no_numpy(argv, tmp_path):
     # of their cold start
     path = tmp_path / "p.csv"
     path.write_text("0.01\n0.2\n0.03\n0.5\n")
-    _, loaded = _cold_main([a.format(pvals=path) for a in argv], tmp_path)
-    assert loaded == []
+    _, report = _cold_main([a.format(pvals=path) for a in argv], tmp_path)
+    assert report["modules"] == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--model", "lasso", "--n", "1000", "--seed", "1"],
+    ["simulate", "--model", "port", "--estimator", "r_hat", "--M", "2", "--n", "1000",
+     "--seed", "1"],
+    ["construct", "--target", "{beta22}", "--n", "1000", "--seed", "1"],
+    ["curves", "--figure", "idf", "--points", "8"],
+])
+def test_array_commands_start_no_threads(argv, tmp_path):
+    # the package calls no BLAS routine, so numpy loads its BLAS on one
+    # thread (OpenBLAS would start one per CPU), and one PPP_THREADS worker
+    # starts no pool; the variables set for the import are gone when main
+    # returns
+    target = tmp_path / "beta22.json"
+    target.write_text('{"variant": "beta22"}')
+    _, report = _cold_main([a.format(beta22=target) for a in argv], tmp_path)
+    assert "numpy" in report["modules"] and report["environ_kept"]
+    assert report["blas_env"] == dict.fromkeys(_BLAS_THREAD_VARS)
+    if report["threads"] is None:
+        pytest.skip("no /proc/self/task to count threads")
+    assert report["threads"] == 1
+
+
+def test_array_commands_keep_the_users_blas_threads(tmp_path):
+    argv = ["simulate", "--model", "lasso", "--n", "1000", "--seed", "1"]
+    _, report = _cold_main(argv, tmp_path, env_extra={"OPENBLAS_NUM_THREADS": "2"})
+    assert report["environ_kept"]
+    assert report["blas_env"] == {**dict.fromkeys(_BLAS_THREAD_VARS), "OPENBLAS_NUM_THREADS": "2"}
 
 
 def test_package_import_loads_no_numpy():
@@ -130,8 +188,8 @@ def test_fisher_loads_scipy_on_use(tmp_path):
     # the chi-square tails are math code: fisher loads no scipy module
     path = tmp_path / "p.csv"
     path.write_text("0.01\n0.2\n0.03\n0.5\n")
-    proc, loaded = _cold_main(["fisher", "--pvals", str(path)], tmp_path)
-    assert loaded == []
+    proc, report = _cold_main(["fisher", "--pvals", str(path)], tmp_path)
+    assert report["modules"] == []
     score = fisher_score(np.array([0.01, 0.2, 0.03, 0.5]))
     assert json.loads(proc.stdout) == json.loads(fisher_bounds(score.score, score.m).to_json())
 
@@ -672,6 +730,18 @@ def test_curves_fisher_points_edges():
     assert doc["rows"] == []
     proc = run_cli("curves", "--figure", "fisher", "--points", "-1")
     assert proc.returncode == 1 and "--points" in proc.stderr
+
+
+def test_curves_fisher_checks_m_before_the_rows():
+    # --points 0 computes no row, so no row may be the first to check m; and
+    # the chi-square's 2m degrees of freedom must be a double as well as m
+    proc = run_cli("curves", "--figure", "fisher", "--points", "0", "--m", "1" + "0" * 400)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error: m must be a positive integer at most 1.79769e+308")
+    proc = run_cli("curves", "--figure", "fisher", "--points", "4", "--m", str(10 ** 308))
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error: m must be at most 8.98847e+307 for the chi-square")
+    assert proc.stderr.count("\n") == 1 and "chi2_quantile" not in proc.stderr
 
 
 def test_curves_rejects_bad_alpha():

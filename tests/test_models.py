@@ -320,6 +320,34 @@ def test_frequency_run_holds_one_n_array(monkeypatch):
     assert peak < 1.3 * 8 * n
 
 
+def test_frequency_run_writes_each_block_in_place(monkeypatch):
+    # every draw_pvalues writes its block into the block's slice of the
+    # n-array: a returned block array, copied in, added one block
+    # (8 * 65536 bytes) to the peak.  Above the n-array, measured in blocks at
+    # n = 4 blocks: r_hat 7.26 (8.26 when returned), the p2alpha synthesis
+    # 4.28 (5.28) and the beta22 synthesis 2.19 (3.28).  The lasso and port
+    # models peak while drawing the data, before any p-value is written
+    import tracemalloc
+
+    from subuniform import EstimatorScheme, PosteriorSampler, synthesize_ppp
+    from subuniform.models import _BLOCK
+
+    monkeypatch.delenv("PPP_THREADS", raising=False)
+    n = 4 * _BLOCK
+    cases = ((EstimatorScheme(lasso_model(0.1), "r_hat", 2, PosteriorSampler()), 7.6),
+             (synthesize_ppp(p2alpha(0.2), rng=RngStream(seed=3)), 4.6),
+             (synthesize_ppp(SubUniformDist("beta22"), rng=RngStream(seed=3)), 2.6))
+    for model, blocks in cases:
+        frequency_run(model, 10, RngStream(1))  # first-use imports
+        tracemalloc.start()
+        try:
+            frequency_run(model, n, RngStream(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - 8 * n < blocks * 8 * _BLOCK, model.model_id
+
+
 def test_frequency_run_metadata_and_export(tmp_path):
     run = frequency_run(lasso_model(0.1), 5_000, RngStream(seed=44, stream_id=2))
     assert isinstance(run, FrequencyRun)
