@@ -205,8 +205,19 @@ def fisher_bounds(score: float, m: int, warnings: Sequence[str] = ()) -> FisherR
 
 
 def fisher_critical(alpha: float, m: int) -> float:
-    """Nominal critical value: upper-alpha quantile of chi-square with 2m df."""
-    return chi2_quantile(alpha, _fisher_dof(m))
+    """Nominal critical value: upper-alpha quantile of chi-square with 2m df.
+
+    Raises ValueError when chi2_sf at the returned score is not alpha to
+    within 1e-6 relative: for m near 1e20 and above, doubles no longer
+    resolve the chi-square's spread of 2*sqrt(m) around its mean 2m.
+    """
+    k = _fisher_dof(m)
+    score = chi2_quantile(alpha, k)
+    tail = chi2_sf(score, k)
+    if not math.isclose(tail, alpha, rel_tol=1e-6):
+        raise ValueError(f"no Fisher critical value for m = {m}: the chi-square tail at the "
+                         f"score {score!r} reads {tail!r}, not alpha = {alpha!r}")
+    return score
 
 
 def minp_bound(x: float, m: int) -> float:

@@ -18,6 +18,7 @@ Built-in variants:
 from __future__ import annotations
 
 import json
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable
@@ -25,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .idf import _ANALYTIC_FAMILIES, DominanceResult, IntegratedDF, dominates_cx, uniform_idf
-from .numerics import (_ATOM_TOL, EmpiricalSample, RngStream, _inverse_draws, _run_blocks,
+from .numerics import (_ATOM_TOL, EmpiricalSample, RngStream, _feed_runs, _inverse_draws,
                        _sorted_unique)
 
 __all__ = [
@@ -232,50 +233,195 @@ def ks_distance(dist: SubUniformDist, samp: EmpiricalSample) -> float:
     atom through float arithmetic land a few ulp off, and without snapping the
     sup distance would report the whole atom mass as missing.
     """
-    return _step_cdf_gap(dist, samp.values, lambda k: k / samp.n)
+    walk = _ks_walk(dist, samp)
+    _feed_runs(samp.values, walk)
+    return walk.result()
+
+
+def _ks_walk(dist: SubUniformDist, samp: EmpiricalSample) -> "_StepGap":
+    """The walk behind ks_distance(dist, samp), to be fed samp's runs."""
+    return _StepGap(dist, samp.values, lambda k: k / samp.n)
 
 
 def _step_cdf_gap(dist: SubUniformDist, locs: np.ndarray,
                   level: Callable[[np.ndarray], np.ndarray]) -> float:
-    """Exact sup_x |E(x) - F(x)| for a step CDF E that jumps only at locs.
+    """Exact sup_x |E(x) - F(x)| for a step CDF E that jumps only at the sorted
+    locs: E(x) = level(number of locs <= x), with locs snapped as in
+    ks_distance (see _StepGap)."""
+    walk = _StepGap(dist, locs, level)
+    _feed_runs(locs, walk)
+    return walk.result()
 
-    locs is sorted and E(x) = level(number of locs <= x).
-    Locs within _ATOM_TOL of an atom of dist are snapped onto it, as in
-    ks_distance.  Between consecutive points of locs, dist's atoms and piece
-    ends, E is constant and F monotone, so the sup is attained in the left or
-    right limits at those points.  At a run of equal locs from index i to j
-    (exclusive) those limits of E are level(i) and level(j), so the sup is
-    taken over the runs of one piece of locs at a time, with O(_WALK) extra
-    memory (see _run_blocks).
+
+def _snap_window(locs: np.ndarray, loc: float) -> tuple[int, int]:
+    """[lo, hi): the indices of the sorted locs v with abs(v - loc) <= _ATOM_TOL,
+    in float arithmetic.  v - loc rounds monotonically in v, so they are one
+    index range, and each edge is found by stepping from loc -+ _ATOM_TOL to
+    the last double on that side that passes."""
+    edges = []
+    for side in (-1.0, 1.0):
+        x = loc + side * _ATOM_TOL
+        while abs(x - loc) > _ATOM_TOL:
+            x = math.nextafter(x, loc)
+        while abs((y := math.nextafter(x, side * math.inf)) - loc) <= _ATOM_TOL:
+            x = y
+        edges.append(x)
+    return (int(np.searchsorted(locs, edges[0], side="left")),
+            int(np.searchsorted(locs, edges[1], side="right")))
+
+
+class _StepGap:
+    """sup_x |E(x) - F(x)| for the step CDF E(x) = level(number of locs <= x) of
+    the sorted locs and dist's CDF F, fed the runs of equal locs one piece at
+    a time (numerics._run_blocks); result() gives it.  level must not
+    decrease.
+
+    Locs within _ATOM_TOL of an atom of dist are snapped onto it, each atom
+    taken in turn in dist's order, as if on a copy of locs that is sorted
+    again.  No copy is made: each atom's window of locs is one index range
+    (_snap_window), so the snapped values of a contiguous range of windows
+    stay between the locs around it, and its snapped runs are formed once,
+    here.  The runs of locs inside a window are skipped as they are fed.
+
+    Between consecutive locs, atoms and piece ends, E is constant and F
+    monotone, so the sup is attained in the left or right limits at those
+    points.  At a run of equal locs from index i to j (exclusive) those
+    limits of E are level(i) and level(j).  A fed run lies on no atom, so F
+    is continuous there, and F is evaluated one segment between consecutive
+    atoms and piece ends at a time, in the float operations of dist.cdf.
     """
-    atoms = np.array([loc for loc, _ in dist.atoms], dtype=float)
-    snap = None
-    if atoms.size:
-        def snap(v: np.ndarray) -> np.ndarray:
-            v = v.copy()
-            for loc, _ in dist.atoms:
-                v[np.abs(v - loc) <= _ATOM_TOL] = loc
-            return v
-        if np.any(np.diff(np.sort(atoms)) <= 2.0 * _ATOM_TOL):
-            # overlapping windows can reorder the snapped locs: sort them once
-            locs, snap = np.sort(snap(locs)), None
-    points = _sorted_unique(np.concatenate([
-        atoms,
-        np.array([e for lo, hi, _ in dist.pieces for e in (lo, hi)], dtype=float),
-        np.array([0.0, 1.0]),
-    ]))
-    n_le = np.zeros(points.size, dtype=np.intp)  # locs <= each point, and < it
-    n_lt = np.zeros(points.size, dtype=np.intp)
-    d = 0.0
-    for starts, ends, vals in _run_blocks(locs, snap):
-        f, f_left = _cdf_limits(dist, vals)
-        d = max(d, float(np.max(np.abs(level(ends) - f))),
-                float(np.max(np.abs(level(starts) - f_left))))
-        for counts, side in ((n_le, "right"), (n_lt, "left")):
-            k = np.searchsorted(vals, points, side=side)
-            np.maximum(counts, np.where(k > 0, ends[k - 1], 0), out=counts)
-    f, f_left = _cdf_limits(dist, points)
-    return max(d, float(np.max(np.maximum(np.abs(level(n_le) - f), np.abs(level(n_lt) - f_left)))))
+
+    def __init__(self, dist: SubUniformDist, locs: np.ndarray,
+                 level: Callable[[np.ndarray], np.ndarray]):
+        self.dist, self.locs, self.level, self.d = dist, locs, level, 0.0
+        atoms = [loc for loc, _ in dist.atoms]
+        windows = [_snap_window(locs, loc) for loc in atoms]
+        # where each value ends up: the first atom whose window holds it, then
+        # every later atom within _ATOM_TOL of where it is
+        final = list(atoms)
+        for i in range(len(atoms)):
+            for a in atoms[i + 1:]:
+                if abs(final[i] - a) <= _ATOM_TOL:
+                    final[i] = a
+        cuts = sorted({e for w in windows for e in w})
+        spans, runs = [], {}  # contiguous ranges of windows; snapped counts
+        for p, q in zip(cuts[:-1], cuts[1:]):
+            i = next((i for i, (lo, hi) in enumerate(windows) if lo <= p < hi), None)
+            if i is None:
+                continue
+            if spans and spans[-1][1] == p:
+                spans[-1][1] = q
+            else:
+                spans.append([p, q])
+                runs[p] = {}
+            counts = runs[spans[-1][0]]
+            counts[final[i]] = counts.get(final[i], 0) + q - p
+        self.spans = np.array(spans, dtype=np.intp).reshape(-1, 2)
+        # the snapped runs, in order: a later span's values lie above an earlier one's
+        bounds, vals = [], []
+        for start, counts in runs.items():
+            for v in sorted(counts):
+                bounds.append((start, start + counts[v]))
+                vals.append(v)
+                start += counts[v]
+        starts, ends = np.array(bounds, dtype=np.intp).reshape(-1, 2).T
+        self.atom_runs = starts, ends, np.array(vals, dtype=float)
+        self.segments = _cdf_segments(dist) if dist.variant == "mixture" else None
+
+    def feed(self, starts: np.ndarray, ends: np.ndarray, vals: np.ndarray) -> None:
+        # the runs of this piece between the snapped spans
+        cut = np.searchsorted(starts, self.spans.ravel(), side="left")
+        for a, b in zip([0, *cut[1::2]], [*cut[0::2], starts.size]):
+            if b > a:
+                f = self._cdf(vals[a:b])
+                # E at each run's start, then at each end: a run starts where
+                # the one before it ends.  As E(start) <= E(end), the larger
+                # of |E(end) - F| and |E(start) - F| is the larger of
+                # E(end) - F and F - E(start)
+                e = self.level(np.concatenate([starts[a:a + 1], ends[a:b]]))
+                gap = np.subtract(e[1:], f)
+                above = np.max(gap)
+                np.subtract(f, e[:-1], out=gap)
+                self.d = max(self.d, float(above), float(np.max(gap)))
+
+    def _cdf(self, x: np.ndarray) -> np.ndarray:
+        """dist.cdf(x) for sorted x, one segment at a time: there each atom's
+        term is its mass or 0, and each piece's its mass, 0, or the uniform
+        CDF, added in dist.cdf's order (an added 0 changes no float here)."""
+        if self.segments is None:
+            return np.atleast_1d(np.asarray(self.dist.cdf(x), dtype=float))
+        breaks, terms = self.segments
+        out = np.empty_like(x)
+        bounds = [0, *np.searchsorted(x, breaks, side="left"), x.size]
+        for lo, hi, seg in zip(bounds[:-1], bounds[1:], terms):
+            if hi == lo:
+                continue
+            acc = 0.0
+            for mass, start, width in seg:
+                if width is None:
+                    acc += mass
+                    continue
+                t = x[lo:hi] - start
+                t /= width
+                t *= mass
+                if not isinstance(acc, float):
+                    acc += t
+                else:
+                    if acc != 0.0:
+                        t += acc
+                    acc = t
+            out[lo:hi] = acc
+        return out
+
+    def result(self) -> float:
+        dist, level, d = self.dist, self.level, self.d
+        starts, ends, vals = self.atom_runs
+        if vals.size:
+            f, f_left = _cdf_limits(dist, vals)
+            d = max(d, float(np.max(np.abs(level(ends) - f))),
+                    float(np.max(np.abs(level(starts) - f_left))))
+        points = _sorted_unique(np.concatenate([
+            np.array([loc for loc, _ in dist.atoms], dtype=float),
+            np.array([e for lo, hi, _ in dist.pieces for e in (lo, hi)], dtype=float),
+            np.array([0.0, 1.0]),
+        ]))
+        # the snapped locs <= each point, and < it: the locs there less those
+        # in a span, plus the snapped runs there
+        snapped = np.concatenate([[0], np.cumsum(ends - starts)])
+        counts = []
+        for side in ("right", "left"):
+            k = np.searchsorted(self.locs, points, side=side)
+            c = k + snapped[np.searchsorted(vals, points, side=side)]
+            for lo, hi in self.spans:
+                c -= np.clip(k, lo, hi) - lo
+            counts.append(c)
+        n_le, n_lt = counts
+        f, f_left = _cdf_limits(dist, points)
+        return max(d, float(np.max(np.maximum(np.abs(level(n_le) - f),
+                                              np.abs(level(n_lt) - f_left)))))
+
+
+def _cdf_segments(dist: SubUniformDist) -> tuple[np.ndarray, list]:
+    """The mixture dist's CDF on each segment between its sorted atoms and
+    piece ends: for each term of dist.cdf, in its order, (mass, None, None)
+    where the term is its mass, and (mass, lo, hi - lo) where it is the
+    piece's uniform CDF; terms that are 0 are left out.  Segment j holds the
+    x with breaks[j - 1] <= x < breaks[j]."""
+    breaks = _sorted_unique(np.array([loc for loc, _ in dist.atoms]
+                                     + [e for lo, hi, _ in dist.pieces for e in (lo, hi)],
+                                     dtype=float))
+    terms = []
+    for j in range(breaks.size + 1):
+        left = breaks[j - 1] if j else -math.inf  # the segment's smallest x
+        right = breaks[j] if j < breaks.size else math.inf
+        seg = [(mass, None, None) for loc, mass in dist.atoms if loc <= left]
+        for lo, hi, mass in dist.pieces:
+            if hi <= left:
+                seg.append((mass, None, None))
+            elif lo <= left and right <= hi:
+                seg.append((mass, lo, hi - lo))
+        terms.append(seg)
+    return breaks, terms
 
 
 def _cdf_limits(dist: SubUniformDist, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import FrequencyRun, GenerativeModel, frequency_run
-from .numerics import RngStream, _searchsorted_right
+from .numerics import RngStream, _pieces, _searchsorted_right
 
 __all__ = [
     "PosteriorSampler",
@@ -42,11 +42,12 @@ def _posterior_cum(model: GenerativeModel, data: np.ndarray) -> np.ndarray:
     return cum
 
 
-def _draw_posterior(cum: np.ndarray, n: int, gen: np.random.Generator) -> np.ndarray:
-    """One posterior draw for each of n data values, as an index into
-    theta_support: the count of cum[j] <= u over j < k - 1 (u < 1 = cum[-1]),
-    each row of cum a column over the data (see numerics._searchsorted_right)."""
-    return _searchsorted_right(cum[:-1], gen.random(n))
+def _draw_posterior(cum: np.ndarray, u: np.ndarray, gen: np.random.Generator) -> np.ndarray:
+    """One posterior draw for each data value, as an index into theta_support:
+    the count of cum[j] <= u over j < k - 1 (u < 1 = cum[-1]), each row of cum
+    a column over the data (see numerics._searchsorted_right).  The uniforms
+    are drawn into the buffer u, one value per datum."""
+    return _searchsorted_right(cum[:-1], gen.random(out=u))
 
 
 @dataclass(frozen=True)
@@ -83,13 +84,14 @@ class PosteriorSampler:
         n = np.asarray(data).size
         cum = _posterior_cum(model, data)
         out = np.empty((m_draws, n), dtype=np.min_scalar_type(cum.shape[0] - 1))
-        out[0] = _draw_posterior(cum, n, gen)
+        u = np.empty(n)  # every draw's uniforms, one after another
+        out[0] = _draw_posterior(cum, u, gen)
         for m in range(1, m_draws):
-            fresh = _draw_posterior(cum, n, gen)
             if self.kind == "iid":
-                out[m] = fresh
+                out[m] = _draw_posterior(cum, u, gen)
             else:
-                stay = gen.random(n) < self.rho
+                fresh = _draw_posterior(cum, u, gen)
+                stay = gen.random(out=u) < self.rho
                 out[m] = np.where(stay, out[m - 1], fresh)
         return out
 
@@ -124,30 +126,40 @@ class EstimatorScheme:
                  out: np.ndarray | None = None) -> np.ndarray:
         """The estimate at each value of the 1-d array data, from m_draws
         posterior draws per value, accumulated in out if given;
-        estimate(np.array([x]), gen) estimates at one observed value."""
+        estimate(np.array([x]), gen) estimates at one observed value.
+
+        gen draws every posterior draw first, then for p_hat each draw's
+        replicate data for all values in turn, one piece at a time (see
+        numerics._pieces).  The sums over the draws are taken a piece at a
+        time, in draw order."""
         model, n = self.model, data.size
         draws = self.sampler.draw_indices(model, data, self.m_draws, gen)
-        # the term at the observed data, once per support point and written in
-        # place: a draw picks its row
-        table = np.empty((model.theta_support.size, n))
-        for row, th in zip(table, model.theta_support):
-            row[...] = (model.conditional_sf(th, data) if self.scheme == "r_hat"
-                        else model.discrepancy(data, th))
-        table = table.ravel()
-        at, flat, picked = np.arange(n), np.empty(n, dtype=np.intp), np.empty(n)
         acc = np.empty(n) if out is None else out
         acc[...] = 0.0
-        for idx in draws:
-            np.multiply(idx, np.intp(n), out=flat)  # the flat index of row idx, column at
-            flat += at
-            np.take(table, flat, out=picked)
-            if self.scheme == "r_hat":
-                acc += picked
-            else:
-                theta = model.theta_support[idx]
-                f_rep = np.asarray(model.discrepancy(model.sample_data(theta, gen), theta),
-                                   dtype=float)
-                acc += (f_rep >= picked).astype(float)
+        if self.scheme == "r_hat":
+            for piece in _pieces(n):
+                # the term at the observed data, once per support point: a
+                # draw picks its row
+                x = data[piece]
+                table = np.empty((model.theta_support.size, x.size))
+                for row, th in zip(table, model.theta_support):
+                    row[...] = model.conditional_sf(th, x)
+                table = table.ravel()
+                at = np.arange(x.size)
+                flat, picked = np.empty_like(at), np.empty(x.size)
+                for idx in draws:
+                    # the flat index of row idx, column at
+                    np.multiply(idx[piece], np.intp(x.size), out=flat)
+                    flat += at
+                    acc[piece] += np.take(table, flat, out=picked)
+        else:
+            for idx in draws:
+                for piece in _pieces(n):
+                    theta = model.theta_support[idx[piece]]
+                    f_obs = np.asarray(model.discrepancy(data[piece], theta), dtype=float)
+                    f_rep = np.asarray(model.discrepancy(model.sample_data(theta, gen), theta),
+                                       dtype=float)
+                    acc[piece] += f_rep >= f_obs
         acc /= self.m_draws
         return acc
 

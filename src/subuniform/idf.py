@@ -37,7 +37,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .numerics import EmpiricalSample, _run_blocks
+from .numerics import EmpiricalSample, _feed_runs, _run_blocks
 
 __all__ = [
     "IntegratedDF",
@@ -231,8 +231,11 @@ class IntegratedDF:
         """E(X), recovered from x - phi(x) at the right end of the support."""
         if self.kind == "analytic":
             return 0.5  # both built-in families have mean 1/2
-        for x, f, _, phi in _node_blocks(self):
-            pass  # only the last block holds the right end
+        if self._nodes is not None:
+            return _tail_mean(*self._nodes)
+        nodes = _RunNodes(self._sample)
+        _feed_runs(self._sample.values, nodes)
+        x, f, _, phi = nodes.block  # the last piece's nodes hold the right end
         return _tail_mean(x, f, phi)
 
 
@@ -241,35 +244,41 @@ def _node_integrals(x: np.ndarray, f: np.ndarray) -> np.ndarray:
     return np.concatenate([[0.0], np.cumsum(seg)])
 
 
-def _node_blocks(idf: IntegratedDF):
-    """The nodes of a piecewise IDF, one block at a time.
+class _RunNodes:
+    """The nodes of an empirical IDF, one piece of its sorted sample at a time.
 
-    Yields (x, f, f_end, phi): each node, the CDF at it, and phi there, and
-    for each segment the CDF at its right end: between x[k] and x[k+1] the
-    CDF runs linearly from f[k] to f_end[k].  An IDF whose node arrays exist
-    yields them as one block, with f_end = f[1:].  An empirical IDF yields
-    its distinct values one block per piece of its sample (_run_blocks),
-    with the previous block's last node in front (for the first block, the
-    node just before the first jump); its CDF is constant between nodes, so
+    Fed the runs of one piece (numerics._run_blocks), it holds in block the
+    nodes (x, f, f_end, phi) of the piece's distinct values, with the previous
+    piece's last node in front (for the first piece, the node just before the
+    first jump): each node, the CDF at it, and phi there, and for each
+    segment the CDF at its right end.  The CDF is constant between nodes, so
     f_end = f[:-1].  The floats are those of from_atoms(distinct, counts / n):
     f is the running sum of counts / n capped at 1.0, with its last value set
-    to 1.0, and phi the running sum of (x[k+1] - x[k]) * (f[k] + f[k]) / 2,
-    each carried from block to block.
+    to 1.0, and phi the running sum of (x[k+1] - x[k]) * f[k] (the trapezoid
+    (f[k] + f[k]) / 2 is f[k] exactly), each carried from piece to piece in
+    last.
     """
-    if idf._nodes is not None:
-        bx, f, phi = idf._nodes
-        yield bx, f, f[1:], phi
-        return
-    n = idf._sample.n
-    x_last, f_last, phi_last = idf._sample.values[0], 0.0, 0.0
-    for starts, ends, vals in _run_blocks(idf._sample.values):
-        x = np.concatenate([[x_last], vals])
-        f = np.minimum(np.cumsum(np.concatenate([[f_last], (ends - starts) / n])), 1.0)
-        if ends[-1] == n:
+
+    def __init__(self, sample: EmpiricalSample):
+        self.n = sample.n
+        self.last = (sample.values[0], 0.0, 0.0)
+        self.block = None
+
+    def feed(self, starts: np.ndarray, ends: np.ndarray, vals: np.ndarray) -> None:
+        x_last, f_last, phi_last = self.last
+        x, f, phi = np.empty((3, vals.size + 1))
+        x[0], f[0], phi[0] = x_last, f_last, phi_last
+        x[1:] = vals
+        np.subtract(ends, starts, out=f[1:])  # the counts, exact as floats
+        f[1:] /= self.n
+        np.minimum(np.add.accumulate(f, out=f), 1.0, out=f)
+        if ends[-1] == self.n:
             f[-1] = 1.0
-        phi = np.cumsum(np.concatenate([[phi_last], np.diff(x) * (f[:-1] + f[:-1]) / 2.0]))
-        x_last, f_last, phi_last = x[-1], f[-1], phi[-1]
-        yield x, f, f[:-1], phi
+        np.subtract(x[1:], x[:-1], out=phi[1:])
+        phi[1:] *= f[:-1]
+        np.add.accumulate(phi, out=phi)
+        self.last = x[-1], f[-1], phi[-1]
+        self.block = x, f, f[:-1], phi
 
 
 def _eval_nodes(nodes, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -395,51 +404,94 @@ def _max_gap(lower: IntegratedDF, upper: IntegratedDF) -> tuple[float, float, fl
         gap = lower.evaluate(x) - upper.evaluate(x)
         i = int(np.argmax(gap))
         return float(gap[i]), float(x[i]), lower.mean(), upper.mean()
-    # One side is analytic.  Walk the node blocks of the side with a linear
-    # CDF (a piecewise IDF, or uniform01 against beta22) against the other
-    # side's CDF, which is a polynomial on [0, 1]; no merged grid is built.
-    # The maximum is the first one among the nodes, then among the crossings
-    # (root by root) and phi at 0 and 1, as if each list were walked whole.
-    if lower.kind == "piecewise" or (upper.kind == "analytic" and lower.family == "uniform01"):
-        line, family, sign = lower, upper.family, 1.0
-    else:
-        line, family, sign = upper, lower.family, -1.0
-    ends = np.array([0.0, 1.0])  # uniform01's nodes, and where phi is probed last
-    uniform = [(ends, ends, ends[1:], ends / 2.0)]
-    blocks = _node_blocks(line) if line.kind == "piecewise" else uniform
-    best, cross, phi_ends = (-np.inf, 0.0), [(-np.inf, 0.0)] * 3, np.zeros(2)
-    for block in blocks:
-        x, f, f_end, phi = block
-        gap = sign * (phi - _analytic_phi(family, x))
+    walk = _GapWalk(lower, upper)
+    if walk.sample is not None:
+        _feed_runs(walk.sample.values, walk)
+    return walk.result()
+
+
+class _GapWalk:
+    """_max_gap(lower, upper) when one side is analytic, one block of nodes at a
+    time.
+
+    It walks the nodes of the side with a linear CDF (a piecewise IDF, or
+    uniform01 against beta22) against the other side's CDF, which is a
+    polynomial on [0, 1]; no merged grid is built.  When that side is an
+    empirical IDF whose node arrays are not built, sample is its sorted
+    sample, and its nodes come from the sample's runs, fed one piece at a
+    time (feed, see _RunNodes); other nodes are added here as one block.
+    The maximum is the first one among the nodes, then among the crossings
+    (root by root) and phi at 0 and 1, as if each list were walked whole.
+    """
+
+    def __init__(self, lower: IntegratedDF, upper: IntegratedDF):
+        if lower.kind == "piecewise" or (upper.kind == "analytic" and lower.family == "uniform01"):
+            line, self.family, self.sign = lower, upper.family, 1.0
+        else:
+            line, self.family, self.sign = upper, lower.family, -1.0
+        self.best, self.cross, self.phi_ends = (-np.inf, 0.0), [(-np.inf, 0.0)] * 3, np.zeros(2)
+        self.sample = line._sample if line._nodes is None else None
+        if self.sample is not None:
+            self.nodes = _RunNodes(self.sample)
+        else:
+            ends = np.array([0.0, 1.0])  # uniform01's nodes
+            bx, f, phi = line._nodes if line.kind == "piecewise" else (ends, ends, ends / 2.0)
+            self.add(bx, f, f[1:], phi)
+
+    def feed(self, starts: np.ndarray, ends: np.ndarray, vals: np.ndarray) -> None:
+        self.nodes.feed(starts, ends, vals)
+        self.add(*self.nodes.block)
+
+    def add(self, x: np.ndarray, f: np.ndarray, f_end: np.ndarray, phi: np.ndarray) -> None:
+        family, sign = self.family, self.sign
+        block = self.block = x, f, f_end, phi
+        first, last = float(x[0]), float(x[-1])  # x is sorted
+        unclipped = 0.0 <= first and last <= 1.0  # so x is its own clip to [0, 1]
+        if family == "uniform01" and unclipped:
+            gap = np.multiply(x, x)
+            gap /= 2.0  # _analytic_phi, the same floats
+        else:
+            gap = _analytic_phi(family, x)
+        gap = np.subtract(phi, gap, out=gap)
+        if sign < 0:
+            np.negative(gap, out=gap)  # sign * gap, the same floats
         i = int(np.argmax(gap))
-        if gap[i] > best[0]:
-            best = float(gap[i]), float(x[i])
+        if gap[i] > self.best[0]:
+            self.best = float(gap[i]), float(x[i])
         x0, x1, a = x[:-1], x[1:], f[:-1]
         keep = x1 > x0
         if sign > 0 and family == "uniform01":
             # F_lower - x is linear on a segment inside [0, 1], >= 0 left of 0
             # and <= 0 right of 1, so it can only fall through 0 where it goes
             # from >= 0 at one node to <= 0 at the next
-            xu = np.clip(x, 0.0, 1.0)
-            keep &= (a >= xu[:-1]) & (f_end <= xu[1:])
+            xu = x if unclipped else np.clip(x, 0.0, 1.0)
+            keep &= a >= xu[:-1]
+            keep &= f_end <= xu[1:]
         j = np.flatnonzero(keep)
         if j.size:
             xc = _crossings(x0[j], x1[j], a[j], f_end[j], family)
             gap = sign * (_eval_nodes(block, xc)[0] - _analytic_phi(family, xc))
             for k, row in enumerate(gap):
                 i = int(np.argmax(row))
-                if row[i] > cross[k][0]:
-                    cross[k] = float(row[i]), float(xc[k, i])
+                if row[i] > self.cross[k][0]:
+                    self.cross[k] = float(row[i]), float(xc[k, i])
         # phi at 0 and 1 from the last block that starts at or left of them:
         # the block they fall in, or the last block when they lie past it
-        inside = (x[0] <= ends) & (ends <= x[-1])
-        if inside.any():
-            phi_ends = np.where(inside, _eval_nodes(block, ends)[0], phi_ends)
-    phi_ends = np.where(ends > x[-1], _eval_nodes(block, ends)[0], phi_ends)
-    gap = sign * (phi_ends - _analytic_phi(family, ends))
-    cross = max([*cross, (float(gap[0]), 0.0), (float(gap[1]), 1.0)], key=lambda c: c[0])
-    line_mean = _tail_mean(x, f, phi)
-    return (*max(best, cross), *((line_mean, 0.5) if sign > 0 else (0.5, line_mean)))
+        if first <= 0.0 <= last or first <= 1.0 <= last:
+            ends = np.array([0.0, 1.0])
+            inside = (first <= ends) & (ends <= last)
+            self.phi_ends = np.where(inside, _eval_nodes(block, ends)[0], self.phi_ends)
+
+    def result(self) -> tuple[float, float, float, float]:
+        """(max gap, a point attaining it, lower's mean, upper's mean)."""
+        family, sign = self.family, self.sign
+        x, f, _, phi = block = self.block
+        ends = np.array([0.0, 1.0])
+        phi_ends = np.where(ends > x[-1], _eval_nodes(block, ends)[0], self.phi_ends)
+        gap = sign * (phi_ends - _analytic_phi(family, ends))
+        cross = max([*self.cross, (float(gap[0]), 0.0), (float(gap[1]), 1.0)], key=lambda c: c[0])
+        line_mean = _tail_mean(x, f, phi)
+        return (*max(self.best, cross), *((line_mean, 0.5) if sign > 0 else (0.5, line_mean)))
 
 
 def dominates_cx(lower: IntegratedDF, upper: IntegratedDF,
@@ -457,9 +509,15 @@ def dominates_cx(lower: IntegratedDF, upper: IntegratedDF,
     exact inputs and 3*n^(-1/2) when either side is an empirical IDF built
     from n samples.
     """
+    return _verdict(lower, upper, _max_gap(lower, upper), tol)
+
+
+def _verdict(lower: IntegratedDF, upper: IntegratedDF,
+             gap: tuple[float, float, float, float], tol: float | None) -> DominanceResult:
+    """dominates_cx(lower, upper, tol) from gap = _max_gap(lower, upper)."""
     if tol is None:
         tol = _default_tol(lower, upper)
-    max_violation, witness, lower_mean, upper_mean = _max_gap(lower, upper)
+    max_violation, witness, lower_mean, upper_mean = gap
     mean_gap = abs(lower_mean - upper_mean)
     if max_violation > tol:
         return DominanceResult(False, max_violation, witness, tol)

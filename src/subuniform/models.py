@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .numerics import (_BLOCK, EmpiricalSample, RngStream, _pieces, _searchsorted_right,
+from .numerics import (_BLOCK, _WALK, EmpiricalSample, RngStream, _pieces, _searchsorted_right,
                        _write_values)
 
 __all__ = [
@@ -110,20 +110,34 @@ class GenerativeModel:
     conditional_sf: Callable
 
     def sample_prior(self, gen: np.random.Generator, n: int) -> np.ndarray:
+        return self.theta_support[self._prior_indices(gen, n)]
+
+    def _prior_indices(self, gen: np.random.Generator, n: int) -> np.ndarray:
+        """n prior draws as indices into theta_support, in the narrowest
+        unsigned dtype that holds them: the same gen.random draws as one
+        gen.random(n), taken a piece at a time into one buffer."""
         cum = np.cumsum(self.prior)
         cum[-1] = 1.0
-        idx = _searchsorted_right(cum[:-1], gen.random(n))  # random() < 1 = cum[-1]
-        return self.theta_support[idx]
+        idx = np.empty(n, dtype=np.min_scalar_type(cum.size - 1))
+        u = np.empty(min(n, _WALK + 1))
+        for piece in _pieces(n):
+            # random() < 1 = cum[-1]
+            idx[piece] = _searchsorted_right(cum[:-1], gen.random(out=u[:piece.stop - piece.start]))
+        return idx
 
     def draw_pvalues(self, gen: np.random.Generator, n: int,
                      out: np.ndarray | None = None) -> np.ndarray:
-        """n replicates' exact p-values, written into out if given: the draws
-        for all n at once, then exact_ppp one piece of the data at a time (see
-        numerics._pieces)."""
-        data = self.sample_data(self.sample_prior(gen, n), gen)  # theta is freed here
+        """n replicates' exact p-values, written into out if given.
+
+        gen draws the n prior indices first, then the data one piece at a
+        time (see numerics._pieces), each piece's sample_data right before
+        its exact_ppp: for a sample_data that draws its n values in order,
+        the same draws as one sample_data call on all n, with no temporary
+        of n values besides the indices."""
+        idx = self._prior_indices(gen, n)
         out = np.empty(n) if out is None else out
         for piece in _pieces(n):
-            out[piece] = exact_ppp(self, data[piece])
+            out[piece] = exact_ppp(self, self.sample_data(self.theta_support[idx[piece]], gen))
         return out
 
 
@@ -137,11 +151,15 @@ def exact_ppp(model: GenerativeModel, data) -> np.ndarray | float:
         return float(np.sum(probs * sf))
     if probs.ndim == 1:
         probs = np.broadcast_to(probs[:, None], (probs.size, arr.size))
-    # one (k, n) array of survival probabilities, weighted in place
-    sf = np.empty((model.theta_support.size, *arr.shape))
-    for row, th in zip(sf, model.theta_support):
-        row[...] = model.conditional_sf(th, arr)
-    return np.sum(np.multiply(probs, sf, out=sf), axis=0)
+    if arr.size == 1:  # numpy sums a (k, 1) array in pairwise order
+        sf = np.array([model.conditional_sf(th, arr) for th in model.theta_support], dtype=float)
+        return np.sum(probs * sf.reshape(probs.shape), axis=0)
+    # numpy sums a (k, n) array over axis 0 one row after another: the same
+    # floats, with one row of weighted survival probabilities at a time
+    total = np.multiply(probs[0], model.conditional_sf(model.theta_support[0], arr))
+    for p, th in zip(probs[1:], model.theta_support[1:]):
+        total += np.multiply(p, model.conditional_sf(th, arr))
+    return total
 
 
 # ------------------------------------------------------------------ lasso model
@@ -223,18 +241,20 @@ def simplex_model(alpha: float) -> GenerativeModel:
     def posterior(x):
         x = np.asarray(x, dtype=float)
         # densities with the half-open conventions [0, w) and (1-w, 1]
-        d0 = ((x >= 0.0) & (x < w)).astype(float)
-        d1 = ((x > 1.0 - w) & (x <= 1.0)).astype(float)
-        tot = d0 + d1
+        out = np.empty((2, *x.shape))
+        out[0] = (x >= 0.0) & (x < w)
+        out[1] = (x > 1.0 - w) & (x <= 1.0)
+        tot = out[0] + out[1]
         if np.any(tot == 0.0):
             raise ValueError("data outside the model support")
-        out = np.stack([d0, d1])
         out /= tot
         return out
 
     def conditional_sf(theta, x):
-        d = np.abs(np.asarray(x, dtype=float) - theta)
-        return np.clip((w - d) / w, 0.0, 1.0)
+        d = np.asarray(np.abs(np.asarray(x, dtype=float) - theta))  # an array, also for one x
+        np.subtract(w, d, out=d)
+        d /= w
+        return np.clip(d, 0.0, 1.0, out=d)
 
     return GenerativeModel(
         model_id=f"simplex(alpha={alpha:g})",

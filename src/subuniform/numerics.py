@@ -23,10 +23,12 @@ __all__ = [
 # which replicate, so changing it changes every simulated sample
 _BLOCK = 1 << 16
 
-# values per piece of every pass over an n-array (128 KB of float64, about
-# the size of L2): a pass's temporaries stay small enough for glibc's malloc
-# to reuse them from piece to piece instead of faulting fresh pages
-_WALK = 1 << 14
+# values per piece of every pass over an n-array (64 KB of float64): a pass's
+# temporaries stay small enough for glibc's malloc to reuse them from piece to
+# piece instead of faulting fresh pages.  At 16384 the temporaries of a lasso
+# or simplex piece's p-values were not reused (21k page faults in a 2e6 run,
+# against 5.7k); at 4096 the cost per piece outweighs what the cache saves.
+_WALK = 1 << 13
 
 # how far a sample value may lie from an atom and count as on it (see tail_prob)
 _ATOM_TOL = 1e-9
@@ -147,29 +149,36 @@ def _sum_sq_dev(x: np.ndarray, mean: float) -> float:
     return _sum_sq_dev(x[:h], mean) + _sum_sq_dev(x[h:], mean)
 
 
-def _run_blocks(values: np.ndarray, snap: Callable[[np.ndarray], np.ndarray] | None = None
-                ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+def _run_blocks(values: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """The runs of equal values of a sorted array, one piece of values at a time.
 
     Yields (starts, ends, vals) for the runs that end in each piece of _WALK
     values: the index of each run's first value, the index one past its last,
-    and its value.  snap, if given, maps each piece's values before runs are
-    found and must keep them sorted.  Extra memory is O(_WALK).
+    and its value.  Extra memory is O(_WALK).
     """
     n = values.size
     start = 0
     for lo in range(0, n, _WALK):
         hi = min(lo + _WALK, n)
         v = values[lo:hi + 1]  # one value past the piece shows whether its last run ends in it
-        if snap is not None:
-            v = snap(v)
-        ends = lo + 1 + np.flatnonzero(v[1:] != v[:-1])
+        ends = np.flatnonzero(v[1:] != v[:-1])
+        ends += lo + 1
         if hi == n:
             ends = np.append(ends, n)
         if ends.size:
-            starts = np.concatenate([[start], ends[:-1]])
+            starts = np.empty_like(ends)
+            starts[0] = start
+            starts[1:] = ends[:-1]
             start = int(ends[-1])
-            yield starts, ends, v[ends - 1 - lo]
+            yield starts, ends, values[ends - 1]
+
+
+def _feed_runs(values: np.ndarray, *walks) -> None:
+    """One _run_blocks pass over the sorted values: each piece's runs go to
+    the feed(starts, ends, vals) of every walk in turn."""
+    for run in _run_blocks(values):
+        for walk in walks:
+            walk.feed(*run)
 
 
 def _pieces(n: int) -> Iterator[slice]:

@@ -345,16 +345,41 @@ def test_minp_requires_arguments():
     assert run_cli("minp").returncode == 1
 
 
-@pytest.mark.parametrize("argv", [("minp", "--min", "0.1"),
-                                  ("curves", "--figure", "fisher", "--points", "2")],
+@pytest.mark.parametrize("argv, m_ok", [(("minp", "--min", "0.1"), 10**20),
+                                        (("curves", "--figure", "fisher", "--points", "2"), 10**18)],
                          ids=["minp", "curves.fisher"])
-def test_m_past_the_largest_double_is_a_domain_error(argv):
-    # such an m cannot enter the float formulas; 1e20 still can
+def test_m_past_the_largest_double_is_a_domain_error(argv, m_ok):
+    # such an m cannot enter the float formulas; m_ok still can (the Fisher
+    # critical values lose their meaning from about 1e20 on, see below)
     proc = run_cli(*argv, "--m", "1" + "0" * 400)
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr.startswith("error: m must be a positive integer at most 1.79769e+308")
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
-    assert run_cli(*argv, "--m", str(10**20)).returncode == 0
+    assert run_cli(*argv, "--m", str(m_ok)).returncode == 0
+
+
+@pytest.mark.parametrize("m", [10**9, 10**18, 10**30, 10**38])
+def test_fisher_critical_values_past_double_resolution_fail_cleanly(m):
+    # over the default grid the chi-square tail at the critical value is alpha
+    # to 6.1e-7 relative at m = 1e18 (1.5e-11 at 1e9), 6.5e-6 at 1e20 and
+    # 0.62 at 1e30, and it reads 0.5 at every alpha at 1e38: past 1e-6 the
+    # figure is a domain error with one line, not wrong rows
+    proc = run_cli("curves", "--figure", "fisher", "--m", str(m))
+    if m <= 10**18:
+        assert proc.returncode == 0, proc.stderr
+        rows = json.loads(proc.stdout)["rows"]
+        assert len(rows) == 512
+        assert all(math.isclose(nominal, alpha, rel_tol=1e-6) for alpha, _, nominal, *_ in rows)
+        return
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith(f"error: no Fisher critical value for m = {m}: ")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
+def test_fisher_critical_checks_its_tail():
+    assert math.isclose(fisher_critical(1e-5, 10**18), 2e18, rel_tol=1e-8)
+    with pytest.raises(ValueError, match="m = 100000000000000000000000000000000000000"):
+        fisher_critical(0.05, 10**38)
 
 
 def test_minp_nominal_q_matches_mpmath(capsys):
@@ -544,6 +569,10 @@ _PINNED = {
     "port.10apps.csv": (("simulate", "--model", "port", "--pmfs", "pmfs10.csv",
                          "--n", str(65536 + 16385), "--seed", "6", "--format", "csv"),
                         "ebeb4d1ed3a6b5740213426ce61a90abcfec05df8176af889e06bdf06919438b"),
+    # one replicate: numpy sums its 10-term posterior average pairwise
+    "port.10apps.n1": (("simulate", "--model", "port", "--pmfs", "pmfs10.csv", "--n", "1",
+                        "--seed", "3", "--format", "csv"),
+                       "bed4cc61f14b3918f78f374c91f4f345eea4c0afac66661981d6b229fa09d98a"),
     "ruschendorf": (("simulate", "--model", "ruschendorf", "--n", _N_PIN, "--seed", "7"),
                     "58f30481e0049dfb1fd8c6c233f0ad6867517a6c43f947e09331ed2259ec33a7"),
     "simplex.r_hat": (("simulate", "--model", "simplex", "--estimator", "r_hat", "--M", "4",
@@ -558,6 +587,19 @@ _PINNED = {
     "lasso.csv": (("simulate", "--model", "lasso", "--n", _N_PIN, "--seed", "11",
                    "--format", "csv"),
                   "221e6b3928ce0a6a7ac5be21a6df43431a026196fd08f18ef95f7209aaec756a"),
+    # the bytes --out writes, and PPP_THREADS=2 runs: any reordering of the
+    # draws, or a block drawn by another generator, moves these
+    "lasso.out": (("simulate", "--model", "lasso", "--n", _N_PIN, "--seed", "1",
+                   "--out", "out.csv"),
+                  "0a19017779f33f9add2ffd29c526c89f81b3e6c7549b1978c153b70bad53d42d"),
+    "lasso.threads2": (("simulate", "--model", "lasso", "--n", _N_PIN, "--seed", "1"),
+                       "ab1c72ae7f1d77bcbfbe50d9da46757d3d7acb39c55cf0c9c0fa530bc72c8487",
+                       {"PPP_THREADS": "2"}),
+    "simplex.r_hat.threads2": (("simulate", "--model", "simplex", "--estimator", "r_hat",
+                                "--M", "4", "--sampler", "markov", "--rho", "0.9",
+                                "--n", _N_PIN, "--seed", "8"),
+                               "088a26c7f282fcf9e34c0f6a433d23eb67dd385d18546c21f6d37579fcc8bb32",
+                               {"PPP_THREADS": "2"}),
     "construct.beta22": (("construct", "--target", "beta22.json", "--n", "3000", "--seed", "12"),
                          "d7654c85ea995d9f04bae5a8161980f68b19de267907b1fc5d06aa766bfd7a68"),
     # the singular-span path: SubUniformDist.sample feeds the rows
@@ -580,10 +622,13 @@ def test_stdout_matches_pinned_digest(name, tmp_path):
     (tmp_path / "beta22.json").write_text('{"variant": "beta22"}')
     (tmp_path / "p2alpha.json").write_text('{"variant": "p2alpha", "alpha": 0.2}')
     (tmp_path / "uniform01.json").write_text('{"variant": "uniform01"}')
-    argv, digest = _PINNED[name]
-    proc = run_cli(*(str(tmp_path / a) if a.endswith((".csv", ".json")) else a for a in argv))
+    argv, digest, *env = _PINNED[name]
+    proc = run_cli(*(str(tmp_path / a) if a.endswith((".csv", ".json")) else a for a in argv),
+                   env_extra=env[0] if env else None)
     assert proc.returncode == 0, proc.stderr
-    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
+    # the file --out names, if any, else stdout
+    out = (tmp_path / "out.csv").read_bytes() if "--out" in argv else proc.stdout.encode()
+    assert hashlib.sha256(out).hexdigest() == digest
 
 
 # ------------------------------------------------------------------ construct

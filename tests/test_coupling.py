@@ -312,11 +312,29 @@ def test_draw_joint_matches_row_masks():
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
+@pytest.mark.parametrize("target", [SubUniformDist("beta22"), p2alpha(0.2),
+                                    SubUniformDist("uniform01")],
+                         ids=["beta22", "p2alpha", "uniform01"])
+def test_draw_pvalues_is_draw_joint_without_s(target):
+    # the S values are drawn last, so the p-values need none of them: the
+    # row labels and means (beta22), or the target draws, their permutation
+    # and the atom rows' means (p2alpha and uniform01, with singular spans)
+    model = synthesize_ppp(target, rng=RngStream(seed=5))
+    for n in (1, 7, 20_000):
+        want = model.draw_joint(RngStream(seed=6).generator(), n)[0]
+        got = model.draw_pvalues(RngStream(seed=6).generator(), n)
+        assert np.array_equal(got, want)
+        out = np.full(n, np.nan)
+        assert model.draw_pvalues(RngStream(seed=6).generator(), n, out=out) is out
+        assert np.array_equal(out, want)
+
+
 def test_draw_joint_singular_span_memory():
-    # p2alpha(0.2) has a singular span: draws, svals and pvals (3 * 8n) are
-    # live while the atom rows' uniforms are drawn and mapped, in place, one
-    # piece at a time.  Measured 3.640 * 8n at n = 1e6; mapping all 0.4n atom
-    # draws at once took 5.927 * 8n.
+    # p2alpha(0.2) has a singular span: draws and svals (2 * 8n) are live
+    # while the atom rows' uniforms are drawn and mapped, in place, one piece
+    # at a time, and pvals is filled after.  Measured 3.25 * 8n at n = 1e6;
+    # 3.64 with pvals filled alongside the rows, and 5.927 when all 0.4n atom
+    # draws were mapped at once.
     import tracemalloc
 
     n = 1_000_000
@@ -329,7 +347,7 @@ def test_draw_joint_singular_span_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3.8 * 8 * n
+    assert peak < 3.4 * 8 * n
 
 
 def test_uniform_mix_row_sample_is_inverse_of_uniforms():

@@ -336,10 +336,11 @@ def test_empirical_dominance_equals_atom_walk(seed, n, kind):
 
 def test_empirical_summaries_stay_within_three_sample_sizes():
     # extra memory of each summary of a 1e6-sample, in units of its 8n bytes,
-    # measured: 0.235 for the uniform check, 0.164 for the KS distance, 0.736
-    # for the checks against beta22 (the cubic roots of one piece) and 0.181
-    # for the mean.  Whole-array node arrays took ~11x, ~37x and ~12x; pieces
-    # of 65536 values took 0.94, 0.66, 2.94 and 0.66.
+    # measured with pieces of 8192 values: 0.083 for the uniform check, 0.058
+    # for the KS distance, 0.368 for the checks against beta22 (the cubic
+    # roots of one piece) and 0.082 for the mean.  Whole-array node arrays
+    # took ~11x, ~37x and ~12x; pieces of 65536 values took 0.94, 0.66, 2.94
+    # and 0.66, and of 16384 values 0.235, 0.164, 0.736 and 0.181.
     import tracemalloc
 
     n = 1_000_000
@@ -363,8 +364,8 @@ def test_empirical_summaries_stay_within_three_sample_sizes():
 @pytest.mark.parametrize("n", [1_000_000, 3_000_000])
 def test_uniform_check_and_ks_distance_memory_does_not_grow_with_n(n):
     # both walk the sorted sample in pieces of _WALK values: each peaks below
-    # 16 * 8 * _WALK bytes at any n (measured 14.3 for the uniform check and
-    # 10.0 for the KS distance, at both sizes)
+    # 16 * 8 * _WALK bytes at any n (measured 10.1 for the uniform check and
+    # 7.1 for the KS distance, at both sizes)
     import tracemalloc
 
     from subuniform.numerics import _WALK

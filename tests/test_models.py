@@ -302,9 +302,9 @@ def test_frequency_run_env_thread_override(monkeypatch):
 def test_frequency_run_holds_one_n_array(monkeypatch):
     # the p-values are written, sorted and summarized in one n-array: sorting
     # a copy and squaring deviations into another took 2 * 8n.  The rest is
-    # one RNG block's draws and one piece's p-value temporaries: 1.271 * 8n
-    # measured (1.468 when the p-values of a whole block were computed at
-    # once).  Each extra worker thread holds its own block temporaries, so
+    # one RNG block's prior indices and one piece's temporaries: 1.058 * 8n
+    # measured (1.271 when each block's data were drawn at once, 1.468 when
+    # its p-values were computed at once too).  Each extra worker thread holds its own block temporaries, so
     # measure one thread.
     import tracemalloc
 
@@ -317,16 +317,39 @@ def test_frequency_run_holds_one_n_array(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.3 * 8 * n
+    assert peak < 1.15 * 8 * n
+
+
+def test_frequency_run_streams_each_block(monkeypatch):
+    # a block's draws are its prior indices (one byte each here), then one
+    # piece of data and p-values at a time: above the n-array, the peak is
+    # one piece's temporaries, under one block of float64 (8 * 65536 bytes).
+    # Measured in blocks at n = 4 blocks: lasso 0.883, simplex 0.883, port
+    # 0.538; drawing each block's data at once took 4.13, 4.13 and 3.26.
+    import tracemalloc
+
+    from subuniform.models import _BLOCK
+
+    monkeypatch.delenv("PPP_THREADS", raising=False)
+    n = 4 * _BLOCK
+    for model in (lasso_model(0.1), simplex_model(0.1), port_model(WORKED_PMFS)):
+        frequency_run(model, 10, RngStream(1))  # first-use imports
+        tracemalloc.start()
+        try:
+            frequency_run(model, n, RngStream(1), threads=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - 8 * n < 8 * _BLOCK, model.model_id
 
 
 def test_frequency_run_writes_each_block_in_place(monkeypatch):
     # every draw_pvalues writes its block into the block's slice of the
-    # n-array: a returned block array, copied in, added one block
+    # n-array: a returned block array, copied in, would add one block
     # (8 * 65536 bytes) to the peak.  Above the n-array, measured in blocks at
-    # n = 4 blocks: r_hat 7.26 (8.26 when returned), the p2alpha synthesis
-    # 4.28 (5.28) and the beta22 synthesis 2.19 (3.28).  The lasso and port
-    # models peak while drawing the data, before any p-value is written
+    # n = 4 blocks: r_hat 5.14, the p2alpha synthesis 3.00 and the beta22
+    # synthesis 2.14 (7.26, 4.28 and 2.19 when r_hat summed whole blocks and
+    # the syntheses drew the S values too)
     import tracemalloc
 
     from subuniform import EstimatorScheme, PosteriorSampler, synthesize_ppp
@@ -334,9 +357,9 @@ def test_frequency_run_writes_each_block_in_place(monkeypatch):
 
     monkeypatch.delenv("PPP_THREADS", raising=False)
     n = 4 * _BLOCK
-    cases = ((EstimatorScheme(lasso_model(0.1), "r_hat", 2, PosteriorSampler()), 7.6),
-             (synthesize_ppp(p2alpha(0.2), rng=RngStream(seed=3)), 4.6),
-             (synthesize_ppp(SubUniformDist("beta22"), rng=RngStream(seed=3)), 2.6))
+    cases = ((EstimatorScheme(lasso_model(0.1), "r_hat", 2, PosteriorSampler()), 5.5),
+             (synthesize_ppp(p2alpha(0.2), rng=RngStream(seed=3)), 3.4),
+             (synthesize_ppp(SubUniformDist("beta22"), rng=RngStream(seed=3)), 2.5))
     for model, blocks in cases:
         frequency_run(model, 10, RngStream(1))  # first-use imports
         tracemalloc.start()

@@ -311,8 +311,9 @@ def test_sample_rejects_non_finite_anywhere(bad, at):
         EmpiricalSample(vals)
 
 
-_VARIANCE_SIZES = (1, 7, 8, 9, 128, 129, _WALK - 1, _WALK, _WALK + 1, 2 * _WALK + 17, 65536,
-                   65537, 2 * 65536 + 17, 1_000_000)
+_VARIANCE_SIZES = (1, 7, 8, 9, 128, 129, _WALK - 1, _WALK, _WALK + 1, 2 * _WALK - 1, 2 * _WALK,
+                   2 * _WALK + 1, 2 * _WALK + 17, 4 * _WALK + 17, 65536, 65537, 2 * 65536 + 17,
+                   1_000_000)
 
 
 @pytest.mark.parametrize("n", _VARIANCE_SIZES)
