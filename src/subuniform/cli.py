@@ -174,13 +174,20 @@ def _write_sample(path: str, sample: EmpiricalSample) -> None:
         raise OSError(f"cannot write {path!r}: {exc}") from exc
 
 
+def _sub_uniformity_payload(sample: EmpiricalSample) -> dict:
+    from .idf import IntegratedDF, dominates_cx, uniform_idf
+
+    emp = IntegratedDF.from_samples(sample)
+    res = dominates_cx(emp, uniform_idf())
+    return {"holds": bool(res), "max_violation": res.max_violation, "tol": res.tol}
+
+
 def _cmd_simulate(args) -> None:
     _import_numpy()
-    from .distributions import _ks_walk, p2alpha
+    from .distributions import ks_distance, p2alpha
     from .estimators import PosteriorSampler, marginal_estimator_run
-    from .idf import IntegratedDF, _GapWalk, _verdict, uniform_idf
     from .models import frequency_run, ruschendorf_sample, simplex_atom
-    from .numerics import RngStream, _feed_runs, _write_values
+    from .numerics import RngStream, _write_values
 
     if args.n < 1:
         raise ValueError("--n must be >= 1")
@@ -212,14 +219,6 @@ def _cmd_simulate(args) -> None:
     if args.format == "csv":  # the sample itself; the summary below is JSON-only
         _write_values(sys.stdout, sample.values)
         return
-    # dominates_cx(emp, uniform) and ks_distance(ref, sample), from one walk
-    # over the sorted sample's runs
-    emp, uniform = IntegratedDF.from_samples(sample), uniform_idf()
-    walks = [_GapWalk(emp, uniform)]
-    if ks_ref_alpha is not None and ks_ref_alpha < 0.5:
-        walks.append(_ks_walk(p2alpha(ks_ref_alpha), sample))
-    _feed_runs(sample.values, *walks)
-    res = _verdict(emp, uniform, walks[0].result(), None)
     payload = {
         "model": model_id,
         "n": args.n,
@@ -227,10 +226,11 @@ def _cmd_simulate(args) -> None:
         "mean": sample.mean(),
         "variance": sample.variance(),
         "p_le_alpha": {f"{a:g}": sample.tail_prob(a) for a in _TAIL_GRID},
-        "sub_uniformity": {"holds": bool(res), "max_violation": res.max_violation, "tol": res.tol},
+        "sub_uniformity": _sub_uniformity_payload(sample),
     }
-    if len(walks) > 1:
-        payload["ks_vs_p2alpha"] = walks[1].result()
+    if ks_ref_alpha is not None and ks_ref_alpha < 0.5:
+        ref = p2alpha(ks_ref_alpha)
+        payload["ks_vs_p2alpha"] = ks_distance(ref, sample)
         payload["p2alpha_alpha"] = ks_ref_alpha
     _emit(payload, args.format)
 

@@ -233,14 +233,7 @@ def ks_distance(dist: SubUniformDist, samp: EmpiricalSample) -> float:
     atom through float arithmetic land a few ulp off, and without snapping the
     sup distance would report the whole atom mass as missing.
     """
-    walk = _ks_walk(dist, samp)
-    _feed_runs(samp.values, walk)
-    return walk.result()
-
-
-def _ks_walk(dist: SubUniformDist, samp: EmpiricalSample) -> "_StepGap":
-    """The walk behind ks_distance(dist, samp), to be fed samp's runs."""
-    return _StepGap(dist, samp.values, lambda k: k / samp.n)
+    return _step_cdf_gap(dist, samp.values, lambda k: k / samp.n)
 
 
 def _step_cdf_gap(dist: SubUniformDist, locs: np.ndarray,
@@ -287,8 +280,7 @@ class _StepGap:
     monotone, so the sup is attained in the left or right limits at those
     points.  At a run of equal locs from index i to j (exclusive) those
     limits of E are level(i) and level(j).  A fed run lies on no atom, so F
-    is continuous there, and F is evaluated one segment between consecutive
-    atoms and piece ends at a time, in the float operations of dist.cdf.
+    is continuous there and its left limit is F.
     """
 
     def __init__(self, dist: SubUniformDist, locs: np.ndarray,
@@ -326,14 +318,13 @@ class _StepGap:
                 start += counts[v]
         starts, ends = np.array(bounds, dtype=np.intp).reshape(-1, 2).T
         self.atom_runs = starts, ends, np.array(vals, dtype=float)
-        self.segments = _cdf_segments(dist) if dist.variant == "mixture" else None
 
     def feed(self, starts: np.ndarray, ends: np.ndarray, vals: np.ndarray) -> None:
         # the runs of this piece between the snapped spans
         cut = np.searchsorted(starts, self.spans.ravel(), side="left")
         for a, b in zip([0, *cut[1::2]], [*cut[0::2], starts.size]):
             if b > a:
-                f = self._cdf(vals[a:b])
+                f = np.asarray(self.dist.cdf(vals[a:b]), dtype=float)
                 # E at each run's start, then at each end: a run starts where
                 # the one before it ends.  As E(start) <= E(end), the larger
                 # of |E(end) - F| and |E(start) - F| is the larger of
@@ -343,35 +334,6 @@ class _StepGap:
                 above = np.max(gap)
                 np.subtract(f, e[:-1], out=gap)
                 self.d = max(self.d, float(above), float(np.max(gap)))
-
-    def _cdf(self, x: np.ndarray) -> np.ndarray:
-        """dist.cdf(x) for sorted x, one segment at a time: there each atom's
-        term is its mass or 0, and each piece's its mass, 0, or the uniform
-        CDF, added in dist.cdf's order (an added 0 changes no float here)."""
-        if self.segments is None:
-            return np.atleast_1d(np.asarray(self.dist.cdf(x), dtype=float))
-        breaks, terms = self.segments
-        out = np.empty_like(x)
-        bounds = [0, *np.searchsorted(x, breaks, side="left"), x.size]
-        for lo, hi, seg in zip(bounds[:-1], bounds[1:], terms):
-            if hi == lo:
-                continue
-            acc = 0.0
-            for mass, start, width in seg:
-                if width is None:
-                    acc += mass
-                    continue
-                t = x[lo:hi] - start
-                t /= width
-                t *= mass
-                if not isinstance(acc, float):
-                    acc += t
-                else:
-                    if acc != 0.0:
-                        t += acc
-                    acc = t
-            out[lo:hi] = acc
-        return out
 
     def result(self) -> float:
         dist, level, d = self.dist, self.level, self.d
@@ -399,29 +361,6 @@ class _StepGap:
         f, f_left = _cdf_limits(dist, points)
         return max(d, float(np.max(np.maximum(np.abs(level(n_le) - f),
                                               np.abs(level(n_lt) - f_left)))))
-
-
-def _cdf_segments(dist: SubUniformDist) -> tuple[np.ndarray, list]:
-    """The mixture dist's CDF on each segment between its sorted atoms and
-    piece ends: for each term of dist.cdf, in its order, (mass, None, None)
-    where the term is its mass, and (mass, lo, hi - lo) where it is the
-    piece's uniform CDF; terms that are 0 are left out.  Segment j holds the
-    x with breaks[j - 1] <= x < breaks[j]."""
-    breaks = _sorted_unique(np.array([loc for loc, _ in dist.atoms]
-                                     + [e for lo, hi, _ in dist.pieces for e in (lo, hi)],
-                                     dtype=float))
-    terms = []
-    for j in range(breaks.size + 1):
-        left = breaks[j - 1] if j else -math.inf  # the segment's smallest x
-        right = breaks[j] if j < breaks.size else math.inf
-        seg = [(mass, None, None) for loc, mass in dist.atoms if loc <= left]
-        for lo, hi, mass in dist.pieces:
-            if hi <= left:
-                seg.append((mass, None, None))
-            elif lo <= left and right <= hi:
-                seg.append((mass, lo, hi - lo))
-        terms.append(seg)
-    return breaks, terms
 
 
 def _cdf_limits(dist: SubUniformDist, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -446,12 +446,7 @@ class _GapWalk:
         family, sign = self.family, self.sign
         block = self.block = x, f, f_end, phi
         first, last = float(x[0]), float(x[-1])  # x is sorted
-        unclipped = 0.0 <= first and last <= 1.0  # so x is its own clip to [0, 1]
-        if family == "uniform01" and unclipped:
-            gap = np.multiply(x, x)
-            gap /= 2.0  # _analytic_phi, the same floats
-        else:
-            gap = _analytic_phi(family, x)
+        gap = _analytic_phi(family, x)
         gap = np.subtract(phi, gap, out=gap)
         if sign < 0:
             np.negative(gap, out=gap)  # sign * gap, the same floats
@@ -464,7 +459,7 @@ class _GapWalk:
             # F_lower - x is linear on a segment inside [0, 1], >= 0 left of 0
             # and <= 0 right of 1, so it can only fall through 0 where it goes
             # from >= 0 at one node to <= 0 at the next
-            xu = x if unclipped else np.clip(x, 0.0, 1.0)
+            xu = np.clip(x, 0.0, 1.0)
             keep &= a >= xu[:-1]
             keep &= f_end <= xu[1:]
         j = np.flatnonzero(keep)
@@ -509,15 +504,9 @@ def dominates_cx(lower: IntegratedDF, upper: IntegratedDF,
     exact inputs and 3*n^(-1/2) when either side is an empirical IDF built
     from n samples.
     """
-    return _verdict(lower, upper, _max_gap(lower, upper), tol)
-
-
-def _verdict(lower: IntegratedDF, upper: IntegratedDF,
-             gap: tuple[float, float, float, float], tol: float | None) -> DominanceResult:
-    """dominates_cx(lower, upper, tol) from gap = _max_gap(lower, upper)."""
     if tol is None:
         tol = _default_tol(lower, upper)
-    max_violation, witness, lower_mean, upper_mean = gap
+    max_violation, witness, lower_mean, upper_mean = _max_gap(lower, upper)
     mean_gap = abs(lower_mean - upper_mean)
     if max_violation > tol:
         return DominanceResult(False, max_violation, witness, tol)

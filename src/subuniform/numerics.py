@@ -173,12 +173,11 @@ def _run_blocks(values: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, np
             yield starts, ends, values[ends - 1]
 
 
-def _feed_runs(values: np.ndarray, *walks) -> None:
+def _feed_runs(values: np.ndarray, walk) -> None:
     """One _run_blocks pass over the sorted values: each piece's runs go to
-    the feed(starts, ends, vals) of every walk in turn."""
+    walk.feed(starts, ends, vals)."""
     for run in _run_blocks(values):
-        for walk in walks:
-            walk.feed(*run)
+        walk.feed(*run)
 
 
 def _pieces(n: int) -> Iterator[slice]:

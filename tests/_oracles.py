@@ -19,8 +19,8 @@ def ks_statistic(sample, cdf) -> float:
 # ------------------------------------------------------------------ the sample walks, as they were
 #
 # The step-CDF gap and the empirical node walk before they became per-piece
-# accumulators fed from one pass: snapping by a copy of each piece (or of the
-# whole sample), and every walk finding its own runs, in pieces of walk values
+# accumulators: snapping by a copy of each piece (or of the whole sample), and
+# every walk finding its own runs, in pieces of walk values
 # (default: the package's _WALK).  The package's walks must give their floats
 # bit for bit.
 

@@ -1,5 +1,6 @@
-"""The one pass over a sorted sample: the convex-order walk and the step-CDF
-gap fed from the same runs, bit for bit against the walks they replace."""
+"""The per-piece walks over a sorted sample: the convex-order walk and the
+step-CDF gap fed the sample's runs, bit for bit against the walks they
+replace."""
 
 import math
 
@@ -9,9 +10,9 @@ import pytest
 from _oracles import max_gap, step_cdf_gap
 from subuniform import (EmpiricalSample, IntegratedDF, SubUniformDist, beta22_idf, dominates_cx,
                         ks_distance, p2alpha, uniform_idf)
-from subuniform.distributions import _ks_walk, _step_cdf_gap
-from subuniform.idf import _GapWalk, _max_gap
-from subuniform.numerics import _ATOM_TOL, _WALK, _feed_runs
+from subuniform.distributions import _step_cdf_gap
+from subuniform.idf import _max_gap
+from subuniform.numerics import _ATOM_TOL, _WALK
 
 _OVERLAP = SubUniformDist("mixture", atoms=((0.5, 0.5), (0.5 + 1e-9, 0.5)))
 _OVERLAP_PIECE = SubUniformDist("mixture", atoms=((0.5 + 1.5e-9, 0.25), (0.5, 0.25)),
@@ -97,11 +98,6 @@ def test_step_gap_walk_matches_the_snapped_copy(name):
     for dist in _DISTS:
         want = step_cdf_gap(dist, samp.values, lambda k: k / samp.n)
         assert _bits(ks_distance(dist, samp)) == _bits(want)
-        # the same walks, fed from one pass as ppp simulate feeds them
-        gap, ks = _GapWalk(IntegratedDF.from_samples(samp), uniform_idf()), _ks_walk(dist, samp)
-        _feed_runs(samp.values, gap, ks)
-        assert _bits(ks.result()) == _bits(want)
-        assert gap.result()[:2] == max_gap(samp, "uniform01", 1.0)[:2]
 
 
 def test_step_gap_with_a_level_table_matches_the_snapped_copy():
