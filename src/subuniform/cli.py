@@ -292,8 +292,6 @@ def _cmd_construct(args) -> None:
 def _alpha_grid(points: int) -> list[float]:
     """np.geomspace(1e-5, 0.1, points) in math code: 10**y on numpy's linspace
     of the exponents, with the endpoints exact."""
-    if points < 0:
-        raise ValueError(f"--points must be >= 0, got {points!r}")
     if points < 2:
         return [1e-5] * points
     lo, hi = math.log10(1e-5), math.log10(0.1)
@@ -302,6 +300,8 @@ def _alpha_grid(points: int) -> list[float]:
 
 
 def _cmd_curves(args) -> None:
+    if args.points < 0:
+        raise ValueError(f"--points must be >= 0, got {args.points!r}")
     if args.figure == "idf":
         _import_numpy()
         import numpy as np

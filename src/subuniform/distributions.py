@@ -18,7 +18,6 @@ Built-in variants:
 from __future__ import annotations
 
 import json
-import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable
@@ -26,8 +25,8 @@ from typing import Callable
 import numpy as np
 
 from .idf import _ANALYTIC_FAMILIES, DominanceResult, IntegratedDF, dominates_cx, uniform_idf
-from .numerics import (_ATOM_TOL, EmpiricalSample, RngStream, _feed_runs, _inverse_draws,
-                       _sorted_unique)
+from .numerics import (_ATOM_TOL, EmpiricalSample, RngStream, _inverse_draws, _run_blocks,
+                       _snap_window, _sorted_unique)
 
 __all__ = [
     "SubUniformDist",
@@ -238,129 +237,75 @@ def ks_distance(dist: SubUniformDist, samp: EmpiricalSample) -> float:
 
 def _step_cdf_gap(dist: SubUniformDist, locs: np.ndarray,
                   level: Callable[[np.ndarray], np.ndarray]) -> float:
-    """Exact sup_x |E(x) - F(x)| for a step CDF E that jumps only at the sorted
-    locs: E(x) = level(number of locs <= x), with locs snapped as in
-    ks_distance (see _StepGap)."""
-    walk = _StepGap(dist, locs, level)
-    _feed_runs(locs, walk)
-    return walk.result()
+    """Exact sup_x |E(x) - F(x)| for the step CDF E(x) = level(number of locs
+    <= x) of the sorted locs and dist's CDF F.  level must not decrease.
 
-
-def _snap_window(locs: np.ndarray, loc: float) -> tuple[int, int]:
-    """[lo, hi): the indices of the sorted locs v with abs(v - loc) <= _ATOM_TOL,
-    in float arithmetic.  v - loc rounds monotonically in v, so they are one
-    index range, and each edge is found by stepping from loc -+ _ATOM_TOL to
-    the last double on that side that passes."""
-    edges = []
-    for side in (-1.0, 1.0):
-        x = loc + side * _ATOM_TOL
-        while abs(x - loc) > _ATOM_TOL:
-            x = math.nextafter(x, loc)
-        while abs((y := math.nextafter(x, side * math.inf)) - loc) <= _ATOM_TOL:
-            x = y
-        edges.append(x)
-    return (int(np.searchsorted(locs, edges[0], side="left")),
-            int(np.searchsorted(locs, edges[1], side="right")))
-
-
-class _StepGap:
-    """sup_x |E(x) - F(x)| for the step CDF E(x) = level(number of locs <= x) of
-    the sorted locs and dist's CDF F, fed the runs of equal locs one piece at
-    a time (numerics._run_blocks); result() gives it.  level must not
-    decrease.
-
-    Locs within _ATOM_TOL of an atom of dist are snapped onto it, each atom
-    taken in turn in dist's order, as if on a copy of locs that is sorted
-    again.  No copy is made: each atom's window of locs is one index range
-    (_snap_window), so the snapped values of a contiguous range of windows
-    stay between the locs around it, and its snapped runs are formed once,
-    here.  The runs of locs inside a window are skipped as they are fed.
+    Locs within _ATOM_TOL of an atom are snapped onto it, atom by atom in
+    dist's order.  Atoms more than 2 * _ATOM_TOL apart snap disjoint windows
+    of locs (numerics._snap_window) and keep them sorted, so no copy is made:
+    the runs inside a window are skipped, and the window is taken at its atom
+    with the other points.  Closer atoms can move a value on from one window
+    to the next, so then a copy is snapped, and each window is the values
+    equal to its atom.
 
     Between consecutive locs, atoms and piece ends, E is constant and F
     monotone, so the sup is attained in the left or right limits at those
     points.  At a run of equal locs from index i to j (exclusive) those
-    limits of E are level(i) and level(j).  A fed run lies on no atom, so F
-    is continuous there and its left limit is F.
+    limits of E are level(i) and level(j).  A run outside every window lies
+    on no atom, so F is continuous there.  The runs are walked one piece of
+    locs at a time, in O(_WALK) extra memory.
     """
+    atoms = [loc for loc, _ in dist.atoms]
+    if np.any(np.diff(np.sort(atoms)) <= 2.0 * _ATOM_TOL):
+        locs = locs.copy()
+        for loc in atoms:
+            lo, hi = _snap_window(locs, loc)
+            locs[lo:hi] = loc  # the copy stays sorted
+        windows = {(int(np.searchsorted(locs, loc, side="left")),
+                    int(np.searchsorted(locs, loc, side="right")), loc) for loc in atoms}
+    else:
+        windows = [(*_snap_window(locs, loc), loc) for loc in atoms]
+    windows = sorted(windows)
+    bounds = np.array([w[:2] for w in windows], dtype=np.intp).ravel()
+    d = 0.0
+    for run in _run_blocks(locs):
+        d = max(d, _runs_gap(dist, level, bounds, *run))
+    points = _sorted_unique(np.concatenate([
+        np.array(atoms, dtype=float),
+        np.array([e for lo, hi, _ in dist.pieces for e in (lo, hi)], dtype=float),
+        np.array([0.0, 1.0]),
+    ]))
+    # the snapped locs <= each point, and < it: the locs of a window count up
+    # to its hi or lo, by the side of the point its atom is on, wherever the
+    # point falls in the window; at an atom these are the window's bounds
+    for side, f in zip(("right", "left"), _cdf_limits(dist, points)):
+        k = np.searchsorted(locs, points, side=side)
+        n = k + sum(np.where(np.searchsorted([loc], points, side=side), hi, lo) - np.clip(k, lo, hi)
+                    for lo, hi, loc in windows)
+        d = max(d, float(np.max(np.abs(level(n) - f))))
+    return d
 
-    def __init__(self, dist: SubUniformDist, locs: np.ndarray,
-                 level: Callable[[np.ndarray], np.ndarray]):
-        self.dist, self.locs, self.level, self.d = dist, locs, level, 0.0
-        atoms = [loc for loc, _ in dist.atoms]
-        windows = [_snap_window(locs, loc) for loc in atoms]
-        # where each value ends up: the first atom whose window holds it, then
-        # every later atom within _ATOM_TOL of where it is
-        final = list(atoms)
-        for i in range(len(atoms)):
-            for a in atoms[i + 1:]:
-                if abs(final[i] - a) <= _ATOM_TOL:
-                    final[i] = a
-        cuts = sorted({e for w in windows for e in w})
-        spans, runs = [], {}  # contiguous ranges of windows; snapped counts
-        for p, q in zip(cuts[:-1], cuts[1:]):
-            i = next((i for i, (lo, hi) in enumerate(windows) if lo <= p < hi), None)
-            if i is None:
-                continue
-            if spans and spans[-1][1] == p:
-                spans[-1][1] = q
-            else:
-                spans.append([p, q])
-                runs[p] = {}
-            counts = runs[spans[-1][0]]
-            counts[final[i]] = counts.get(final[i], 0) + q - p
-        self.spans = np.array(spans, dtype=np.intp).reshape(-1, 2)
-        # the snapped runs, in order: a later span's values lie above an earlier one's
-        bounds, vals = [], []
-        for start, counts in runs.items():
-            for v in sorted(counts):
-                bounds.append((start, start + counts[v]))
-                vals.append(v)
-                start += counts[v]
-        starts, ends = np.array(bounds, dtype=np.intp).reshape(-1, 2).T
-        self.atom_runs = starts, ends, np.array(vals, dtype=float)
 
-    def feed(self, starts: np.ndarray, ends: np.ndarray, vals: np.ndarray) -> None:
-        # the runs of this piece between the snapped spans
-        cut = np.searchsorted(starts, self.spans.ravel(), side="left")
-        for a, b in zip([0, *cut[1::2]], [*cut[0::2], starts.size]):
-            if b > a:
-                f = np.asarray(self.dist.cdf(vals[a:b]), dtype=float)
-                # E at each run's start, then at each end: a run starts where
-                # the one before it ends.  As E(start) <= E(end), the larger
-                # of |E(end) - F| and |E(start) - F| is the larger of
-                # E(end) - F and F - E(start)
-                e = self.level(np.concatenate([starts[a:a + 1], ends[a:b]]))
-                gap = np.subtract(e[1:], f)
-                above = np.max(gap)
-                np.subtract(f, e[:-1], out=gap)
-                self.d = max(self.d, float(above), float(np.max(gap)))
-
-    def result(self) -> float:
-        dist, level, d = self.dist, self.level, self.d
-        starts, ends, vals = self.atom_runs
-        if vals.size:
-            f, f_left = _cdf_limits(dist, vals)
-            d = max(d, float(np.max(np.abs(level(ends) - f))),
-                    float(np.max(np.abs(level(starts) - f_left))))
-        points = _sorted_unique(np.concatenate([
-            np.array([loc for loc, _ in dist.atoms], dtype=float),
-            np.array([e for lo, hi, _ in dist.pieces for e in (lo, hi)], dtype=float),
-            np.array([0.0, 1.0]),
-        ]))
-        # the snapped locs <= each point, and < it: the locs there less those
-        # in a span, plus the snapped runs there
-        snapped = np.concatenate([[0], np.cumsum(ends - starts)])
-        counts = []
-        for side in ("right", "left"):
-            k = np.searchsorted(self.locs, points, side=side)
-            c = k + snapped[np.searchsorted(vals, points, side=side)]
-            for lo, hi in self.spans:
-                c -= np.clip(k, lo, hi) - lo
-            counts.append(c)
-        n_le, n_lt = counts
-        f, f_left = _cdf_limits(dist, points)
-        return max(d, float(np.max(np.maximum(np.abs(level(n_le) - f),
-                                              np.abs(level(n_lt) - f_left)))))
+def _runs_gap(dist: SubUniformDist, level: Callable[[np.ndarray], np.ndarray], bounds: np.ndarray,
+              starts: np.ndarray, ends: np.ndarray, vals: np.ndarray) -> float:
+    """_step_cdf_gap's sup over one piece's runs (starts, ends, vals) outside
+    the windows, whose index bounds are lo, hi, lo, hi, ...  Only the scalar
+    outlives the call."""
+    d = 0.0
+    cut = np.searchsorted(starts, bounds, side="left")
+    for a, b in zip([0, *cut[1::2]], [*cut[0::2], starts.size]):
+        if b > a:
+            f = np.asarray(dist.cdf(vals[a:b]), dtype=float)
+            # E at each run's start, then at each end: a run starts where the
+            # one before it ends.  As E(start) <= E(end), the larger of
+            # |E(end) - F| and |E(start) - F| is the larger of E(end) - F and
+            # F - E(start)
+            e = level(np.concatenate([starts[a:a + 1], ends[a:b]]))
+            gap = np.subtract(e[1:], f)
+            above = np.max(gap)
+            np.subtract(f, e[:-1], out=gap)
+            d = max(d, float(above), float(np.max(gap)))
+    return d
 
 
 def _cdf_limits(dist: SubUniformDist, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -380,14 +325,17 @@ def continuous_part_ks(dist: SubUniformDist, samp: EmpiricalSample) -> float:
         return ks_distance(dist, samp)
     if not dist.pieces:
         raise ValueError("distribution has no continuous part")
-    keep = np.ones(samp.n, dtype=bool)
-    for loc, _ in dist.atoms:
-        keep &= np.abs(samp.values - loc) > _ATOM_TOL
-    if not np.any(keep):
+    keep, start = [], 0
+    for lo, hi in sorted(_snap_window(samp.values, loc) for loc, _ in dist.atoms):
+        keep.append(samp.values[start:lo])  # empty where windows overlap
+        start = max(start, hi)
+    keep.append(samp.values[start:])
+    values = np.concatenate(keep)
+    if not values.size:
         raise ValueError("sample has no values outside the atoms")
     total = sum(m for _, _, m in dist.pieces)
     part = SubUniformDist("mixture", pieces=tuple((lo, hi, m / total) for lo, hi, m in dist.pieces))
-    return ks_distance(part, EmpiricalSample(samp.values[keep], _owned=True))
+    return ks_distance(part, EmpiricalSample(values, _owned=True))
 
 
 # ------------------------------------------------------------------ discretization

@@ -25,10 +25,11 @@ Between consecutive nodes every CDF here is a polynomial (linear for
 piecewise IDFs and uniform01, cubic for beta22), so the convex-order check is
 exact: the gap of two IDFs peaks at a node or where their CDFs cross, each
 crossing has a closed form, and float rounding is the only error.  Against
-an analytic law the check walks the other side's nodes a block at a time
-(an empirical IDF's, one piece of numerics._WALK sample values per block),
-so an empirical IDF from n samples is checked against either analytic law,
-on either side, in O(_WALK) memory beyond its sorted sample.
+an analytic law the check loops over the other side's nodes a block at a
+time (_gap_walk): an empirical IDF's come from _node_blocks, one block per
+piece of numerics._WALK sample values, and other nodes form one block.  So
+an empirical IDF from n samples is checked against either analytic law, on
+either side, in O(_WALK) memory beyond its sorted sample.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .numerics import EmpiricalSample, _feed_runs, _run_blocks
+from .numerics import EmpiricalSample, _run_blocks
 
 __all__ = [
     "IntegratedDF",
@@ -233,9 +234,8 @@ class IntegratedDF:
             return 0.5  # both built-in families have mean 1/2
         if self._nodes is not None:
             return _tail_mean(*self._nodes)
-        nodes = _RunNodes(self._sample)
-        _feed_runs(self._sample.values, nodes)
-        x, f, _, phi = nodes.block  # the last piece's nodes hold the right end
+        for x, f, _, phi in _node_blocks(self._sample):
+            pass  # the last block's nodes hold the right end
         return _tail_mean(x, f, phi)
 
 
@@ -244,41 +244,35 @@ def _node_integrals(x: np.ndarray, f: np.ndarray) -> np.ndarray:
     return np.concatenate([[0.0], np.cumsum(seg)])
 
 
-class _RunNodes:
-    """The nodes of an empirical IDF, one piece of its sorted sample at a time.
+def _node_blocks(sample: EmpiricalSample):
+    """The nodes of an empirical IDF, one block per piece of its sorted sample.
 
-    Fed the runs of one piece (numerics._run_blocks), it holds in block the
-    nodes (x, f, f_end, phi) of the piece's distinct values, with the previous
-    piece's last node in front (for the first piece, the node just before the
-    first jump): each node, the CDF at it, and phi there, and for each
-    segment the CDF at its right end.  The CDF is constant between nodes, so
+    Block k holds the nodes (x, f, f_end, phi) of the distinct values whose
+    runs end in piece k (numerics._run_blocks), with the previous block's
+    last node in front (for the first block, the node just before the first
+    jump): each node, the CDF at it, and phi there, and for each segment the
+    CDF at its right end.  The CDF is constant between nodes, so
     f_end = f[:-1].  The floats are those of from_atoms(distinct, counts / n):
     f is the running sum of counts / n capped at 1.0, with its last value set
     to 1.0, and phi the running sum of (x[k+1] - x[k]) * f[k] (the trapezoid
-    (f[k] + f[k]) / 2 is f[k] exactly), each carried from piece to piece in
-    last.
+    (f[k] + f[k]) / 2 is f[k] exactly), each carried from block to block.
     """
-
-    def __init__(self, sample: EmpiricalSample):
-        self.n = sample.n
-        self.last = (sample.values[0], 0.0, 0.0)
-        self.block = None
-
-    def feed(self, starts: np.ndarray, ends: np.ndarray, vals: np.ndarray) -> None:
-        x_last, f_last, phi_last = self.last
+    n = sample.n
+    x_last, f_last, phi_last = sample.values[0], 0.0, 0.0
+    for starts, ends, vals in _run_blocks(sample.values):
         x, f, phi = np.empty((3, vals.size + 1))
         x[0], f[0], phi[0] = x_last, f_last, phi_last
         x[1:] = vals
         np.subtract(ends, starts, out=f[1:])  # the counts, exact as floats
-        f[1:] /= self.n
+        f[1:] /= n
         np.minimum(np.add.accumulate(f, out=f), 1.0, out=f)
-        if ends[-1] == self.n:
+        if ends[-1] == n:
             f[-1] = 1.0
         np.subtract(x[1:], x[:-1], out=phi[1:])
         phi[1:] *= f[:-1]
         np.add.accumulate(phi, out=phi)
-        self.last = x[-1], f[-1], phi[-1]
-        self.block = x, f, f[:-1], phi
+        x_last, f_last, phi_last = x[-1], f[-1], phi[-1]
+        yield x, f, f[:-1], phi
 
 
 def _eval_nodes(nodes, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -404,89 +398,79 @@ def _max_gap(lower: IntegratedDF, upper: IntegratedDF) -> tuple[float, float, fl
         gap = lower.evaluate(x) - upper.evaluate(x)
         i = int(np.argmax(gap))
         return float(gap[i]), float(x[i]), lower.mean(), upper.mean()
-    walk = _GapWalk(lower, upper)
-    if walk.sample is not None:
-        _feed_runs(walk.sample.values, walk)
-    return walk.result()
+    # one side is analytic: walk the nodes of the side with a linear CDF (a
+    # piecewise IDF, or uniform01 against beta22) against the other's CDF
+    if lower.kind == "piecewise" or (upper.kind == "analytic" and lower.family == "uniform01"):
+        line, family, sign = lower, upper.family, 1.0
+    else:
+        line, family, sign = upper, lower.family, -1.0
+    if line._nodes is None:
+        blocks = _node_blocks(line._sample)
+    else:
+        ends = np.array([0.0, 1.0])  # uniform01's nodes
+        bx, f, phi = line._nodes if line.kind == "piecewise" else (ends, ends, ends / 2.0)
+        blocks = [(bx, f, f[1:], phi)]
+    gap, witness, line_mean = _gap_walk(blocks, family, sign)
+    return gap, witness, *((line_mean, 0.5) if sign > 0 else (0.5, line_mean))
 
 
-class _GapWalk:
-    """_max_gap(lower, upper) when one side is analytic, one block of nodes at a
-    time.
+def _gap_walk(blocks, family: str, sign: float) -> tuple[float, float, float]:
+    """(max gap, a point attaining it, mean) of sign * (phi_line - phi_family)
+    over the blocks of nodes (x, f, f_end, phi) of a law with a piecewise
+    linear CDF, against the analytic law family, whose CDF is a polynomial on
+    [0, 1]; no merged grid is built.
 
-    It walks the nodes of the side with a linear CDF (a piecewise IDF, or
-    uniform01 against beta22) against the other side's CDF, which is a
-    polynomial on [0, 1]; no merged grid is built.  When that side is an
-    empirical IDF whose node arrays are not built, sample is its sorted
-    sample, and its nodes come from the sample's runs, fed one piece at a
-    time (feed, see _RunNodes); other nodes are added here as one block.
     The maximum is the first one among the nodes, then among the crossings
     (root by root) and phi at 0 and 1, as if each list were walked whole.
     """
-
-    def __init__(self, lower: IntegratedDF, upper: IntegratedDF):
-        if lower.kind == "piecewise" or (upper.kind == "analytic" and lower.family == "uniform01"):
-            line, self.family, self.sign = lower, upper.family, 1.0
-        else:
-            line, self.family, self.sign = upper, lower.family, -1.0
-        self.best, self.cross, self.phi_ends = (-np.inf, 0.0), [(-np.inf, 0.0)] * 3, np.zeros(2)
-        self.sample = line._sample if line._nodes is None else None
-        if self.sample is not None:
-            self.nodes = _RunNodes(self.sample)
-        else:
-            ends = np.array([0.0, 1.0])  # uniform01's nodes
-            bx, f, phi = line._nodes if line.kind == "piecewise" else (ends, ends, ends / 2.0)
-            self.add(bx, f, f[1:], phi)
-
-    def feed(self, starts: np.ndarray, ends: np.ndarray, vals: np.ndarray) -> None:
-        self.nodes.feed(starts, ends, vals)
-        self.add(*self.nodes.block)
-
-    def add(self, x: np.ndarray, f: np.ndarray, f_end: np.ndarray, phi: np.ndarray) -> None:
-        family, sign = self.family, self.sign
-        block = self.block = x, f, f_end, phi
-        first, last = float(x[0]), float(x[-1])  # x is sorted
-        gap = _analytic_phi(family, x)
-        gap = np.subtract(phi, gap, out=gap)
-        if sign < 0:
-            np.negative(gap, out=gap)  # sign * gap, the same floats
-        i = int(np.argmax(gap))
-        if gap[i] > self.best[0]:
-            self.best = float(gap[i]), float(x[i])
-        x0, x1, a = x[:-1], x[1:], f[:-1]
-        keep = x1 > x0
-        if sign > 0 and family == "uniform01":
-            # F_lower - x is linear on a segment inside [0, 1], >= 0 left of 0
-            # and <= 0 right of 1, so it can only fall through 0 where it goes
-            # from >= 0 at one node to <= 0 at the next
-            xu = np.clip(x, 0.0, 1.0)
-            keep &= a >= xu[:-1]
-            keep &= f_end <= xu[1:]
-        j = np.flatnonzero(keep)
-        if j.size:
-            xc = _crossings(x0[j], x1[j], a[j], f_end[j], family)
-            gap = sign * (_eval_nodes(block, xc)[0] - _analytic_phi(family, xc))
-            for k, row in enumerate(gap):
-                i = int(np.argmax(row))
-                if row[i] > self.cross[k][0]:
-                    self.cross[k] = float(row[i]), float(xc[k, i])
+    found, phi_ends = [(-np.inf, 0.0)] * 4, np.zeros(2)  # the nodes' maximum, then each root's
+    ends = np.array([0.0, 1.0])
+    for block in blocks:
+        for k, c in enumerate(_block_gap(block, family, sign)):
+            if c[0] > found[k][0]:
+                found[k] = c
         # phi at 0 and 1 from the last block that starts at or left of them:
         # the block they fall in, or the last block when they lie past it
+        first, last = float(block[0][0]), float(block[0][-1])  # x is sorted
         if first <= 0.0 <= last or first <= 1.0 <= last:
-            ends = np.array([0.0, 1.0])
             inside = (first <= ends) & (ends <= last)
-            self.phi_ends = np.where(inside, _eval_nodes(block, ends)[0], self.phi_ends)
+            phi_ends = np.where(inside, _eval_nodes(block, ends)[0], phi_ends)
+    x, f, _, phi = block
+    phi_ends = np.where(ends > x[-1], _eval_nodes(block, ends)[0], phi_ends)
+    gap = sign * (phi_ends - _analytic_phi(family, ends))
+    best, *cross = found
+    cross = max([*cross, (float(gap[0]), 0.0), (float(gap[1]), 1.0)], key=lambda c: c[0])
+    return *max(best, cross), _tail_mean(x, f, phi)
 
-    def result(self) -> tuple[float, float, float, float]:
-        """(max gap, a point attaining it, lower's mean, upper's mean)."""
-        family, sign = self.family, self.sign
-        x, f, _, phi = block = self.block
-        ends = np.array([0.0, 1.0])
-        phi_ends = np.where(ends > x[-1], _eval_nodes(block, ends)[0], self.phi_ends)
-        gap = sign * (phi_ends - _analytic_phi(family, ends))
-        cross = max([*self.cross, (float(gap[0]), 0.0), (float(gap[1]), 1.0)], key=lambda c: c[0])
-        line_mean = _tail_mean(x, f, phi)
-        return (*max(self.best, cross), *((line_mean, 0.5) if sign > 0 else (0.5, line_mean)))
+
+def _block_gap(block, family: str, sign: float) -> list[tuple[float, float]]:
+    """The first maximum of sign * (phi_line - phi_family) over one block's
+    nodes, then over its crossings root by root, each as (gap, point).  Only
+    these scalars outlive the call, so a walk holds no block's temporaries
+    while the next block is built."""
+    x, f, f_end, phi = block
+    gap = _analytic_phi(family, x)
+    gap = np.subtract(phi, gap, out=gap)
+    if sign < 0:
+        np.negative(gap, out=gap)  # sign * gap, the same floats
+    i = int(np.argmax(gap))
+    node = float(gap[i]), float(x[i])
+    x0, x1, a = x[:-1], x[1:], f[:-1]
+    keep = x1 > x0
+    if sign > 0 and family == "uniform01":
+        # F_line - x is linear on a segment inside [0, 1], >= 0 left of 0
+        # and <= 0 right of 1, so it can only fall through 0 where it goes
+        # from >= 0 at one node to <= 0 at the next
+        xu = np.clip(x, 0.0, 1.0)
+        keep &= a >= xu[:-1]
+        keep &= f_end <= xu[1:]
+    j = np.flatnonzero(keep)
+    if not j.size:
+        return [node]
+    xc = _crossings(x0[j], x1[j], a[j], f_end[j], family)
+    gap = sign * (_eval_nodes(block, xc)[0] - _analytic_phi(family, xc))
+    i = np.argmax(gap, axis=1)
+    return [node, *((float(gap[k, i[k]]), float(xc[k, i[k]])) for k in range(len(gap)))]
 
 
 def dominates_cx(lower: IntegratedDF, upper: IntegratedDF,

@@ -30,7 +30,7 @@ _BLOCK = 1 << 16
 # against 5.7k); at 4096 the cost per piece outweighs what the cache saves.
 _WALK = 1 << 13
 
-# how far a sample value may lie from an atom and count as on it (see tail_prob)
+# how far a sample value may lie from an atom and count as on it (see _snap_window)
 _ATOM_TOL = 1e-9
 
 
@@ -118,20 +118,35 @@ class EmpiricalSample:
     def tail_prob(self, alpha: float) -> float:
         """Empirical P(X <= alpha).
 
-        Values within _ATOM_TOL of alpha count as <= alpha: model p-values
+        Values v with v - alpha <= _ATOM_TOL count as <= alpha: model p-values
         that are mathematically equal to an atom location carry float rounding
         of a few ulp, and a strict cutoff would split such an atom arbitrarily.
-        The same tolerance decides, everywhere in the package, which sample
-        values sit on an atom.
+        One rule, abs(v - loc) <= _ATOM_TOL in float arithmetic (_snap_window),
+        decides everywhere in the package which sample values sit on an atom.
         """
-        k = np.searchsorted(self.values, alpha + _ATOM_TOL, side="right")
-        return float(k) / self.n
+        return float(_snap_window(self.values, alpha)[1]) / self.n
 
     def atom_frequency(self, location: float) -> float:
-        """Fraction of the sample within +-_ATOM_TOL of location."""
-        lo = np.searchsorted(self.values, location - _ATOM_TOL, side="left")
-        hi = np.searchsorted(self.values, location + _ATOM_TOL, side="right")
+        """Fraction of the sample within +-_ATOM_TOL of location (_snap_window)."""
+        lo, hi = _snap_window(self.values, location)
         return float(hi - lo) / self.n
+
+
+def _snap_window(values: np.ndarray, loc: float) -> tuple[int, int]:
+    """[lo, hi): the indices of the sorted values v with abs(v - loc) <= _ATOM_TOL,
+    in float arithmetic.  v - loc rounds monotonically in v, so they are one
+    index range, and each edge is found by stepping from loc -+ _ATOM_TOL to
+    the last double on that side that passes."""
+    edges = []
+    for side in (-1.0, 1.0):
+        x = loc + side * _ATOM_TOL
+        while abs(x - loc) > _ATOM_TOL:
+            x = math.nextafter(x, loc)
+        while abs((y := math.nextafter(x, side * math.inf)) - loc) <= _ATOM_TOL:
+            x = y
+        edges.append(x)
+    return (int(np.searchsorted(values, edges[0], side="left")),
+            int(np.searchsorted(values, edges[1], side="right")))
 
 
 def _sum_sq_dev(x: np.ndarray, mean: float) -> float:
@@ -171,13 +186,6 @@ def _run_blocks(values: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, np
             starts[1:] = ends[:-1]
             start = int(ends[-1])
             yield starts, ends, values[ends - 1]
-
-
-def _feed_runs(values: np.ndarray, walk) -> None:
-    """One _run_blocks pass over the sorted values: each piece's runs go to
-    walk.feed(starts, ends, vals)."""
-    for run in _run_blocks(values):
-        walk.feed(*run)
 
 
 def _pieces(n: int) -> Iterator[slice]:

@@ -16,17 +16,39 @@ def ks_statistic(sample, cdf) -> float:
     return float(max(np.max(i / n - f), np.max(f - (i - 1) / n), 0.0))
 
 
-# ------------------------------------------------------------------ the sample walks, as they were
-#
-# The step-CDF gap and the empirical node walk before they became per-piece
-# accumulators: snapping by a copy of each piece (or of the whole sample), and
-# every walk finding its own runs, in pieces of walk values
-# (default: the package's _WALK).  The package's walks must give their floats
-# bit for bit.
+def step_cdf_gap_whole_array(dist, locs, level, atom_window=1e-9):
+    """The whole-array form of the exact step-CDF gap sup_x |E(x) - F(x)|, with
+    E(x) = level(number of locs <= x): snap, re-sort, merge every candidate
+    point, and take both limits at each."""
+    if dist.atoms:
+        locs = locs.copy()
+        for loc, _ in dist.atoms:
+            locs[np.abs(locs - loc) <= atom_window] = loc
+        locs = np.sort(locs)
+    cand = np.unique(np.concatenate([
+        locs,
+        np.array([loc for loc, _ in dist.atoms], dtype=float),
+        np.array([e for lo, hi, _ in dist.pieces for e in (lo, hi)], dtype=float),
+        np.array([0.0, 1.0]),
+    ]))
+    f = np.atleast_1d(np.asarray(dist.cdf(cand), dtype=float))
+    atom_mass = np.zeros_like(f)
+    for loc, mass in dist.atoms:
+        atom_mass[cand == loc] += mass
+    e_right = level(np.searchsorted(locs, cand, side="right"))
+    e_left = level(np.searchsorted(locs, cand, side="left"))
+    return float(np.max(np.maximum(np.abs(e_right - f), np.abs(e_left - (f - atom_mass)))))
 
-def run_blocks(values, snap=None, walk=None):
+
+# ------------------------------------------------------------------ the node walk, plainly
+#
+# The empirical node walk with each block built by concatenation from the
+# runs of one piece of walk values (default: the package's _WALK), found
+# here.  The package's walk must give its floats bit for bit.
+
+def run_blocks(values, walk=None):
     """The runs of equal values of a sorted array, one piece of values at a
-    time: (starts, ends, vals), after snap maps each piece."""
+    time: (starts, ends, vals)."""
     from subuniform.numerics import _WALK
 
     walk = walk or _WALK
@@ -35,8 +57,6 @@ def run_blocks(values, snap=None, walk=None):
     for lo in range(0, n, walk):
         hi = min(lo + walk, n)
         v = values[lo:hi + 1]
-        if snap is not None:
-            v = snap(v)
         ends = lo + 1 + np.flatnonzero(v[1:] != v[:-1])
         if hi == n:
             ends = np.append(ends, n)
@@ -44,41 +64,6 @@ def run_blocks(values, snap=None, walk=None):
             starts = np.concatenate([[start], ends[:-1]])
             start = int(ends[-1])
             yield starts, ends, v[ends - 1 - lo]
-
-
-def step_cdf_gap(dist, locs, level, walk=None):
-    """sup_x |E(x) - F(x)| for the step CDF E(x) = level(number of locs <= x),
-    with locs within _ATOM_TOL of an atom of dist snapped onto it."""
-    from subuniform.distributions import _cdf_limits
-    from subuniform.numerics import _ATOM_TOL, _sorted_unique
-
-    atoms = np.array([loc for loc, _ in dist.atoms], dtype=float)
-    snap = None
-    if atoms.size:
-        def snap(v):
-            v = v.copy()
-            for loc, _ in dist.atoms:
-                v[np.abs(v - loc) <= _ATOM_TOL] = loc
-            return v
-        if np.any(np.diff(np.sort(atoms)) <= 2.0 * _ATOM_TOL):
-            locs, snap = np.sort(snap(locs)), None
-    points = _sorted_unique(np.concatenate([
-        atoms,
-        np.array([e for lo, hi, _ in dist.pieces for e in (lo, hi)], dtype=float),
-        np.array([0.0, 1.0]),
-    ]))
-    n_le = np.zeros(points.size, dtype=np.intp)
-    n_lt = np.zeros(points.size, dtype=np.intp)
-    d = 0.0
-    for starts, ends, vals in run_blocks(locs, snap, walk):
-        f, f_left = _cdf_limits(dist, vals)
-        d = max(d, float(np.max(np.abs(level(ends) - f))),
-                float(np.max(np.abs(level(starts) - f_left))))
-        for counts, side in ((n_le, "right"), (n_lt, "left")):
-            k = np.searchsorted(vals, points, side=side)
-            np.maximum(counts, np.where(k > 0, ends[k - 1], 0), out=counts)
-    f, f_left = _cdf_limits(dist, points)
-    return max(d, float(np.max(np.maximum(np.abs(level(n_le) - f), np.abs(level(n_lt) - f_left)))))
 
 
 def node_blocks(sample, walk=None):

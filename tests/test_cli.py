@@ -777,6 +777,13 @@ def test_curves_fisher_points_edges():
     assert proc.returncode == 1 and "--points" in proc.stderr
 
 
+@pytest.mark.parametrize("figure", ["idf", "fisher"])
+def test_curves_rejects_negative_points(figure):
+    proc = run_cli("curves", "--figure", figure, "--points", "-1")
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == "error: --points must be >= 0, got -1\n"
+
+
 def test_curves_fisher_checks_m_before_the_rows():
     # --points 0 computes no row, so no row may be the first to check m; and
     # the chi-square's 2m degrees of freedom must be a double as well as m

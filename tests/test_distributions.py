@@ -1,6 +1,7 @@
 """The concrete sub-uniform family: sampling, CDFs, IDFs, certification."""
 
 import json
+import math
 from fractions import Fraction
 
 import mpmath as mp
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from subuniform import (EmpiricalSample, RngStream, SubUniformDist, as_p2alpha,
                         continuous_part_ks, discretize, dominates_cx, IntegratedDF,
                         ks_distance, p2alpha, synthesize_ppp, uniform_idf)
-from _oracles import ks_statistic
+from _oracles import ks_statistic, step_cdf_gap_whole_array
 
 BUILTINS = [SubUniformDist("uniform01"), SubUniformDist("beta22"),
             p2alpha(0.05), p2alpha(0.1), p2alpha(0.25), p2alpha(0.4)]
@@ -208,6 +209,20 @@ def test_atom_frequency_and_continuous_ks():
         continuous_part_ks(p2alpha(0.5), samp)
 
 
+def test_continuous_part_ks_drops_each_atom_window():
+    # the values with abs(v - loc) <= 1e-9 for some atom are dropped, also
+    # where two atoms' windows overlap and at the windows' edge doubles
+    gen = np.random.default_rng(9)
+    edges = [y for loc in (0.3, 0.5, 0.5 + 1.5e-9) for x in (loc - 1e-9, loc + 1e-9)
+             for y in (math.nextafter(x, 0.0), x, math.nextafter(x, 1.0))]
+    vals = np.sort(np.concatenate([edges, 0.5 + gen.integers(-4, 8, 300) * 5e-10, gen.random(500)]))
+    dist = SubUniformDist("mixture", atoms=((0.5 + 1.5e-9, 0.2), (0.3, 0.1), (0.5, 0.2)),
+                          pieces=((0.0, 1.0, 0.5),))
+    off = np.all([np.abs(vals - loc) > 1e-9 for loc, _ in dist.atoms], axis=0)
+    assert continuous_part_ks(dist, EmpiricalSample(vals)) == ks_distance(
+        SubUniformDist("uniform01"), EmpiricalSample(vals[off]))
+
+
 def test_ks_distance_single_point():
     e = EmpiricalSample([0.5])
     assert ks_distance(SubUniformDist("uniform01"), e) == pytest.approx(0.5)
@@ -248,29 +263,6 @@ def test_ks_distance_snaps_float_jitter():
     assert ks_distance(dist, EmpiricalSample(vals)) >= 0.2
 
 
-def _step_cdf_gap_whole_array(dist, locs, level, atom_window=1e-9):
-    """The whole-array form of the exact step-CDF gap: snap, re-sort, merge
-    every candidate point, and take both limits at each."""
-    if dist.atoms:
-        locs = locs.copy()
-        for loc, _ in dist.atoms:
-            locs[np.abs(locs - loc) <= atom_window] = loc
-        locs = np.sort(locs)
-    cand = np.unique(np.concatenate([
-        locs,
-        np.array([loc for loc, _ in dist.atoms], dtype=float),
-        np.array([e for lo, hi, _ in dist.pieces for e in (lo, hi)], dtype=float),
-        np.array([0.0, 1.0]),
-    ]))
-    f = np.atleast_1d(np.asarray(dist.cdf(cand), dtype=float))
-    atom_mass = np.zeros_like(f)
-    for loc, mass in dist.atoms:
-        atom_mass[cand == loc] += mass
-    e_right = level(np.searchsorted(locs, cand, side="right"))
-    e_left = level(np.searchsorted(locs, cand, side="left"))
-    return float(np.max(np.maximum(np.abs(e_right - f), np.abs(e_left - (f - atom_mass)))))
-
-
 _KS_DISTS = [
     SubUniformDist("uniform01"), SubUniformDist("beta22"), p2alpha(0.1), p2alpha(0.5),
     # atoms closer than 2 * atom_window: snapping can reorder the sample
@@ -293,8 +285,8 @@ def test_ks_distance_equals_whole_array_gap(seed, which, n, kind):
         vals = np.where(gen.random(n) < 0.5, 0.5 + gen.uniform(-2e-9, 3e-9, n),
                         np.floor(gen.random(n) * 8.0) / 8.0)
     samp = EmpiricalSample(vals)
-    assert ks_distance(dist, samp) == _step_cdf_gap_whole_array(dist, samp.values,
-                                                                lambda k: k / samp.n)
+    assert ks_distance(dist, samp) == step_cdf_gap_whole_array(dist, samp.values,
+                                                               lambda k: k / samp.n)
 
 
 def test_discretization_ks_equals_whole_array_gap():
@@ -304,7 +296,7 @@ def test_discretization_ks_equals_whole_array_gap():
         values, masses = discretize(target, 256)
         cum = np.concatenate([[0.0], np.cumsum(masses)])
         assert (synthesize_ppp(target).meta["discretization_ks"]
-                == _step_cdf_gap_whole_array(target, values, lambda k: cum[k]))
+                == step_cdf_gap_whole_array(target, values, lambda k: cum[k]))
 
 
 # ------------------------------------------------------------------ discretize

@@ -350,6 +350,23 @@ def test_atom_frequency_window():
     assert e.atom_frequency(0.5) == 0.0
 
 
+def test_atom_queries_use_the_walks_rule_at_the_window_edges():
+    # the doubles at and next to loc -+ _ATOM_TOL: a value is on an atom when
+    # abs(v - loc) <= _ATOM_TOL in float arithmetic, as in ks_distance, and
+    # counts as <= alpha when v - alpha <= _ATOM_TOL (0.250000001 is not on 0.25)
+    from subuniform.numerics import _ATOM_TOL
+
+    locs = (0.0, 1e-5, 0.01, 0.05, 0.1, 0.2, 0.25, 0.3, 0.4, 0.5, 0.6, 0.7, 0.9, 1.0)
+    edges = [y for loc in locs for x in (loc - _ATOM_TOL, loc + _ATOM_TOL)
+             for y in (math.nextafter(x, -1.0), x, math.nextafter(x, 2.0))]
+    e = EmpiricalSample(edges)
+    v = np.sort(np.array(edges))
+    for loc in locs:
+        assert e.atom_frequency(loc) == np.count_nonzero(np.abs(v - loc) <= _ATOM_TOL) / e.n, loc
+        assert e.tail_prob(loc) == np.count_nonzero(v - loc <= _ATOM_TOL) / e.n, loc
+    assert EmpiricalSample([0.250000001]).atom_frequency(0.25) == 0.0
+
+
 # ------------------------------------------------------------------ the sample writer
 
 def test_write_values_matches_savetxt(tmp_path):

@@ -37,3 +37,37 @@ def test_unknown_name_is_an_attribute_error():
     assert not hasattr(subuniform, "chi2")
     with pytest.raises(ImportError):
         exec("from subuniform import no_such_name", {})
+
+
+def test_every_private_module_level_name_is_used_in_the_package():
+    # a private function, class or constant that no other code in src/
+    # names is an orphan: delete it, or make it the test oracle it serves
+    import ast
+    from pathlib import Path
+
+    trees = {path.name: ast.parse(path.read_text())
+             for path in Path(subuniform.__file__).parent.glob("*.py")}
+    defined, used = [], set()
+    for module, tree in trees.items():
+        for stmt in tree.body:
+            names = []
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = [node.id for t in targets for node in ast.walk(t)
+                         if isinstance(node, ast.Name)]
+            private = [n for n in names if n.startswith("_") and not n.startswith("__")]
+            defined += [(module, n) for n in private]
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    ref = node.id
+                elif isinstance(node, ast.Attribute):
+                    ref = node.attr
+                elif isinstance(node, ast.alias):
+                    ref = node.name
+                else:
+                    continue
+                if ref not in private:  # a function calling itself does not count
+                    used.add(ref)
+    assert [f"{module}: {name}" for module, name in defined if name not in used] == []

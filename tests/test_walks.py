@@ -1,13 +1,13 @@
-"""The per-piece walks over a sorted sample: the convex-order walk and the
-step-CDF gap fed the sample's runs, bit for bit against the walks they
-replace."""
+"""The per-piece walks over a sorted sample: the convex-order walk against
+the node walk it replaced, and the step-CDF gap against its whole-array
+form, bit for bit."""
 
 import math
 
 import numpy as np
 import pytest
 
-from _oracles import max_gap, step_cdf_gap
+from _oracles import max_gap, step_cdf_gap_whole_array
 from subuniform import (EmpiricalSample, IntegratedDF, SubUniformDist, beta22_idf, dominates_cx,
                         ks_distance, p2alpha, uniform_idf)
 from subuniform.distributions import _step_cdf_gap
@@ -96,7 +96,7 @@ def test_gap_walk_matches_the_node_walk(name):
 def test_step_gap_walk_matches_the_snapped_copy(name):
     samp = EmpiricalSample(_SAMPLES[name]())
     for dist in _DISTS:
-        want = step_cdf_gap(dist, samp.values, lambda k: k / samp.n)
+        want = step_cdf_gap_whole_array(dist, samp.values, lambda k: k / samp.n)
         assert _bits(ks_distance(dist, samp)) == _bits(want)
 
 
@@ -106,4 +106,4 @@ def test_step_gap_with_a_level_table_matches_the_snapped_copy():
     cum = np.linspace(0.0, 1.0, locs.size + 1)
     for dist in _DISTS:
         assert (_bits(_step_cdf_gap(dist, locs, lambda k: cum[k]))
-                == _bits(step_cdf_gap(dist, locs, lambda k: cum[k])))
+                == _bits(step_cdf_gap_whole_array(dist, locs, lambda k: cum[k])))
