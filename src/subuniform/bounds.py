@@ -38,21 +38,6 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 if TYPE_CHECKING:
     from .idf import IntegratedDF
 
-__all__ = [
-    "conservative_single",
-    "h_bound",
-    "FisherScore",
-    "FisherReport",
-    "fisher_score",
-    "fisher_bounds",
-    "fisher_critical",
-    "minp_bound",
-    "MinpLimit",
-    "minp_limit_check",
-    "chi2_sf",
-    "chi2_quantile",
-]
-
 _ZERO_FLOOR = 1e-300
 
 

@@ -24,7 +24,7 @@ import os
 import sys
 import warnings
 from dataclasses import asdict
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, TextIO
 
 from .bounds import (FisherReport, _fisher_dof, conservative_single, fisher_bounds,
                      fisher_critical, fisher_score, minp_bound)
@@ -73,8 +73,7 @@ def _emit(payload: dict, fmt: str) -> None:
         sys.stdout.write(json.dumps(payload) + "\n")
         return
     flat = _flatten(payload)
-    sys.stdout.write(",".join(flat.keys()) + "\n")
-    sys.stdout.write(",".join("" if v is None else f"{v}" for v in flat.values()) + "\n")
+    _emit_table(list(flat), [list(flat.values())], fmt)
 
 
 def _emit_table(columns: list[str], rows: list[list], fmt: str) -> None:
@@ -164,12 +163,11 @@ def _build_model(args):
     raise ValueError(f"unknown model {args.model!r}")
 
 
-def _write_sample(path: str, sample: EmpiricalSample) -> None:
-    from .numerics import _write_values
-
+def _write_file(path: str, write: Callable[[TextIO], object]) -> None:
+    """write(fh) to the file at path; an OSError names the path."""
     try:
         with open(path, "w") as fh:
-            _write_values(fh, sample.values)
+            write(fh)
     except OSError as exc:
         raise OSError(f"cannot write {path!r}: {exc}") from exc
 
@@ -191,6 +189,15 @@ def _cmd_simulate(args) -> None:
 
     if args.n < 1:
         raise ValueError("--n must be >= 1")
+    if args.estimator == "exact":
+        for flag, value, default in (("--M", args.m_draws, 1), ("--sampler", args.sampler, "iid"),
+                                     ("--rho", args.rho, 0.0)):
+            if value != default:
+                raise ValueError(f"{flag} applies only to --estimator p_hat or r_hat")
+    if args.g != "uniform" and args.model != "lasso":
+        raise ValueError("--g applies only to --model lasso")
+    if args.pmfs is not None and args.model != "port":
+        raise ValueError("--pmfs applies only to --model port")
     rng = RngStream(seed=args.seed)
     ks_ref_alpha = None
     if args.model == "ruschendorf":
@@ -215,7 +222,7 @@ def _cmd_simulate(args) -> None:
             elif args.model == "simplex":
                 ks_ref_alpha = simplex_atom(args.alpha)
     if args.out is not None:
-        _write_sample(args.out, sample)
+        _write_file(args.out, lambda fh: _write_values(fh, sample.values))
     if args.format == "csv":  # the sample itself; the summary below is JSON-only
         _write_values(sys.stdout, sample.values)
         return
@@ -239,7 +246,7 @@ def _cmd_construct(args) -> None:
     _import_numpy()
     from .coupling import synthesize_ppp
     from .distributions import SubUniformDist, ks_distance
-    from .numerics import EmpiricalSample, RngStream
+    from .numerics import EmpiricalSample, RngStream, _write_values
 
     if args.n < 1:
         raise ValueError("--n must be >= 1")
@@ -279,13 +286,9 @@ def _cmd_construct(args) -> None:
         "model": model.to_payload(),
     }
     if args.out is not None:
-        _write_sample(args.out, sample)
+        _write_file(args.out, lambda fh: _write_values(fh, sample.values))
     if args.model_out is not None:
-        try:
-            with open(args.model_out, "w") as fh:
-                fh.write(model.to_json() + "\n")
-        except OSError as exc:
-            raise OSError(f"cannot write {args.model_out!r}: {exc}") from exc
+        _write_file(args.model_out, lambda fh: fh.write(model.to_json() + "\n"))
     _emit(payload, args.format)
 
 

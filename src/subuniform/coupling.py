@@ -33,20 +33,7 @@ import numpy as np
 
 from .distributions import SubUniformDist, _json_field, _step_cdf_gap, as_p2alpha, discretize
 from .idf import IntegratedDF, dominates_cx, uniform_idf
-from .numerics import RngStream, _inverse_draws, _searchsorted_right, _sorted_unique
-
-__all__ = [
-    "SingularRow",
-    "UniformMixRow",
-    "ConditionalLaw",
-    "explicit_p2alpha_coupling",
-    "uniform_coupling",
-    "left_curtain_coupling",
-    "TransportInfeasible",
-    "mod1_family",
-    "SyntheticPPPModel",
-    "synthesize_ppp",
-]
+from .numerics import RngStream, _inverse_draws, _searchsorted_right, _sorted_unique, _thresholds
 
 
 # the number of equal-mass quantile cells a general target is reduced to
@@ -150,11 +137,9 @@ class ConditionalLaw:
 
     def __post_init__(self):
         for p, mass, _row in self.atom_rows:
-            if mass <= 0.0:
-                raise ValueError(f"atom mass at {p!r} must be positive")
+            _check_atom_mass(p, mass)
         for lo, hi in self.singular_spans:
-            if not lo < hi:
-                raise ValueError(f"bad singular span ({lo}, {hi})")
+            _check_span(lo, hi)
 
     def entry(self, p: float) -> Row:
         """The row law at P = p, matched to within 1e-12."""
@@ -207,10 +192,27 @@ class ConditionalLaw:
                 p = float(item["p"])
             with _json_field(f"{where}.mass"):
                 mass = float(item["mass"])
+                _check_atom_mass(p, mass)
             rows.append((p, mass, row))
         with _json_field("coupling.singular_spans"):
-            spans = tuple((float(a), float(b)) for a, b in payload.get("singular_spans", []))
-        return cls(atom_rows=tuple(rows), singular_spans=spans)
+            items = list(payload.get("singular_spans", []))
+        spans = []
+        for j, span in enumerate(items):
+            with _json_field(f"coupling.singular_spans[{j}]"):
+                lo, hi = (float(v) for v in span)
+                _check_span(lo, hi)
+            spans.append((lo, hi))
+        return cls(atom_rows=tuple(rows), singular_spans=tuple(spans))
+
+
+def _check_atom_mass(p: float, mass: float) -> None:
+    if mass <= 0.0:
+        raise ValueError(f"atom mass at {p!r} must be positive")
+
+
+def _check_span(lo: float, hi: float) -> None:
+    if not lo < hi:
+        raise ValueError(f"bad singular span ({lo}, {hi})")
 
 
 def uniform_coupling() -> ConditionalLaw:
@@ -435,9 +437,8 @@ class SyntheticPPPModel:
         """n atom-row labels drawn with the rows' masses, in the narrowest
         unsigned integers that hold them (uint8 up to 256 rows), which numpy's
         stable argsort radix-sorts."""
-        cum = np.cumsum([mass for _p, mass, _row in self.coupling.atom_rows])
-        cum[-1] = 1.0
-        return _searchsorted_right(cum[:-1], gen.random(n))  # random() < 1 = cum[-1]
+        cum = _thresholds([mass for _p, mass, _row in self.coupling.atom_rows])
+        return _searchsorted_right(cum, gen.random(n))
 
     def _row_means(self) -> np.ndarray:
         """Each atom row's mean, in row order.  draw_joint takes them before

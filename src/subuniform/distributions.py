@@ -25,25 +25,8 @@ from typing import Callable
 import numpy as np
 
 from .idf import _ANALYTIC_FAMILIES, DominanceResult, IntegratedDF, dominates_cx, uniform_idf
-from .numerics import (_ATOM_TOL, EmpiricalSample, RngStream, _inverse_draws, _run_blocks,
+from .numerics import (_ATOM_TOL, EmpiricalSample, _as_generator, _inverse_draws, _run_blocks,
                        _snap_window, _sorted_unique)
-
-__all__ = [
-    "SubUniformDist",
-    "p2alpha",
-    "ks_distance",
-    "continuous_part_ks",
-    "discretize",
-    "as_p2alpha",
-]
-
-
-def _as_generator(rng) -> np.random.Generator:
-    if isinstance(rng, RngStream):
-        return rng.generator()
-    if isinstance(rng, np.random.Generator):
-        return rng
-    raise TypeError("rng must be an RngStream or numpy Generator")
 
 
 @contextmanager

@@ -23,31 +23,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import FrequencyRun, GenerativeModel, frequency_run
-from .numerics import RngStream, _pieces, _searchsorted_right
-
-__all__ = [
-    "PosteriorSampler",
-    "EstimatorScheme",
-    "marginal_estimator_run",
-]
+from .numerics import RngStream, _pieces, _searchsorted_right, _thresholds
 
 
 def _posterior_cum(model: GenerativeModel, data: np.ndarray) -> np.ndarray:
-    """The posterior's cumulative sums over theta_support, one column per data
-    value, or one column for them all when the posterior does not depend on
-    the data."""
+    """The posterior's thresholds over theta_support (numerics._thresholds),
+    one column per data value, or one column for them all when the posterior
+    does not depend on the data.  A function of its own so that the (k, n)
+    posterior is freed before draw_indices makes its M draws."""
     probs = np.asarray(model.posterior(data), dtype=float)
-    cum = np.cumsum(probs[:, None] if probs.ndim == 1 else probs, axis=0)
-    cum[-1] = 1.0
-    return cum
-
-
-def _draw_posterior(cum: np.ndarray, u: np.ndarray, gen: np.random.Generator) -> np.ndarray:
-    """One posterior draw for each data value, as an index into theta_support:
-    the count of cum[j] <= u over j < k - 1 (u < 1 = cum[-1]), each row of cum
-    a column over the data (see numerics._searchsorted_right).  The uniforms
-    are drawn into the buffer u, one value per datum."""
-    return _searchsorted_right(cum[:-1], gen.random(out=u))
+    return _thresholds(probs[:, None] if probs.ndim == 1 else probs)
 
 
 @dataclass(frozen=True)
@@ -80,19 +65,18 @@ class PosteriorSampler:
     def draw_indices(self, model: GenerativeModel, data: np.ndarray, m_draws: int,
                      gen: np.random.Generator) -> np.ndarray:
         """(m_draws, n) posterior draws for the n values of data, one column per
-        value, as indices into model.theta_support."""
+        value, as indices into model.theta_support.  Each draw takes one
+        uniform per value for a fresh posterior draw (the count of thresholds
+        <= u, see numerics._searchsorted_right), then, for the markov
+        sampler after the first draw, one per value for staying put."""
         n = np.asarray(data).size
         cum = _posterior_cum(model, data)
-        out = np.empty((m_draws, n), dtype=np.min_scalar_type(cum.shape[0] - 1))
+        out = np.empty((m_draws, n), dtype=np.min_scalar_type(cum.shape[0]))
         u = np.empty(n)  # every draw's uniforms, one after another
-        out[0] = _draw_posterior(cum, u, gen)
-        for m in range(1, m_draws):
-            if self.kind == "iid":
-                out[m] = _draw_posterior(cum, u, gen)
-            else:
-                fresh = _draw_posterior(cum, u, gen)
-                stay = gen.random(out=u) < self.rho
-                out[m] = np.where(stay, out[m - 1], fresh)
+        for m in range(m_draws):
+            out[m] = _searchsorted_right(cum, gen.random(out=u))
+            if m and self.kind == "markov":
+                out[m] = np.where(gen.random(out=u) < self.rho, out[m - 1], out[m])
         return out
 
 

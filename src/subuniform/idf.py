@@ -40,14 +40,6 @@ import numpy as np
 
 from .numerics import EmpiricalSample, _run_blocks
 
-__all__ = [
-    "IntegratedDF",
-    "DominanceResult",
-    "dominates_cx",
-    "uniform_idf",
-    "beta22_idf",
-]
-
 _ANALYTIC_FAMILIES = ("uniform01", "beta22")
 
 

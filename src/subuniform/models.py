@@ -26,25 +26,8 @@ from typing import Callable
 
 import numpy as np
 
-from .numerics import (_BLOCK, _WALK, EmpiricalSample, RngStream, _pieces, _searchsorted_right,
-                       _write_values)
-
-__all__ = [
-    "SurvivalG",
-    "uniform_g",
-    "power_g",
-    "G_FAMILIES",
-    "GenerativeModel",
-    "exact_ppp",
-    "lasso_model",
-    "simplex_model",
-    "simplex_atom",
-    "port_model",
-    "load_port_pmfs",
-    "ruschendorf_sample",
-    "FrequencyRun",
-    "frequency_run",
-]
+from .numerics import (_BLOCK, EmpiricalSample, RngStream, _as_generator, _pieces,
+                       _searchsorted_right, _thresholds, _write_values)
 
 
 # ------------------------------------------------------------------ travel laws
@@ -115,14 +98,11 @@ class GenerativeModel:
     def _prior_indices(self, gen: np.random.Generator, n: int) -> np.ndarray:
         """n prior draws as indices into theta_support, in the narrowest
         unsigned dtype that holds them: the same gen.random draws as one
-        gen.random(n), taken a piece at a time into one buffer."""
-        cum = np.cumsum(self.prior)
-        cum[-1] = 1.0
-        idx = np.empty(n, dtype=np.min_scalar_type(cum.size - 1))
-        u = np.empty(min(n, _WALK + 1))
+        gen.random(n), taken a piece at a time."""
+        cum = _thresholds(self.prior)
+        idx = np.empty(n, dtype=np.min_scalar_type(cum.size))
         for piece in _pieces(n):
-            # random() < 1 = cum[-1]
-            idx[piece] = _searchsorted_right(cum[:-1], gen.random(out=u[:piece.stop - piece.start]))
+            idx[piece] = _searchsorted_right(cum, gen.random(piece.stop - piece.start))
         return idx
 
     def draw_pvalues(self, gen: np.random.Generator, n: int,
@@ -142,13 +122,12 @@ class GenerativeModel:
 
 
 def exact_ppp(model: GenerativeModel, data) -> np.ndarray | float:
-    """Posterior-averaged conditional survival: the exact p-value at the data."""
+    """Posterior-averaged conditional survival: the exact p-value at the data.
+    A scalar gives the float of its 1-value array, bit for bit."""
     arr = np.asarray(data)
-    scalar = arr.ndim == 0
-    probs = np.asarray(model.posterior(data), dtype=float)
-    if scalar:
-        sf = np.array([float(model.conditional_sf(th, data)) for th in model.theta_support])
-        return float(np.sum(probs * sf))
+    if arr.ndim == 0:
+        return float(exact_ppp(model, arr.reshape(1))[0])
+    probs = np.asarray(model.posterior(arr), dtype=float)
     if probs.ndim == 1:
         probs = np.broadcast_to(probs[:, None], (probs.size, arr.size))
     if arr.size == 1:  # numpy sums a (k, 1) array in pairwise order
@@ -333,17 +312,16 @@ def port_model(pmfs: np.ndarray,
         def post_fn(pi, _w=w):
             return _w
 
-    cum = np.cumsum(h, axis=1)
-    cum[:, -1] = 1.0
+    cum = _thresholds(h.T)  # one row of thresholds per port but the last
 
     def sample_data(theta, gen):
-        # the port is the count of cum[theta] <= u, and u < 1 = cum[theta, -1];
-        # one port's thresholds at a time keeps the peak O(n) for any n_ports
+        # the port is the count of thresholds of theta <= u; one port's
+        # thresholds at a time keeps the peak O(n) for any n_ports
         theta = np.asarray(theta, dtype=int)
         u = gen.random(theta.size)
         port = np.zeros(theta.size, dtype=np.min_scalar_type(n_ports - 1))
-        for col in cum[:, :-1].T:
-            port += u >= col[theta]
+        for row in cum:
+            port += u >= row[theta]
         return port
 
     def conditional_sf(theta, pi):
@@ -388,8 +366,7 @@ def ruschendorf_sample(alpha: float, rng: RngStream | np.random.Generator, n: in
         raise ValueError(f"alpha must lie in (0, 0.5], got {alpha!r}")
     if n <= 0:
         raise ValueError("n must be positive")
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
-    u0 = gen.random(n)
+    u0 = _as_generator(rng).random(n)
     u0[u0 < 2.0 * alpha] = alpha
     return EmpiricalSample(u0, _owned=True)
 

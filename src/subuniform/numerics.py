@@ -14,11 +14,6 @@ from typing import Callable, Iterable, Iterator, TextIO
 
 import numpy as np
 
-__all__ = [
-    "RngStream",
-    "EmpiricalSample",
-]
-
 # values per RNG block of a frequency run: it fixes which generator draws
 # which replicate, so changing it changes every simulated sample
 _BLOCK = 1 << 16
@@ -69,6 +64,14 @@ class RngStream:
         return np.random.Generator(np.random.PCG64(ss))
 
 
+def _as_generator(rng) -> np.random.Generator:
+    if isinstance(rng, RngStream):
+        return rng.generator()
+    if isinstance(rng, np.random.Generator):
+        return rng
+    raise TypeError("rng must be an RngStream or numpy Generator")
+
+
 class EmpiricalSample:
     """A sorted sample of real values with the summaries used by the checks.
 
@@ -76,7 +79,7 @@ class EmpiricalSample:
     EmpiricalSample(values) sorts a copy and never reorders the caller's
     array.  Package code that builds a float array for the sample alone hands
     it over with _owned=True, and it is sorted in place, so the sample is held
-    in one n-array.
+    in one n-array.  The values are read-only once sorted.
     """
 
     __slots__ = ("values", "n")
@@ -94,6 +97,7 @@ class EmpiricalSample:
         # sorting puts -inf first and +inf and nan last
         if not (np.isfinite(arr[0]) and np.isfinite(arr[-1])):
             raise ValueError("sample values must be finite")
+        arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
         object.__setattr__(self, "n", int(arr.size))
 
@@ -219,6 +223,13 @@ def _searchsorted_right(table: np.ndarray, u: np.ndarray) -> np.ndarray:
     for row in table:
         count += u >= row
     return count
+
+
+def _thresholds(weights) -> np.ndarray:
+    """The cumulative sums of weights along axis 0 but the last: a categorical
+    draw is the count of thresholds <= u (see _searchsorted_right) for u =
+    random() in [0, 1), always a valid index, whatever the total rounds to."""
+    return np.cumsum(weights, axis=0)[:-1]
 
 
 def _inverse_draws(gen: np.random.Generator, n: int,

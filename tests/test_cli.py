@@ -488,6 +488,24 @@ def test_simulate_rejects_rho_without_markov_sampler():
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("extra, flag", [
+    (("--model", "simplex", "--M", "16", "--sampler", "markov", "--rho", "0.9"), "--M"),
+    (("--model", "simplex", "--sampler", "markov"), "--sampler"),
+    (("--model", "lasso", "--rho", "0.5"), "--rho"),
+    (("--model", "ruschendorf", "--M", "2"), "--M"),
+    (("--model", "simplex", "--g", "power2"), "--g"),
+    (("--model", "port", "--estimator", "r_hat", "--M", "2", "--g", "power3"), "--g"),
+    (("--model", "lasso", "--pmfs", "/nonexistent.csv"), "--pmfs"),
+    (("--model", "ruschendorf", "--pmfs", "/nonexistent.csv"), "--pmfs"),
+], ids=["exact.M", "exact.sampler", "exact.rho", "ruschendorf.M", "simplex.g", "port.g",
+        "lasso.pmfs", "ruschendorf.pmfs"])
+def test_simulate_rejects_flags_it_would_ignore(extra, flag):
+    # a flag the run would not read is an error, not a silent default run
+    proc = run_cli("simulate", *extra, "--n", "100", "--seed", "1")
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith(f"error: {flag} applies only to --")
+
+
 def test_simulate_thread_count_does_not_change_output(tmp_path):
     args = ("simulate", "--model", "simplex", "--alpha", "0.1", "--n", "20000",
             "--seed", "504", "--estimator", "p_hat", "--M", "2")
@@ -803,3 +821,68 @@ def test_curves_rejects_bad_alpha():
 def test_curves_csv_deterministic():
     args = ("curves", "--figure", "idf", "--points", "64", "--format", "csv")
     assert run_cli(*args).stdout == run_cli(*args).stdout
+
+
+# ------------------------------------------------------------------ paths no other test reaches
+
+@pytest.mark.parametrize("argv, header", [
+    (("fisher", "--pvals", "{small}"),
+     "score,m,nominal_p,bound_shifted_chi2,bound_cantelli,bound_mgf,conservative_p"),
+    (("fisher", "--pvals", "{large}"),
+     "score,m,nominal_p,bound_shifted_chi2,bound_cantelli,bound_mgf,conservative_p,"
+     "inapplicable.bound_cantelli,inapplicable.bound_mgf"),
+    (("construct", "--target", "{beta22}", "--n", "10", "--seed", "1"),
+     "target.variant,coupling,path,n,seed,comparison.ks_vs_target,comparison.s_marginal_ks,"
+     "comparison.martingale_residual,comparison.discretization_ks,model.target.variant,"
+     "model.g_name,model.seed,model.stream_id,model.meta.path,model.meta.n_cells,"
+     "model.meta.discretization_ks"),
+], ids=["fisher", "fisher.inapplicable", "construct"])
+def test_csv_flattens_nested_payloads(argv, header, tmp_path):
+    # nested objects become dotted columns; lists (fisher's warnings, the
+    # coupling's rows) are JSON-only, and None is an empty cell
+    paths = {"small": tmp_path / "small.csv", "large": tmp_path / "large.csv",
+             "beta22": tmp_path / "beta22.json"}
+    paths["small"].write_text("0.01\n0.2\n0.03\n0.5\n")
+    paths["large"].write_text("0.9\n0.95\n")
+    paths["beta22"].write_text('{"variant": "beta22"}')
+    argv = [a.format(**paths) for a in argv]
+    proc = run_cli(*argv, "--format", "csv")
+    assert proc.returncode == 0 and proc.stderr == ""
+    head, row = proc.stdout.splitlines()
+    assert head == header
+    doc = payload(run_cli(*argv))
+    for column, cell in zip(head.split(","), row.split(","), strict=True):
+        value = doc
+        for key in column.split("."):
+            value = value[key]
+        assert cell == ("" if value is None else f"{value}"), column
+
+
+@pytest.mark.parametrize("argv, code, first_line", [
+    (("fisher", "--pvals", "{text}"), 1,
+     "error: non-numeric entry in {text!r}: could not convert string to float: 'abc'"),
+    (("fisher", "--pvals", "{empty}"), 1, "error: {empty!r} contains no p-values"),
+    (("minp", "--min", "1.5", "--m", "3"), 1, "error: --min must lie in [0, 1], got 1.5"),
+    (("minp", "--min", "0.1", "--m", "0"), 1, "error: --m must be >= 1, got 0"),
+    (("simulate", "--model", "lasso", "--g", "power4", "--n", "10", "--seed", "1"), 1,
+     "error: --g must be one of ['power2', 'power3', 'uniform']"),
+    (("simulate", "--model", "lasso", "--n", "0", "--seed", "1"), 1, "error: --n must be >= 1"),
+    (("construct", "--target", "{beta22}", "--n", "0", "--seed", "1"), 1,
+     "error: --n must be >= 1"),
+    (("simulate", "--model", "ruschendorf", "--alpha", "0.7", "--n", "10", "--seed", "1"), 1,
+     "error: --alpha must lie in (0, 0.5] for ruschendorf, got 0.7"),
+    (("construct", "--target", "{beta22}", "--n", "10", "--seed", "1", "--model-out",
+      "{no_dir}"), 2,
+     "error: cannot write {no_dir!r}: [Errno 2] No such file or directory: {no_dir!r}"),
+], ids=["fisher.text", "fisher.empty", "minp.min", "minp.m", "simulate.g", "simulate.n0",
+        "construct.n0", "ruschendorf.alpha", "construct.model_out"])
+def test_bad_input_fails_cleanly(argv, code, first_line, tmp_path):
+    paths = {"text": tmp_path / "text.csv", "empty": tmp_path / "empty.csv",
+             "beta22": tmp_path / "beta22.json", "no_dir": tmp_path / "missing" / "model.json"}
+    paths["text"].write_text("0.5\nabc\n")
+    paths["empty"].write_text("")
+    paths["beta22"].write_text('{"variant": "beta22"}')
+    paths = {name: str(path) for name, path in paths.items()}
+    proc = run_cli(*(a.format(**paths) for a in argv))
+    assert proc.returncode == code and proc.stdout == ""
+    assert proc.stderr.splitlines()[0] == first_line.format(**paths)

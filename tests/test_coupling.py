@@ -10,7 +10,7 @@ from scipy.special import expit, ndtr
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subuniform import (EmpiricalSample, IntegratedDF, RngStream, SingularRow,
+from subuniform import (ConditionalLaw, EmpiricalSample, IntegratedDF, RngStream, SingularRow,
                         SubUniformDist, SyntheticPPPModel, TransportInfeasible,
                         UniformMixRow, discretize, dominates_cx,
                         explicit_p2alpha_coupling, ks_distance, left_curtain_coupling,
@@ -253,6 +253,24 @@ def test_synthetic_model_json_replay():
         assert np.array_equal(a, b)
 
 
+def test_hand_built_singular_atom_row_round_trips():
+    # an atom row that is a SingularRow: the singular branches of to_payload
+    # and from_payload, and SingularRow.sample in draw_joint
+    coupling = ConditionalLaw(atom_rows=((0.25, 0.5, UniformMixRow(((0.0, 0.5, 1.0),))),
+                                         (0.75, 0.5, SingularRow(0.75))))
+    model = SyntheticPPPModel(target=SubUniformDist("mixture", atoms=((0.25, 0.5), (0.75, 0.5))),
+                              coupling=coupling)
+    assert model.to_payload()["coupling"]["atom_rows"][1]["row"] == {"kind": "singular", "at": 0.75}
+    clone = SyntheticPPPModel.from_json(model.to_json())
+    assert clone == model
+    pvals, svals = model.draw_joint(RngStream(seed=104).generator(), 1000)
+    again = clone.draw_joint(RngStream(seed=104).generator(), 1000)
+    assert np.array_equal(pvals, again[0]) and np.array_equal(svals, again[1])
+    singular = pvals == 0.75
+    assert 0 < np.count_nonzero(singular) < 1000
+    assert np.all(svals[singular] == 0.75) and np.all(svals[~singular] <= 0.5)
+
+
 def _malformed_models():
     good = synthesize_ppp(p2alpha(0.25), rng=RngStream(seed=102)).to_payload()
     row = good["coupling"]["atom_rows"][0]
@@ -260,7 +278,11 @@ def _malformed_models():
     def with_rows(rows):
         return json.dumps({**good, "coupling": {**good["coupling"], "atom_rows": rows}})
 
+    def with_slabs(intervals):
+        return with_rows([{**row, "row": {"kind": "uniform_mix", "intervals": intervals}}])
+
     no_row = {k: v for k, v in row.items() if k != "row"}
+    spans = [*good["coupling"]["singular_spans"], [0.7, 0.7]]
     return [
         ('{"coupling": {}}', "target"),
         ("[]", "object"),
@@ -268,7 +290,19 @@ def _malformed_models():
         (with_rows([no_row]), "atom_rows[0].row"),
         (with_rows([{**row, "p": "abc"}]), "atom_rows[0].p"),
         (with_rows([{**row, "mass": None}]), "atom_rows[0].mass"),
-        (with_rows([{**row, "row": {"kind": "uniform_mix", "intervals": 3}}]), "atom_rows[0].row"),
+        (with_slabs(3), "atom_rows[0].row"),
+        (with_rows([{**row, "row": {"kind": "beta"}}]), "atom_rows[0].row: ValueError(\"unknown"),
+        (with_slabs([]), "atom_rows[0].row: ValueError('a uniform-mix row needs"),
+        (with_slabs([[0.5, 0.2, 1.0]]), "atom_rows[0].row: ValueError('bad slab"),
+        (with_slabs([[0.0, 0.5, 0.5], [0.4, 0.9, 0.5]]),
+         "atom_rows[0].row: ValueError('slabs must be sorted"),
+        (with_slabs([[0.0, 0.5, 0.0], [0.5, 1.0, 1.0]]),
+         "atom_rows[0].row: ValueError('slab weights must be positive"),
+        (with_slabs([[0.0, 0.5, 0.5]]), "atom_rows[0].row: ValueError('slab weights sum to"),
+        (with_rows([{**row, "mass": 0}]), "coupling.atom_rows[0].mass: ValueError('atom mass"),
+        (json.dumps({**good, "coupling": {**good["coupling"], "singular_spans": spans}}),
+         "coupling.singular_spans[1]: ValueError('bad singular span"),
+        (json.dumps({**good, "meta": ["explicit-p2alpha"]}), "field meta: not an object"),
         (json.dumps({**good, "coupling": 7}), "coupling"),
         (json.dumps({**good, "target": {"variant": "p2alpha"}}), "target"),
         (json.dumps({**good, "seed": "x"}), "seed"),

@@ -384,6 +384,25 @@ def test_frequency_run_metadata_and_export(tmp_path):
     assert np.array_equal(back, run.pvalues.values)  # %.17g round-trips doubles
 
 
+_PMFS10 = np.random.default_rng(5).random((10, 4)) + 0.05
+
+
+@pytest.mark.parametrize("model, n_ports", [
+    (lasso_model(0.1), None),
+    (lasso_model(0.2, power_g(2)), None),
+    (lasso_model(0.2, power_g(3)), None),
+    (simplex_model(0.1), None),
+    (port_model(WORKED_PMFS), 3),
+    (port_model(_PMFS10 / _PMFS10.sum(axis=1, keepdims=True)), 4),
+], ids=["lasso", "lasso.power2", "lasso.power3", "simplex", "port", "port.10apps"])
+def test_exact_ppp_of_a_scalar_is_its_one_value_array(model, n_ports):
+    # one path: a scalar is evaluated as a 1-value array, to the bit
+    gen = RngStream(seed=46).generator()
+    xs = gen.random(200) if n_ports is None else gen.integers(0, n_ports, 200)
+    for x in xs.tolist():
+        assert exact_ppp(model, x) == exact_ppp(model, np.array([x]))[0]
+
+
 def test_exact_ppp_vectorized_matches_scalar():
     model = lasso_model(0.1)
     xs = RngStream(seed=45).generator().random(50)

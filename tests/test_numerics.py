@@ -302,6 +302,18 @@ def test_sample_leaves_callers_array_unchanged():
     assert np.array_equal(arr, before)
 
 
+def test_sample_values_are_read_only():
+    # the summaries read the sorted values; a write would falsify them
+    from subuniform import frequency_run, lasso_model
+
+    s = EmpiricalSample([0.1, 0.5, 0.9])
+    with pytest.raises(ValueError, match="read-only"):
+        s.values[0] = 2.0
+    assert s.tail_prob(0.95) == 1.0 and s.values[0] == 0.1
+    run = frequency_run(lasso_model(0.1), 1000, RngStream(seed=3))
+    assert not run.pvalues.values.flags.writeable
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("at", [0, 3, 6])
 def test_sample_rejects_non_finite_anywhere(bad, at):
