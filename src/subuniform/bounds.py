@@ -93,6 +93,12 @@ class FisherScore(NamedTuple):
     floored_zeros: int
 
 
+def _in_unit_interval(p: list[float]) -> bool:
+    """Whether every value of the non-empty list p lies in [0, 1], in C-level
+    passes: min and max may step past a NaN, their sum does not."""
+    return 0.0 <= min(p) and max(p) <= 1.0 and not math.isnan(sum(p))
+
+
 def fisher_score(pvals: Iterable[float]) -> FisherScore:
     """Fisher combination score -2 * sum(log p_i), the logs summed by math.fsum.
 
@@ -100,12 +106,12 @@ def fisher_score(pvals: Iterable[float]) -> FisherScore:
     values or values above 1 are domain errors.
     """
     try:
-        p = [float(v) for v in pvals]
+        p = list(map(float, pvals))
     except TypeError:  # a scalar, or a sequence of sequences
         p = []
     if not p:
         raise ValueError("pvals must be a non-empty 1-d array")
-    if not all(0.0 <= v <= 1.0 for v in p):  # NaN fails both
+    if not _in_unit_interval(p):
         raise ValueError("p-values must lie in [0,1]")
     zeros = p.count(0.0)
     if zeros:

@@ -26,8 +26,8 @@ import warnings
 from dataclasses import asdict
 from typing import TYPE_CHECKING, Callable, TextIO
 
-from .bounds import (FisherReport, _fisher_dof, conservative_single, fisher_bounds,
-                     fisher_critical, fisher_score, minp_bound)
+from .bounds import (FisherReport, _fisher_dof, _in_unit_interval, conservative_single,
+                     fisher_bounds, fisher_critical, fisher_score, minp_bound)
 
 if TYPE_CHECKING:
     from .numerics import EmpiricalSample
@@ -88,16 +88,20 @@ def _emit_table(columns: list[str], rows: list[list], fmt: str) -> None:
 def _read_pvals(path: str) -> list[float]:
     try:
         with open(path) as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
+            text = fh.read()
     except OSError as exc:
         raise OSError(f"cannot read {path!r}: {exc}") from exc
+    lines = text.split("\n")
     try:
-        vals = [float(ln) for ln in lines]
+        try:
+            vals = list(map(float, filter(str.strip, lines)))
+        except ValueError:  # again, for a message that quotes the stripped line
+            vals = [float(ln.strip()) for ln in lines if ln.strip()]
     except ValueError as exc:
         raise ValueError(f"non-numeric entry in {path!r}: {exc}") from exc
     if not vals:
         raise ValueError(f"{path!r} contains no p-values")
-    if not all(0.0 <= v <= 1.0 for v in vals):  # NaN fails both
+    if not _in_unit_interval(vals):
         raise ValueError("p-values must lie in [0, 1]")
     return vals
 

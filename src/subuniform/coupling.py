@@ -261,16 +261,16 @@ def _shadow_start(lo: np.ndarray, hi: np.ndarray, cum: np.ndarray,
     g_nodes = np.concatenate([[0.0], np.cumsum((hi - lo) * (hi + lo) / 2.0)])
 
     def g(w: np.ndarray) -> np.ndarray:
-        j = np.clip(np.searchsorted(cum, w, side="right") - 1, 0, lo.size - 1)
+        j = np.minimum(np.maximum(np.searchsorted(cum, w, side="right") - 1, 0), lo.size - 1)
         d = w - cum[j]
         return g_nodes[j] + d * (lo[j] + d / 2.0)
 
-    u = _sorted_unique(np.clip(np.concatenate([cum, cum - m]), 0.0, top))
+    u = _sorted_unique(np.minimum(np.maximum(np.concatenate([cum, cum - m]), 0.0), top))
     h = g(u + m) - g(u)
-    k = int(np.clip(np.searchsorted(h, m * v), 1, u.size - 1))
+    k = min(max(int(np.searchsorted(h, m * v)), 1), u.size - 1)
     dh = h[k] - h[k - 1]  # zero only when two levels differ by rounding
     t = (m * v - h[k - 1]) / dh if dh > 0.0 else 0.0
-    return float(np.clip(u[k - 1] + t * (u[k] - u[k - 1]), 0.0, top))
+    return float(min(max(u[k - 1] + t * (u[k] - u[k - 1]), 0.0), top))
 
 
 def left_curtain_coupling(values, masses) -> ConditionalLaw:
@@ -302,8 +302,8 @@ def left_curtain_coupling(values, masses) -> ConditionalLaw:
         else:
             a = _shadow_start(lo, hi, cum, v, m)
             b = a + m
-        cut_lo = np.clip(lo + (a - cum[:-1]), lo, hi)
-        cut_hi = np.clip(lo + (b - cum[:-1]), lo, hi)
+        cut_lo = np.minimum(np.maximum(lo + (a - cum[:-1]), lo), hi)
+        cut_hi = np.minimum(np.maximum(lo + (b - cum[:-1]), lo), hi)
         take = cut_hi > cut_lo
         width = cut_hi[take] - cut_lo[take]
         rows.append((float(v), float(m), UniformMixRow(tuple(

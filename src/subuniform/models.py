@@ -262,6 +262,16 @@ def _require_finite(a: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} {at} is not finite: {float(a[tuple(bad[0])])!r}")
 
 
+def _app_weights(w, n_apps: int, name: str, what: str) -> np.ndarray:
+    """w as a float array, checked to be a probability vector over n_apps
+    applications; name and what name it in the two messages."""
+    w = np.asarray(w, dtype=float)
+    _require_finite(w, name)
+    if w.shape != (n_apps,) or np.any(w < 0) or abs(w.sum() - 1.0) > 1e-9:
+        raise ValueError(f"{what} must be a probability vector over applications")
+    return w
+
+
 def port_model(pmfs: np.ndarray,
                posterior_spec: np.ndarray | Callable | None = None,
                prior: np.ndarray | None = None) -> GenerativeModel:
@@ -289,10 +299,8 @@ def port_model(pmfs: np.ndarray,
     n_apps, n_ports = h.shape
     if prior is None:
         prior = np.full(n_apps, 1.0 / n_apps)
-    prior = np.asarray(prior, dtype=float)
-    _require_finite(prior, "prior")
-    if prior.shape != (n_apps,) or np.any(prior < 0) or abs(prior.sum() - 1.0) > 1e-9:
-        raise ValueError("prior must be a probability vector over applications")
+    else:
+        prior = _app_weights(prior, n_apps, "prior", "prior")
 
     # Q[theta, pi]: mass of ports whose pmf value does not exceed that of pi
     q_table = np.empty_like(h)
@@ -300,16 +308,14 @@ def port_model(pmfs: np.ndarray,
         q_table[a] = np.array([h[a][h[a] <= h[a, j]].sum() for j in range(n_ports)])
 
     if posterior_spec is None:
-        posterior_spec = prior
+        posterior_spec = prior  # checked above
+    elif not callable(posterior_spec):
+        posterior_spec = _app_weights(posterior_spec, n_apps, "posterior_spec",
+                                      "posterior_spec vector")
     if callable(posterior_spec):
         post_fn = posterior_spec
     else:
-        w = np.asarray(posterior_spec, dtype=float)
-        _require_finite(w, "posterior_spec")
-        if w.shape != (n_apps,) or np.any(w < 0) or abs(w.sum() - 1.0) > 1e-9:
-            raise ValueError("posterior_spec vector must be a probability vector over applications")
-
-        def post_fn(pi, _w=w):
+        def post_fn(pi, _w=posterior_spec):
             return _w
 
     cum = _thresholds(h.T)  # one row of thresholds per port but the last

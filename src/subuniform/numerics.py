@@ -8,6 +8,7 @@ The chi-square tails are scalar math code in bounds, their only caller.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, TextIO
@@ -215,14 +216,57 @@ def _searchsorted_right(table: np.ndarray, u: np.ndarray) -> np.ndarray:
     may also be a column of thresholds that broadcasts against u, each value's
     own cumulative masses.  Up to 64 rows, or for columns, one comparison pass
     per row: a binary search mispredicts a branch per key, which costs more
-    on short tables (about 10x on 2 entries)."""
+    on short tables (about 10x on 2 entries).
+
+    A longer 1-d table is searched with a guide table (Chen & Asau 1974):
+    with b the smallest power of two >= len(table), u falls in bucket
+    floor(u * b), clamped to [0, b - 1] (u * b is exact, so the buckets are
+    [j / b, (j + 1) / b) exactly; NaN goes to the last bucket).  Each value
+    starts at its bucket's largest count, the thresholds < (j + 1) / b (all of
+    them in the last bucket), and steps down once per pass while the threshold
+    below it is > u, in as many passes as the fullest bucket needs.  A table
+    whose fullest bucket holds more than _GUIDE_STEPS thresholds is searched by
+    np.searchsorted.  On the 255 equal-mass thresholds of a beta22 synthesis,
+    no value needs a pass: 2.3 ms against 41 ms for 5e5 values."""
     dtype = np.min_scalar_type(len(table))
     if table.ndim == 1 and table.size > 64:
-        return np.searchsorted(table, u, side="right").astype(dtype)
+        return _guide_search(table, u, dtype)
     count = np.zeros(np.shape(u), dtype=dtype)
     for row in table:
         count += u >= row
     return count
+
+
+# passes of the guide-table search before np.searchsorted is cheaper: a pass
+# costs about 2 ns per value, a binary search over more than 64 thresholds 35+
+_GUIDE_STEPS = 8
+
+
+def _guide_search(table: np.ndarray, u: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """_searchsorted_right for a sorted 1-d table of more than 64 thresholds."""
+    b = 1 << (table.size - 1).bit_length()
+    edges = np.arange(1, b) / b
+    start = np.empty(b, dtype=dtype)  # the count at the top of each bucket
+    start[:-1] = np.searchsorted(table, edges, side="left")
+    start[-1] = table.size
+    steps = int(np.max(start[1:] - np.searchsorted(table, edges, side="right")))
+    steps = max(steps, int(start[0]))  # the first bucket holds every u < 1 / b
+    if steps > _GUIDE_STEPS:
+        return np.searchsorted(table, u, side="right").astype(dtype)
+    below = np.concatenate([[-np.inf], table])  # below[c]: the threshold under count c
+    u = np.asarray(u)
+    flat = u.reshape(-1)
+    count = np.empty(flat.size, dtype=dtype)
+    for piece in _pieces(flat.size):
+        v = flat[piece]
+        j = np.multiply(v, b)
+        np.fmin(j, b - 1, out=j)  # NaN to the last bucket
+        np.fmax(j, 0.0, out=j)
+        c = start.take(j.astype(np.intp))
+        for _ in range(steps):
+            c -= below.take(c) > v
+        count[piece] = c
+    return count.reshape(u.shape)
 
 
 def _thresholds(weights) -> np.ndarray:
@@ -261,99 +305,170 @@ def _ceil_pow10(k: int) -> float:
 
 
 def _format_tables():
-    # %g at precision 17 prints fixed notation for -4 <= k < 17 and scientific
-    # below.  A row's head is its text up to and including the first digit d0,
-    # with the point when d0 is followed by one: NUL-padded on the left to one
-    # uint64, at ((k - _EXP_MIN) * 10 + d0) * 2 + has_more.  Its tail is the
-    # exponent, if any, and the newline.
-    heads, tails = [], []
-    for k in range(_EXP_MIN, 1):
-        for d0 in "0123456789":
-            for more in (False, True):
-                text = "0." + "0" * (-k - 1) + d0 if -4 <= k < 0 else d0 + "." * more
-                heads.append(int.from_bytes(text.rjust(8, "\0").encode(), "little"))
-        tails.append(int.from_bytes((f"e-{-k:02d}\n" if k < -4 else "\n").ljust(8, "\0").encode(),
-                                    "little"))
-    q = np.arange(10000, dtype=np.uint32)  # 0000 to 9999 as 4 ASCII bytes
-    digits4 = sum((48 + q // 10 ** (3 - j) % 10) << (8 * j) for j in range(4)).astype("<u4")
-    return np.array(heads, dtype=_WORD), np.array(tails, dtype=_WORD), digits4
+    # %g at precision 17 prints fixed notation for -4 <= k < 17.  A row's head
+    # is NULs, the newline that ends the row before it, then its text up to
+    # and including the first digit d0, with the point when d0 is followed by
+    # one, at (k - _EXP_MIN) * 20 + d0 * 2 + has_more: in 8 bytes, and in 4
+    # for k >= -1, where it fits.  The NULs of a row are then one run.
+    heads = [("0." + "0" * (-k - 1) + d0 if k < 0 else d0 + "." * more).encode()
+             for k in range(_EXP_MIN, 1) for d0 in "0123456789" for more in (False, True)]
+    # 0000 to 9999 as 4 ASCII bytes at 2 * g, and at 2 * g + 1 with each
+    # trailing '0' a NUL: axis j holds digit j of g
+    ascii4 = np.empty((10, 10, 10, 10, 2, 4), dtype=np.uint8)
+    for j in range(4):
+        ascii4[..., j] = (48 + np.arange(10, dtype=np.uint8)).reshape((10,) + (1,) * (4 - j))
+        ascii4[(slice(None),) * j + (0,) * (4 - j) + (1, j)] = 0  # digit j and all after it are 0
+    return (np.array([int.from_bytes((b"\n" + h).rjust(8, b"\0"), "little") for h in heads],
+                     dtype="<u8"),
+            np.array([int.from_bytes((b"\n" + h).rjust(4, b"\0"), "little") if len(h) <= 3 else 0
+                      for h in heads], dtype="<u4"),
+            ascii4.reshape(-1).view("<u4"))
 
 
-# Values in [10**_EXP_MIN, 10) are formatted in bulk.  The bound below is the
-# last decimal exponent k with 10**(16 - k) an exact double; p-values are at
-# most 1, and larger values would move the point into the digits.
-_EXP_MIN = -6
-_WORD = np.dtype("<u8")  # 8 bytes of text, first byte lowest on any host
-_EXP_FLOORS = np.array([_ceil_pow10(k) for k in range(_EXP_MIN + 1, 1)])
+# Values in [10**_EXP_MIN, 10) are formatted in bulk, all in fixed notation.
+# p-values are at most 1, and larger values would move the point into the
+# digits; a sub-uniform law puts mass at most 2e-4 below 10**_EXP_MIN.
+_EXP_MIN = -4
+_EXP_FLOORS = [_ceil_pow10(k) for k in range(_EXP_MIN + 1, 1)]
 _FAST_LO = _ceil_pow10(_EXP_MIN)
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitter
 _SCALES = np.array([float(10 ** (16 - k)) for k in range(_EXP_MIN, 1)])
 _SCALES_HI = _SCALES * _SPLIT - (_SCALES * _SPLIT - _SCALES)
 _SCALES_LO = _SCALES - _SCALES_HI
-_HEADS, _TAILS, _DIGITS4 = _format_tables()
-_ROW = 32  # bytes per row: head, two words of digits, tail; the longest %.17g line has 25
-# values formatted at once.  At 2048 no temporary of a chunk passes 64 KiB
-# and glibc's malloc reuses them all; from 3072 on it handed them back to the
-# system after each chunk, and writing 5e5 values page-faulted 18k-36k times
-# and took 1.4-2x as long.
-_WRITE_CHUNK = 1 << 11
+# bytes per row: head and four groups of digits.  The head takes 8 bytes, or 4
+# when every value of a chunk is >= 0.1 (k >= -1), which makes most rows of
+# such a chunk 20 bytes of text and no NUL.  The longest line has 23 bytes.
+_ROW = 24
+_NARROW_LO = _EXP_FLOORS[-2]
+# values formatted at once, in buffers allocated once per call.  Each buffer
+# stays under glibc's 128 KiB mmap threshold and comes from the heap: at 4096
+# the 160 KiB float buffer was mapped afresh, and a cold simulate --out of 5e5
+# values faulted 6.6k times, against 6.5k at 3072.
+_WRITE_CHUNK = 3072
 
 
-def _format_chunk(x: np.ndarray) -> str:
-    """The lines f"{v:.17g}\\n" of x as one string, with no Python work per
-    value in [10**_EXP_MIN, 10).
+class _ChunkBuffers:
+    """The temporaries of _format_chunk for chunks of up to m values, one
+    contiguous row each: numpy loops over a short strided inner axis one row
+    at a time.  Rows are reused once read for the last time: the float rows
+    hold the terms of the product, then the digit groups, the heads and the
+    text; the integer rows the digits, then their ASCII and the mask of the
+    text's NULs."""
+
+    def __init__(self, m: int):
+        self.floats = np.empty((5, m))
+        self.ints = np.empty((3, m), dtype=np.int64)
+        self.flags = np.empty((3, m), dtype=bool)
+        # built per call (0.25 ms), not on import: the 80 KB of ASCII cost a
+        # cold command that imports this module 20 page faults
+        self.heads, self.heads4, self.digits4 = _format_tables()
+
+
+def _scale(table: np.ndarray, k, out: np.ndarray):
+    """table[k] for an index k of the chunk or one per value."""
+    return table.take(k, out=out, mode="clip") if isinstance(k, np.ndarray) else table[k]
+
+
+def _format_chunk(x: np.ndarray, buf: _ChunkBuffers) -> str:
+    """The lines "\\n" + f"{v:.17g}" of x as one string (each line's newline
+    leads it), with no Python work per value in [10**_EXP_MIN, 10).
 
     With k the decimal exponent of v, Dekker's product gives hi + lo =
     v * 10**(16 - k) exactly, in [1e16, 1e17).  hi >= 2**53 is an even
     integer, so hi + rint(lo) is the product rounded half-even to an integer:
     the 17 significant digits of %.17g, correctly rounded as Python rounds.
-    Each row is laid out in 32 bytes, NULs between its parts, and the NULs
-    of the chunk are dropped at the end.  Other values (0, negatives, tiny,
-    large, nan, inf) are formatted by Python and spliced in.
+    k is one number when the chunk's least and greatest values share it, as
+    they do in most chunks of a sorted sample.  Each row is laid out in 20 or
+    24 bytes (_ROW), NULs in place of its trailing '0' digits and between its
+    parts, and the NULs of the chunk are dropped at the end.  Other values
+    (0, negatives, tiny, large, nan, inf) are formatted by Python and spliced
+    in; a chunk with a line longer than 24 bytes is formatted by Python alone.
     """
     m = x.size
-    fast = (x >= _FAST_LO) & (x < 10.0)
-    slow = np.flatnonzero(~fast)
-    v = np.where(fast, x, 1.0) if slow.size else x
-    i = _searchsorted_right(_EXP_FLOORS, v).astype(np.intp)  # k - _EXP_MIN, as an index
-    hi = v * _SCALES[i]
-    c = v * _SPLIT
-    vh = c - (c - v)
-    vl = v - vh
-    sh, sl = _SCALES_HI[i], _SCALES_LO[i]
-    lo = ((vh * sh - hi) + vh * sl + vl * sh) + vl * sl
-    d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
-    carry = d == 10 ** 17  # rounded up to the next power of ten (only for k < 0)
-    d -= carry * (9 * 10 ** 16)
-    i += carry
-    q = d // 10 ** 8
-    first = q // 10 ** 8
-    eight = np.stack([q - first * 10 ** 8, d - q * 10 ** 8], axis=1)
-    hi4 = eight // 10 ** 4
-    four = np.stack([hi4, eight - hi4 * 10 ** 4], axis=2).reshape(m, 4)
-    digits = _DIGITS4[four].view(_WORD)  # (m, 2): the 16 digits after the first
-    # NUL out the trailing '0' digits: 0x80 marks each byte that holds another
-    # digit, is spread to every byte below it, and, when the second word keeps
-    # a digit, over the whole first word
-    keep = ((digits ^ 0x3030303030303030) + 0x7F7F7F7F7F7F7F7F) & 0x8080808080808080
-    for shift in (8, 16, 32):
-        keep |= keep >> shift
-    keep[:, 0] |= (keep[:, 1] & 0x80) * 0x0101010101010101
-    digits &= (keep >> 7) * 0xFF
-    rows = np.empty((m, 4), dtype=_WORD)
-    rows[:, 0] = _HEADS[(first + 10 * i) * 2 + (digits[:, 0] != 0)]
-    rows[:, 1:3] = digits
-    rows[:, 3] = _TAILS[i]
+    hi, c, vl, t, lo = f = buf.floats[:, :m]
+    d, i, q = buf.ints[:, :m]
+    flag = buf.flags[:, :m]
+    low, high = float(x.min()), float(x.max())
+    v, slow = x, None
+    if not (low >= _FAST_LO and high < 10.0):  # a NaN fails both
+        slow = np.flatnonzero(~((x >= _FAST_LO) & (x < 10.0)))
+        other = [f"\n{w:.17g}" for w in x[slow].tolist()]
+        if max(map(len, other)) > _ROW:
+            return "".join(f"\n{w:.17g}" for w in x.tolist())
+        v = lo  # lo is written after v's last read
+        v[...] = x
+        v[slow] = 1.0
+    k = bisect.bisect_right(_EXP_FLOORS, low)  # k - _EXP_MIN, as an index
+    if slow is not None or k != bisect.bisect_right(_EXP_FLOORS, high):
+        k = i  # one per value
+        np.copyto(k, np.greater_equal(v, _EXP_FLOORS[0], out=flag[0]))
+        for floor in _EXP_FLOORS[1:]:
+            k += np.greater_equal(v, floor, out=flag[0])
+    np.multiply(v, _scale(_SCALES, k, hi), out=hi)
+    np.multiply(v, _SPLIT, out=c)
+    np.subtract(c, np.subtract(c, v, out=vl), out=c)  # vh
+    np.subtract(v, c, out=vl)
+    sh = _scale(_SCALES_HI, k, t)
+    np.multiply(c, sh, out=lo)
+    lo -= hi
+    lo += np.multiply(vl, sh, out=t)
+    sl = _scale(_SCALES_LO, k, t)
+    lo += np.multiply(c, sl, out=c)  # vh * sl
+    lo += np.multiply(vl, sl, out=vl)  # vl * sl
+    np.copyto(d, hi, casting="unsafe")
+    np.copyto(q, np.rint(lo, out=lo), casting="unsafe")
+    d += q
+    # d is d0 and 16 more digits, never 10**17: the greatest double below
+    # 10**(k + 1) lies at least 8e-17 of it below, and rounding to 17 digits
+    # carries up from 5e-18.  Its four groups of four: each half of eight
+    # digits goes to the slot of its second group, then splits in place
+    g = f[:4].view(np.int64)
+    np.floor_divide(d, 10 ** 8, out=q)  # d0 and the first eight
+    np.subtract(d, np.multiply(q, 10 ** 8, out=g[3]), out=g[3])
+    np.floor_divide(q, 10 ** 8, out=d)  # d0
+    np.subtract(q, np.multiply(d, 10 ** 8, out=g[1]), out=g[1])
+    d *= 2
+    d += np.not_equal(np.bitwise_or(g[1], g[3], out=q), 0, out=flag[0])  # has_more
+    d += 20 * k  # d: the head's index
+    np.floor_divide(g[1::2], 10 ** 4, out=g[0::2])
+    g[1::2] -= np.multiply(g[0::2], 10 ** 4, out=buf.ints[1:, :m])  # i and q
+    # a group followed only by zero groups takes its ASCII with NULs for its
+    # trailing '0' digits
+    zero = np.equal(g[1:], 0, out=flag)
+    zero[1] &= zero[2]
+    zero[0] &= zero[1]
+    g <<= 1
+    g[:3] |= zero
+    g[3] |= 1
+    width = _ROW if slow is not None or low < _NARROW_LO else _ROW - 4
+    # the text goes in float rows 1-3 and its head in row 0; numpy's take into
+    # a strided out gathers into a temporary and copies it back, which costs
+    # twice this gather and column copy
+    rows = buf.floats[1:].reshape(-1).view("<u4")[:m * width // 4].reshape(m, width // 4)
+    ascii4 = buf.ints[1:].reshape(-1).view("<u4")[:4 * m].reshape(4, m)
+    for column, group in zip(rows.T[-4:], buf.digits4.take(g, out=ascii4, mode="clip")):
+        np.copyto(column, group)
+    if width == _ROW:
+        heads = buf.heads.take(d, out=f[0].view("<u8"), mode="clip")
+        np.copyto(rows[:, :2].view("<u8")[:, 0], heads)
+    else:
+        np.copyto(rows[:, 0], buf.heads4.take(d, out=f[0].view("<u4")[:m], mode="clip"))
     text = rows.view(np.uint8)
-    if slow.size:
-        other = "".join(f"{w:.17g}\n".ljust(_ROW, "\0") for w in x[slow].tolist())
-        text[slow] = np.frombuffer(other.encode(), dtype=np.uint8).reshape(-1, _ROW)
-    text = text.ravel()
-    return str(text[text != 0], "ascii")
+    if slow is not None:
+        text[slow] = np.frombuffer("".join(w.ljust(_ROW, "\0") for w in other).encode(),
+                                   dtype=np.uint8).reshape(-1, _ROW)
+    text = text.reshape(-1)
+    nonzero = np.not_equal(text, 0, out=buf.ints.reshape(-1).view(bool)[:text.size])
+    return str(text[nonzero], "ascii")
 
 
 def _write_values(fh: TextIO, values: np.ndarray) -> None:
     """Write values one per line as %.17g (the bytes of np.savetxt(fmt="%.17g")
     and of f"{x:.17g}"), formatting one chunk at a time."""
+    if values.size == 0:
+        return
+    buf = _ChunkBuffers(min(values.size, _WRITE_CHUNK))
     for lo in range(0, values.size, _WRITE_CHUNK):
-        fh.write(_format_chunk(values[lo:lo + _WRITE_CHUNK]))
+        text = _format_chunk(values[lo:lo + _WRITE_CHUNK], buf)
+        fh.write(text if lo else text[1:])
+    fh.write("\n")

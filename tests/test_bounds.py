@@ -102,7 +102,7 @@ def test_fisher_score_rejects_what_is_not_a_1d_sequence():
     for bad in ([], 0.5, np.float64(0.5), np.array(0.5), [[0.5, 0.2]], np.array([[0.5], [0.2]])):
         with pytest.raises(ValueError, match="non-empty 1-d"):
             fisher_score(bad)
-    for bad in ([math.nan], [math.inf], [0.5, -1e-300]):
+    for bad in ([math.nan], [math.inf], [0.5, -1e-300], [0.5, math.nan, 0.25], [0.5, 1.5, 0.25]):
         with pytest.raises(ValueError, match=r"lie in \[0,1\]"):
             fisher_score(bad)
     assert fisher_score(np.array([0.5, 0.25])) == fisher_score((0.5, 0.25))

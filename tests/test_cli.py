@@ -620,6 +620,10 @@ _PINNED = {
                                {"PPP_THREADS": "2"}),
     "construct.beta22": (("construct", "--target", "beta22.json", "--n", "3000", "--seed", "12"),
                          "d7654c85ea995d9f04bae5a8161980f68b19de267907b1fc5d06aa766bfd7a68"),
+    # the bytes construct --out writes: the row labels' categorical draw and the writer
+    "construct.beta22.out": (("construct", "--target", "beta22.json", "--n", _N_PIN, "--seed", "12",
+                              "--out", "out.csv"),
+                             "4bb5ae714d99a934e3c224cac0024376710326b197d4c763c2d15020bfbc3cfe"),
     # the singular-span path: SubUniformDist.sample feeds the rows
     "construct.p2alpha": (("construct", "--target", "p2alpha.json", "--n", _N_PIN, "--seed", "13"),
                           "0c747583c0187848527cd21b453466fbaa6080da306768984901ada455231d21"),
@@ -862,6 +866,14 @@ def test_csv_flattens_nested_payloads(argv, header, tmp_path):
     (("fisher", "--pvals", "{text}"), 1,
      "error: non-numeric entry in {text!r}: could not convert string to float: 'abc'"),
     (("fisher", "--pvals", "{empty}"), 1, "error: {empty!r} contains no p-values"),
+    # the first bad line is quoted stripped, as a line-by-line read quotes it
+    (("fisher", "--pvals", "{padded}"), 1,
+     "error: non-numeric entry in {padded!r}: could not convert string to float: '1e-2x'"),
+    (("minp", "--pvals", "{blank}"), 1, "error: {blank!r} contains no p-values"),
+    (("fisher", "--pvals", "{nan}"), 1, "error: p-values must lie in [0, 1]"),
+    (("minp", "--pvals", "{nan}"), 1, "error: p-values must lie in [0, 1]"),
+    (("minp", "--pvals", "{negative}"), 1, "error: p-values must lie in [0, 1]"),
+    (("fisher", "--pvals", "{above}"), 1, "error: p-values must lie in [0, 1]"),
     (("minp", "--min", "1.5", "--m", "3"), 1, "error: --min must lie in [0, 1], got 1.5"),
     (("minp", "--min", "0.1", "--m", "0"), 1, "error: --m must be >= 1, got 0"),
     (("simulate", "--model", "lasso", "--g", "power4", "--n", "10", "--seed", "1"), 1,
@@ -874,13 +886,17 @@ def test_csv_flattens_nested_payloads(argv, header, tmp_path):
     (("construct", "--target", "{beta22}", "--n", "10", "--seed", "1", "--model-out",
       "{no_dir}"), 2,
      "error: cannot write {no_dir!r}: [Errno 2] No such file or directory: {no_dir!r}"),
-], ids=["fisher.text", "fisher.empty", "minp.min", "minp.m", "simulate.g", "simulate.n0",
+], ids=["fisher.text", "fisher.empty", "fisher.padded", "minp.blank", "fisher.nan", "minp.nan",
+        "minp.negative", "fisher.above", "minp.min", "minp.m", "simulate.g", "simulate.n0",
         "construct.n0", "ruschendorf.alpha", "construct.model_out"])
 def test_bad_input_fails_cleanly(argv, code, first_line, tmp_path):
-    paths = {"text": tmp_path / "text.csv", "empty": tmp_path / "empty.csv",
-             "beta22": tmp_path / "beta22.json", "no_dir": tmp_path / "missing" / "model.json"}
-    paths["text"].write_text("0.5\nabc\n")
-    paths["empty"].write_text("")
+    files = {"text": "0.5\nabc\n", "empty": "", "padded": "0.5\n\n  0.25\t\n \t1e-2x  \n0.1\n",
+             "blank": "\n  \n\t\n", "nan": "0.5\nnan\n0.25\n", "negative": "0.5\n-0.1\n",
+             "above": "0.5\n1.5\n0.25\n"}
+    paths = {"beta22": tmp_path / "beta22.json", "no_dir": tmp_path / "missing" / "model.json"}
+    for name, text in files.items():
+        paths[name] = tmp_path / f"{name}.csv"
+        paths[name].write_text(text)
     paths["beta22"].write_text('{"variant": "beta22"}')
     paths = {name: str(path) for name, path in paths.items()}
     proc = run_cli(*(a.format(**paths) for a in argv))

@@ -264,8 +264,9 @@ def test_hand_built_singular_atom_row_round_trips():
     clone = SyntheticPPPModel.from_json(model.to_json())
     assert clone == model
     pvals, svals = model.draw_joint(RngStream(seed=104).generator(), 1000)
-    again = clone.draw_joint(RngStream(seed=104).generator(), 1000)
-    assert np.array_equal(pvals, again[0]) and np.array_equal(svals, again[1])
+    for again in (clone.draw_joint(RngStream(seed=104).generator(), 1000),
+                  _draw_joint_row_masks(model, RngStream(seed=104).generator(), 1000)):
+        assert np.array_equal(pvals, again[0]) and np.array_equal(svals, again[1])
     singular = pvals == 0.75
     assert 0 < np.count_nonzero(singular) < 1000
     assert np.all(svals[singular] == 0.75) and np.all(svals[~singular] <= 0.5)

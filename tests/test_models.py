@@ -146,6 +146,20 @@ def test_port_rejects_non_finite_entries(kwargs, message):
         port_model(**kwargs)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"prior": [0.7, 0.2]}, "prior must be a probability vector over applications"),
+    ({"prior": [0.5, 0.25, 0.25]}, "prior must be a probability vector over applications"),
+    ({"posterior_spec": [1.5, -0.5]},
+     "posterior_spec vector must be a probability vector over applications"),
+    ({"prior": [0.25, 0.75], "posterior_spec": [0.5]},
+     "posterior_spec vector must be a probability vector over applications"),
+])
+def test_port_rejects_weights_that_are_not_probability_vectors(kwargs, message):
+    kwargs = {"pmfs": WORKED_PMFS, **kwargs}
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        port_model(**kwargs)
+
+
 def test_port_tail_and_dcx_bounds():
     run = frequency_run(port_model(WORKED_PMFS), 200_000, RngStream(seed=36))
     for a in (0.05, 0.1, 0.25):

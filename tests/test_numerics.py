@@ -408,9 +408,9 @@ def _python_lines(values: np.ndarray) -> str:
     return "".join(f"{x:.17g}\n" for x in values.tolist())
 
 
-# the edges of the bulk-formatted range [1e-6, 10), and values on both sides
-_WRITER_EDGES = [0.0, -0.0, 1e-6, np.nextafter(1e-6, 0.0), 1e-5, 1e-4, 0.1, 1.0, 9.999999999999998,
-                 10.0, 1e17, 5e-324, -0.5, 1.0 - 2.0 ** -53]
+# the edges of the bulk-formatted range [1e-4, 10), and values on both sides
+_WRITER_EDGES = [0.0, -0.0, 1e-6, np.nextafter(1e-6, 0.0), 1e-5, np.nextafter(1e-4, 0.0), 1e-4, 0.1,
+                 1.0, 9.999999999999998, 10.0, 1e17, 5e-324, -0.5, 1.0 - 2.0 ** -53]
 
 
 @settings(max_examples=300, deadline=None)
@@ -453,21 +453,35 @@ def test_write_values_block_and_chunk_edges():
         assert _written(values) == _python_lines(values)
 
 
+def test_write_values_on_sorted_samples():
+    # the caller's case: most chunks of a sorted sample share one decimal
+    # exponent, and those >= 0.1 take 20-byte rows; these chunks also straddle
+    # each decade edge, and the last sample puts values >= 10 in such chunks
+    gen = RngStream(seed=15).generator()
+    for values in (np.sort(gen.random(300_000)), np.sort(gen.random(100_000) ** 6),
+                   np.sort(gen.uniform(0.1, 12.0, 20_000))):
+        assert _written(values) == _python_lines(values)
+
+
 def test_write_values_memory_is_one_chunk(tmp_path):
     import tracemalloc
 
-    from subuniform.numerics import _write_values
+    from subuniform.numerics import _ROW, _WRITE_CHUNK, _ChunkBuffers, _write_values
 
+    workspace = sum(a.nbytes for a in vars(_ChunkBuffers(_WRITE_CHUNK)).values())
     values = RngStream(seed=14).generator().random(1_000_000)
-    with open(tmp_path / "out.csv", "w") as fh:
-        _write_values(fh, values[:10])  # first-call set-up is not a per-sample cost
-        tracemalloc.start()
-        try:
-            _write_values(fh, values)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    assert peak <= 1.0 * values.nbytes
+    for order in (values, np.sort(values)):
+        with open(tmp_path / "out.csv", "w") as fh:
+            _write_values(fh, order[:10])  # first-call set-up is not a per-sample cost
+            tracemalloc.start()
+            try:
+                _write_values(fh, order)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # the workspace and three copies of a chunk's text: without its NULs,
+        # as a str and encoded by the file
+        assert peak <= workspace + 3 * _WRITE_CHUNK * _ROW
 
 
 # ------------------------------------------------------------------ small helpers
@@ -481,6 +495,40 @@ def test_searchsorted_right_counts_like_the_search(table, seed):
     gen = np.random.default_rng(seed)
     u = np.concatenate([gen.random(200), gen.choice(table, 50)])  # ties with the table
     assert np.array_equal(_searchsorted_right(table, u), np.searchsorted(table, u, side="right"))
+
+
+def _long_tables():
+    gen = np.random.default_rng(17)
+    for k in (65, 255, 256, 1000, 5000):
+        equal = np.cumsum(np.full(k + 1, 1.0 / (k + 1)))[:-1]
+        spread = 10.0 ** gen.uniform(-12.0, 0.0, k + 1)
+        spread = np.cumsum(spread / spread.sum())[:-1]
+        runs = gen.random(k + 1) * (gen.random(k + 1) < 0.3)  # most masses zero
+        runs[:5] = 0.0  # a run of thresholds at 0.0
+        runs = np.cumsum(runs / runs.sum())[:-1]
+        top = equal.copy()
+        top[-3:] = (1.0, 1.0, np.nextafter(1.0, 2.0))  # thresholds at and above 1.0
+        over = np.cumsum(gen.random(k + 1))[:-1] / k  # many thresholds above 1.0
+        yield from ((f"{name}{k}", table) for name, table in
+                    (("equal", equal), ("spread", spread), ("runs", runs), ("top", top),
+                     ("over", over)))
+
+
+@pytest.mark.parametrize("name, table", list(_long_tables()), ids=lambda v: v if isinstance(v, str) else "")
+def test_searchsorted_right_counts_like_the_search_on_long_tables(name, table):
+    # every bucket edge j / 2**p of any power-of-two bucket count up to 2**14,
+    # one ulp to either side, the thresholds themselves, and the doubles
+    # outside [0, 1)
+    from subuniform.numerics import _searchsorted_right
+
+    edges = np.concatenate([np.arange(2 ** p + 1) / 2 ** p for p in range(15)])
+    u = np.concatenate([edges, np.nextafter(edges, -1.0), np.nextafter(edges, 2.0), table,
+                        np.nextafter(table, -1.0), np.nextafter(table, 2.0),
+                        np.random.default_rng(18).random(20_000),
+                        [0.0, -0.0, -5e-324, -1.0, 1.0, 1.5, np.inf, -np.inf, np.nan]])
+    got = _searchsorted_right(table, u)
+    assert got.dtype == np.min_scalar_type(table.size)
+    assert np.array_equal(got, np.searchsorted(table, u, side="right"))
 
 
 def test_searchsorted_right_counts_columns_of_thresholds():
