@@ -128,6 +128,9 @@ def _cmd_fisher(args) -> None:
 
 def _cmd_minp(args) -> None:
     if args.pvals is not None:
+        for flag, value in (("--min", args.min), ("--m", args.m)):
+            if value is not None:
+                raise ValueError(f"{flag} applies only to minp without --pvals")
         vals = _read_pvals(args.pvals)
         x, m = min(vals), len(vals)
     else:
@@ -202,6 +205,8 @@ def _cmd_simulate(args) -> None:
         raise ValueError("--g applies only to --model lasso")
     if args.pmfs is not None and args.model != "port":
         raise ValueError("--pmfs applies only to --model port")
+    if args.alpha != 0.1 and args.model == "port":
+        raise ValueError("--alpha applies only to --model lasso, simplex or ruschendorf")
     rng = RngStream(seed=args.seed)
     ks_ref_alpha = None
     if args.model == "ruschendorf":
@@ -310,6 +315,8 @@ def _cmd_curves(args) -> None:
     if args.points < 0:
         raise ValueError(f"--points must be >= 0, got {args.points!r}")
     if args.figure == "idf":
+        if args.m != 20:
+            raise ValueError("--m applies only to --figure fisher")
         _import_numpy()
         import numpy as np
 
@@ -324,6 +331,8 @@ def _cmd_curves(args) -> None:
         _emit_table(["x", "phi_uniform", "phi_beta22", "phi_p2alpha"], rows, args.format)
         return
     if args.figure == "fisher":
+        if args.alpha != 0.1:
+            raise ValueError("--alpha applies only to --figure idf")
         _fisher_dof(args.m)  # before the rows: --points 0 computes none
         rows = []
         for a in _alpha_grid(args.points):

@@ -68,12 +68,13 @@ class UniformMixRow:
     """
 
     intervals: tuple[tuple[float, float, float], ...]
+    # inverse's table, built once: rows lo, hi, weight and the weight below each slab
+    _table: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.intervals:
             raise ValueError("a uniform-mix row needs at least one slab")
-        prev_hi = -np.inf
-        total = 0.0
+        prev_hi, total, table = -np.inf, 0.0, []
         for lo, hi, w in self.intervals:
             if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
                 raise ValueError(f"bad slab ({lo}, {hi})")
@@ -81,10 +82,12 @@ class UniformMixRow:
                 raise ValueError("slabs must be sorted and non-overlapping")
             if w <= 0.0:
                 raise ValueError("slab weights must be positive")
+            table.append((lo, hi, w, total))
             prev_hi = hi
             total += w
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"slab weights sum to {total!r}, expected 1")
+        object.__setattr__(self, "_table", np.array(table, dtype=float).T)
 
     def mean(self) -> float:
         return float(sum(w * (lo + hi) / 2.0 for lo, hi, w in self.intervals))
@@ -105,14 +108,10 @@ class UniformMixRow:
     def inverse(self, u) -> np.ndarray:
         """Generalized inverse CDF; u in [0, 1] maps into the support."""
         u = np.asarray(u, dtype=float)
-        w = np.array([iv[2] for iv in self.intervals])
-        cum = np.concatenate([[0.0], np.cumsum(w)])
-        cum[-1] = 1.0
-        idx = np.clip(np.searchsorted(cum, u, side="right") - 1, 0, len(self.intervals) - 1)
-        lo = np.array([iv[0] for iv in self.intervals])[idx]
-        hi = np.array([iv[1] for iv in self.intervals])[idx]
-        frac = (u - cum[idx]) / w[idx]
-        return lo + np.clip(frac, 0.0, 1.0) * (hi - lo)
+        lo, hi, w, below = self._table
+        idx = np.maximum(np.searchsorted(below, u, side="right") - 1, 0)
+        frac = (u - below[idx]) / w[idx]
+        return lo[idx] + np.clip(frac, 0.0, 1.0) * (hi[idx] - lo[idx])
 
     def sample(self, gen: np.random.Generator, n: int) -> np.ndarray:
         return _inverse_draws(gen, n, self.inverse)

@@ -412,57 +412,50 @@ def _gap_walk(blocks, family: str, sign: float) -> tuple[float, float, float]:
     linear CDF, against the analytic law family, whose CDF is a polynomial on
     [0, 1]; no merged grid is built.
 
-    The maximum is the first one among the nodes, then among the crossings
-    (root by root) and phi at 0 and 1, as if each list were walked whole.
+    The point is the first where the gap is largest, in walk order: block by
+    block, nodes then crossings root by root, then 0 and 1, where phi comes
+    from the last block that starts at or left of each.
     """
-    found, phi_ends = [(-np.inf, 0.0)] * 4, np.zeros(2)  # the nodes' maximum, then each root's
-    ends = np.array([0.0, 1.0])
-    for block in blocks:
-        for k, c in enumerate(_block_gap(block, family, sign)):
-            if c[0] > found[k][0]:
-                found[k] = c
-        # phi at 0 and 1 from the last block that starts at or left of them:
-        # the block they fall in, or the last block when they lie past it
-        first, last = float(block[0][0]), float(block[0][-1])  # x is sorted
-        if first <= 0.0 <= last or first <= 1.0 <= last:
-            inside = (first <= ends) & (ends <= last)
-            phi_ends = np.where(inside, _eval_nodes(block, ends)[0], phi_ends)
+    best, ends, at = (-np.inf, 0.0), np.array([0.0, 1.0]), [None, None]
+    for block in blocks:  # max keeps the first of equal gaps
+        best = max(best, _block_gap(block, family, sign), key=lambda c: c[0])
+        at = [block if block[0][0] <= end else b for end, b in zip(ends, at)]
+    phi_ends = [0.0 if b is None else _eval_nodes(b, ends)[0][k] for k, b in enumerate(at)]
+    gap = sign * (np.array(phi_ends) - _analytic_phi(family, ends))
+    best = max([best, *zip(gap.tolist(), ends.tolist())], key=lambda c: c[0])
     x, f, _, phi = block
-    phi_ends = np.where(ends > x[-1], _eval_nodes(block, ends)[0], phi_ends)
-    gap = sign * (phi_ends - _analytic_phi(family, ends))
-    best, *cross = found
-    cross = max([*cross, (float(gap[0]), 0.0), (float(gap[1]), 1.0)], key=lambda c: c[0])
-    return *max(best, cross), _tail_mean(x, f, phi)
+    return *best, _tail_mean(x, f, phi)
 
 
-def _block_gap(block, family: str, sign: float) -> list[tuple[float, float]]:
+def _block_gap(block, family: str, sign: float) -> tuple[float, float]:
     """The first maximum of sign * (phi_line - phi_family) over one block's
-    nodes, then over its crossings root by root, each as (gap, point).  Only
-    these scalars outlive the call, so a walk holds no block's temporaries
-    while the next block is built."""
+    nodes, then its crossings root by root, as (gap, point); only these
+    scalars outlive the call.  A segment's crossings count where sign *
+    (F_line - F_family) falls through 0 between its nodes, exact on a flat of
+    F_line and against uniform01, and on every rising segment against beta22,
+    which a line can cross twice."""
     x, f, f_end, phi = block
     gap = _analytic_phi(family, x)
     gap = np.subtract(phi, gap, out=gap)
     if sign < 0:
         np.negative(gap, out=gap)  # sign * gap, the same floats
     i = int(np.argmax(gap))
-    node = float(gap[i]), float(x[i])
+    best = float(gap[i]), float(x[i])
     x0, x1, a = x[:-1], x[1:], f[:-1]
-    keep = x1 > x0
-    if sign > 0 and family == "uniform01":
-        # F_line - x is linear on a segment inside [0, 1], >= 0 left of 0
-        # and <= 0 right of 1, so it can only fall through 0 where it goes
-        # from >= 0 at one node to <= 0 at the next
-        xu = np.clip(x, 0.0, 1.0)
-        keep &= a >= xu[:-1]
-        keep &= f_end <= xu[1:]
-    j = np.flatnonzero(keep)
-    if not j.size:
-        return [node]
-    xc = _crossings(x0[j], x1[j], a[j], f_end[j], family)
-    gap = sign * (_eval_nodes(block, xc)[0] - _analytic_phi(family, xc))
-    i = np.argmax(gap, axis=1)
-    return [node, *((float(gap[k, i[k]]), float(xc[k, i[k]])) for k in range(len(gap)))]
+    cdf = _analytic_cdf(family, x)
+    line, law = (a, f_end), (cdf[:-1], cdf[1:])
+    (p0, p1), (q0, q1) = (line, law) if sign > 0 else (law, line)
+    keep = (p0 >= q0) & (p1 <= q1)
+    if family == "beta22":
+        keep |= f_end > a
+    j = np.flatnonzero(keep & (x1 > x0))
+    if j.size:
+        xc = _crossings(x0[j], x1[j], a[j], f_end[j], family)
+        gap = sign * (_eval_nodes(block, xc)[0] - _analytic_phi(family, xc))
+        i = int(np.argmax(gap))  # over the rows in turn: root by root
+        if gap.flat[i] > best[0]:
+            best = float(gap.flat[i]), float(xc.flat[i])
+    return best
 
 
 def dominates_cx(lower: IntegratedDF, upper: IntegratedDF,

@@ -395,20 +395,19 @@ class FrequencyRun:
 
 
 def _thread_count(threads: int | None) -> int:
-    if threads is not None:
-        if threads < 1:
-            raise ValueError(f"threads must be a positive integer, got {threads!r}")
-        return int(threads)
-    env = os.environ.get("PPP_THREADS", "")
-    if not env:
-        return 1
+    """threads if given, else PPP_THREADS (1 when unset or empty), at most the
+    CPUs the process may run on: a larger pool would only hold more blocks'
+    temporaries at once."""
+    name, value = (("threads", threads) if threads is not None
+                   else ("PPP_THREADS", os.environ.get("PPP_THREADS") or "1"))
     try:
-        count = int(env)
+        count = int(value)
     except ValueError:
         count = 0
     if count < 1:
-        raise ValueError(f"PPP_THREADS must be a positive integer, got {env!r}")
-    return count
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(count, cpus or 1)
 
 
 def frequency_run(model, n: int, rng: RngStream, threads: int | None = None) -> FrequencyRun:
@@ -416,9 +415,9 @@ def frequency_run(model, n: int, rng: RngStream, threads: int | None = None) -> 
 
     Work is split into fixed-size blocks, each with its own derived RNG
     stream; the block partition does not depend on the worker count, so the
-    result is bit-identical for any thread count (threads if given, else
-    PPP_THREADS, else 1).  Each block's draw_pvalues writes straight into
-    the block's slice of the one n-array.
+    result is bit-identical for any thread count (see _thread_count).  Each
+    block's draw_pvalues writes straight into the block's slice of the one
+    n-array.
     """
     if n <= 0:
         raise ValueError("n must be positive")

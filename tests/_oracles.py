@@ -84,34 +84,41 @@ def node_blocks(sample, walk=None):
 
 def max_gap(sample, family, sign, walk=None):
     """(max gap, witness, mean of the sample) of sign * (phi_sample -
-    phi_family) over node_blocks(sample), against the analytic law family."""
-    from subuniform.idf import _analytic_phi, _crossings, _eval_nodes, _tail_mean
+    phi_family) over node_blocks(sample), against the analytic law family:
+    one argmax over every candidate in walk order, block by block its nodes
+    and then the crossings of the segments the crossing rule keeps, root by
+    root, then 0 and 1, with phi there from the whole node arrays."""
+    from subuniform.idf import _analytic_cdf, _analytic_phi, _crossings, _eval_nodes, _tail_mean
 
-    ends = np.array([0.0, 1.0])
-    best, cross, phi_ends = (-np.inf, 0.0), [(-np.inf, 0.0)] * 3, np.zeros(2)
+    points, gaps, nodes = [], [], []
     for block in node_blocks(sample, walk):
         x, f, f_end, phi = block
-        gap = sign * (phi - _analytic_phi(family, x))
-        i = int(np.argmax(gap))
-        if gap[i] > best[0]:
-            best = float(gap[i]), float(x[i])
-        x0, x1, a = x[:-1], x[1:], f[:-1]
-        keep = x1 > x0
-        if sign > 0 and family == "uniform01":
-            xu = np.clip(x, 0.0, 1.0)
-            keep &= (a >= xu[:-1]) & (f_end <= xu[1:])
-        j = np.flatnonzero(keep)
-        if j.size:
-            xc = _crossings(x0[j], x1[j], a[j], f_end[j], family)
-            gap = sign * (_eval_nodes(block, xc)[0] - _analytic_phi(family, xc))
-            for k, row in enumerate(gap):
-                i = int(np.argmax(row))
-                if row[i] > cross[k][0]:
-                    cross[k] = float(row[i]), float(xc[k, i])
-        inside = (x[0] <= ends) & (ends <= x[-1])
-        if inside.any():
-            phi_ends = np.where(inside, _eval_nodes(block, ends)[0], phi_ends)
-    phi_ends = np.where(ends > x[-1], _eval_nodes(block, ends)[0], phi_ends)
-    gap = sign * (phi_ends - _analytic_phi(family, ends))
-    cross = max([*cross, (float(gap[0]), 0.0), (float(gap[1]), 1.0)], key=lambda c: c[0])
-    return (*max(best, cross), _tail_mean(x, f, phi))
+        # each block after the first starts with the last node of the one before
+        nodes.append(np.stack([x, f, phi])[:, 1 if nodes else 0:])
+        cdf = _analytic_cdf(family, x)
+        falls = (sign * (f[:-1] - cdf[:-1]) >= 0) & (sign * (f_end - cdf[1:]) <= 0)
+        rises = (family == "beta22") & (f_end > f[:-1])
+        j = np.flatnonzero((x[1:] > x[:-1]) & (falls | rises))
+        xc = _crossings(x[:-1][j], x[1:][j], f[:-1][j], f_end[j], family).ravel()
+        points += [x, xc]
+        gaps += [sign * (phi - _analytic_phi(family, x)),
+                 sign * (_eval_nodes(block, xc)[0] - _analytic_phi(family, xc))]
+    x, f, phi = np.concatenate(nodes, axis=1)
+    ends = np.array([0.0, 1.0])
+    points.append(ends)
+    gaps.append(sign * (_eval_nodes((x, f, f[:-1], phi), ends)[0] - _analytic_phi(family, ends)))
+    gaps, points = np.concatenate(gaps), np.concatenate(points)
+    i = int(np.argmax(gaps))
+    return float(gaps[i]), float(points[i]), _tail_mean(x, f, phi)
+
+
+def max_gap_every_segment(line, family, sign):
+    """The maximum of sign * (phi_line - phi_family) for a piecewise IDF line
+    against the analytic law family, over every node, 0 and 1, and the
+    crossings of every segment: no segment is left out."""
+    from subuniform.idf import _analytic_phi, _crossings
+
+    x, f = line.breakpoints, line.cdf
+    xc = _crossings(x[:-1], x[1:], f[:-1], f[1:], family)
+    points = np.concatenate([x, xc.ravel(), [0.0, 1.0]])
+    return float(np.max(sign * (line.evaluate(points) - _analytic_phi(family, points))))

@@ -345,6 +345,20 @@ def test_minp_requires_arguments():
     assert run_cli("minp").returncode == 1
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (("minp", "--pvals", "{pvals}", "--min", "0.1"), "--min"),
+    (("minp", "--pvals", "{pvals}", "--m", "3"), "--m"),
+    (("curves", "--figure", "idf", "--m", "5"), "--m"),
+    (("curves", "--figure", "fisher", "--alpha", "0.2"), "--alpha"),
+], ids=["minp.pvals.min", "minp.pvals.m", "curves.idf.m", "curves.fisher.alpha"])
+def test_minp_and_curves_reject_flags_they_would_ignore(tmp_path, argv, flag):
+    pvals = tmp_path / "pvals.csv"
+    pvals.write_text("0.4\n0.1\n")
+    proc = run_cli(*(arg.format(pvals=pvals) for arg in argv))
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith(f"error: {flag} applies only to ")
+
+
 @pytest.mark.parametrize("argv, m_ok", [(("minp", "--min", "0.1"), 10**20),
                                         (("curves", "--figure", "fisher", "--points", "2"), 10**18)],
                          ids=["minp", "curves.fisher"])
@@ -497,8 +511,9 @@ def test_simulate_rejects_rho_without_markov_sampler():
     (("--model", "port", "--estimator", "r_hat", "--M", "2", "--g", "power3"), "--g"),
     (("--model", "lasso", "--pmfs", "/nonexistent.csv"), "--pmfs"),
     (("--model", "ruschendorf", "--pmfs", "/nonexistent.csv"), "--pmfs"),
+    (("--model", "port", "--alpha", "0.2"), "--alpha"),
 ], ids=["exact.M", "exact.sampler", "exact.rho", "ruschendorf.M", "simplex.g", "port.g",
-        "lasso.pmfs", "ruschendorf.pmfs"])
+        "lasso.pmfs", "ruschendorf.pmfs", "port.alpha"])
 def test_simulate_rejects_flags_it_would_ignore(extra, flag):
     # a flag the run would not read is an error, not a silent default run
     proc = run_cli("simulate", *extra, "--n", "100", "--seed", "1")

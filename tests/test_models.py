@@ -9,8 +9,8 @@ import pytest
 
 from subuniform import (FrequencyRun, GenerativeModel, IntegratedDF, RngStream, SubUniformDist,
                         exact_ppp, frequency_run, ks_distance, lasso_model, load_port_pmfs,
-                        p2alpha, port_model, power_g, ruschendorf_sample, simplex_atom,
-                        simplex_model)
+                        marginal_estimator_run, p2alpha, port_model, power_g, ruschendorf_sample,
+                        simplex_atom, simplex_model)
 
 WORKED_PMFS = np.array([[0.7, 0.2, 0.1], [0.1, 0.2, 0.7]])
 GRID = np.linspace(0.0, 1.0, 1025)
@@ -125,6 +125,28 @@ def test_port_degenerate_posterior():
     assert exact_ppp(model, 2) == pytest.approx(0.1)   # least likely port
     single = port_model(WORKED_PMFS[:1], posterior_spec=np.array([1.0]))
     assert exact_ppp(single, 1) == pytest.approx(0.3)
+
+
+def test_port_bayes_posterior_as_a_callable():
+    # the Bayes posterior prior * h(pi, .), normalized, given as a callable
+    prior = np.array([0.5, 0.5])
+
+    def bayes(pi):
+        w = prior[:, None] * WORKED_PMFS[:, np.asarray(pi, dtype=int)]
+        return w / w.sum(axis=0)
+
+    model = port_model(WORKED_PMFS, posterior_spec=bayes, prior=prior)
+    for pi, want in ((0, 0.8875), (1, 0.3), (2, 0.8875)):
+        assert exact_ppp(model, pi) == pytest.approx(want, abs=1e-12)
+    run = frequency_run(model, 20_000, RngStream(seed=37)).pvalues
+    assert run.atom_frequency(0.3) + run.atom_frequency(0.8875) == 1.0
+    assert run.atom_frequency(0.3) == pytest.approx(0.2, abs=0.015)  # P(port 1)
+    # with one posterior draw theta', (theta', pi) is distributed as
+    # (theta, pi), so r_hat = Q(theta', pi) takes Q's law: 0.1, 0.3 and 1
+    # with the masses of the least, middle and most likely port
+    r_hat = marginal_estimator_run(model, "r_hat", 1, 20_000, RngStream(seed=38)).pvalues
+    for q, mass in ((0.1, 0.1), (0.3, 0.2), (1.0, 0.7)):
+        assert r_hat.atom_frequency(q) == pytest.approx(mass, abs=0.015)
 
 
 def test_port_pmf_validation():
@@ -292,6 +314,33 @@ def test_frequency_run_deterministic_across_thread_counts():
     for threads in (2, 4, 7):
         again = frequency_run(model, 150_000, RngStream(seed=42), threads=threads)
         assert np.array_equal(base.pvalues.values, again.pvalues.values)
+
+
+def test_frequency_run_runs_no_more_blocks_at_once_than_cpus(monkeypatch):
+    # threads=1000 on a 4-block run: a pool past the CPUs the process may
+    # use would only hold more blocks' temporaries at once
+    import threading
+    import time
+
+    from subuniform.models import _BLOCK
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    lock, running, peak = threading.Lock(), [0], [0]
+
+    class Counting:
+        model_id = "counting"
+
+        def draw_pvalues(self, gen, n, out):
+            with lock:
+                running[0] += 1
+                peak[0] = max(peak[0], running[0])
+            time.sleep(0.05)
+            out[...] = gen.random(n)
+            with lock:
+                running[0] -= 1
+
+    run = frequency_run(Counting(), 4 * _BLOCK, RngStream(seed=44), threads=1000)
+    assert run.n == 4 * _BLOCK and 1 <= peak[0] <= 2
 
 
 def test_frequency_run_rejects_nonpositive_threads():

@@ -1,13 +1,14 @@
 """The per-piece walks over a sorted sample: the convex-order walk against
 the node walk it replaced, and the step-CDF gap against its whole-array
-form, bit for bit."""
+form, bit for bit; and the walk's crossing rule against every segment's
+crossings."""
 
 import math
 
 import numpy as np
 import pytest
 
-from _oracles import max_gap, step_cdf_gap_whole_array
+from _oracles import max_gap, max_gap_every_segment, step_cdf_gap_whole_array
 from subuniform import (EmpiricalSample, IntegratedDF, SubUniformDist, beta22_idf, dominates_cx,
                         ks_distance, p2alpha, uniform_idf)
 from subuniform.distributions import _step_cdf_gap
@@ -90,6 +91,44 @@ def test_gap_walk_matches_the_node_walk(name):
     if name == "not_sub_uniform":  # the witness branch
         res = dominates_cx(emp, uniform_idf())
         assert not res.holds and res.witness == max_gap(samp, "uniform01", 1.0)[1]
+
+
+def _walked_laws():
+    """(an IDF the walk takes, the same law as node arrays): the samples above,
+    random atom lists, some of them on a lattice where the CDF meets x at
+    nodes, and random mixtures of atoms and uniform pieces."""
+    for make in _SAMPLES.values():
+        samp = EmpiricalSample(make())
+        uniq, counts = np.unique(samp.values, return_counts=True)
+        yield IntegratedDF.from_samples(samp), IntegratedDF.from_atoms(uniq, counts / samp.n)
+    gen = np.random.default_rng(9)
+    for _ in range(20):
+        values = np.unique(gen.uniform(-0.25, 1.25, int(gen.integers(1, 30))))
+        atoms = IntegratedDF.from_atoms(values, gen.dirichlet(np.ones(values.size)))
+        yield atoms, atoms
+    for _ in range(20):
+        values = np.unique(gen.integers(0, 17, 12)) / 16.0
+        counts = gen.integers(1, 5, values.size)
+        atoms = IntegratedDF.from_atoms(values, counts / counts.sum())
+        yield atoms, atoms
+    for _ in range(40):
+        n_atoms, n_pieces = int(gen.integers(0, 4)), int(gen.integers(1, 4))
+        mass = gen.dirichlet(np.ones(n_atoms + n_pieces)).tolist()
+        pieces = np.sort(gen.random((n_pieces, 2)), axis=1).tolist()
+        mix = SubUniformDist("mixture", atoms=tuple(zip(gen.random(n_atoms).tolist(), mass)),
+                             pieces=tuple((lo, hi, m)
+                                          for (lo, hi), m in zip(pieces, mass[n_atoms:])))
+        yield mix.idf(), mix.idf()
+
+
+@pytest.mark.parametrize("law", [uniform_idf(), beta22_idf()], ids=lambda law: law.family)
+def test_crossing_rule_drops_no_maximum(law):
+    # the walk takes the crossings of the segments its rule keeps; the
+    # oracle takes every segment's, so it can only find more
+    for line, nodes in _walked_laws():
+        for pair, sign in (((line, law), 1.0), ((law, line), -1.0)):
+            brute = max_gap_every_segment(nodes, law.family, sign)
+            assert 0.0 <= brute - _max_gap(*pair)[0] <= 1e-15
 
 
 @pytest.mark.parametrize("name", sorted(_SAMPLES))
