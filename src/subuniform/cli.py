@@ -12,12 +12,14 @@ calibrate, fisher, minp and the fisher figure are scalar math code; only
 simulate, construct and the idf figure import numpy and the array layers,
 inside their functions, so the scalar commands start without numpy.  Those
 three load numpy with its BLAS on one thread (see _import_numpy): the package
-calls no BLAS routine, and OpenBLAS otherwise starts a thread per CPU.
+calls no BLAS routine, and OpenBLAS otherwise starts a thread per CPU.  They
+also freeze numpy's import-time heap, so no garbage collection walks it.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -36,23 +38,47 @@ _TAIL_GRID = (0.01, 0.05, 0.1, 0.25)
 
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
+# the values of the flags a command reads only in some of its modes; the
+# parser leaves them None, so a flag given at its default is told apart from
+# an absent one, and the command fills in these where it reads them
+_DEFAULTS = {"alpha": 0.1, "m": 20, "g": "uniform", "m_draws": 1, "sampler": "iid", "rho": 0.0}
+
 
 def _import_numpy() -> None:
     """Import numpy with its BLAS on one thread, unless numpy is loaded
-    already or the user set the thread count.
+    already or the user set the thread count, and with the cyclic GC off,
+    then freeze the heap the import made.
 
     BLAS reads these variables once, when numpy loads it; a variable the user
     set is left as it is, and the ones set here are removed again, so the
-    caller's os.environ is unchanged."""
+    caller's os.environ is unchanged.  The import leaves tens of thousands of
+    objects that live as long as the process; with the GC on, the collections
+    the import triggers, those of the run and the full one at interpreter exit
+    walk them again and again (about 18 ms of a cold array command).
+    gc.freeze moves them where no collection looks, the few hundred the import
+    left unreachable included (about 0.2 MB); the caller's GC state is
+    restored."""
     if "numpy" in sys.modules:
         return
     unset = [var for var in _BLAS_THREAD_VARS if var not in os.environ]
     os.environ.update(dict.fromkeys(unset, "1"))
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         import numpy  # noqa: F401
+        gc.freeze()
     finally:
+        if enabled:
+            gc.enable()
         for var in unset:
             del os.environ[var]
+
+
+def _resolve(args, *names: str) -> None:
+    """Set each named flag that was not given to its value in _DEFAULTS."""
+    for name in names:
+        if getattr(args, name) is None:
+            setattr(args, name, _DEFAULTS[name])
 
 
 def _flatten(payload: dict, prefix: str = "") -> dict:
@@ -197,16 +223,17 @@ def _cmd_simulate(args) -> None:
     if args.n < 1:
         raise ValueError("--n must be >= 1")
     if args.estimator == "exact":
-        for flag, value, default in (("--M", args.m_draws, 1), ("--sampler", args.sampler, "iid"),
-                                     ("--rho", args.rho, 0.0)):
-            if value != default:
+        for flag, value in (("--M", args.m_draws), ("--sampler", args.sampler),
+                            ("--rho", args.rho)):
+            if value is not None:
                 raise ValueError(f"{flag} applies only to --estimator p_hat or r_hat")
-    if args.g != "uniform" and args.model != "lasso":
+    if args.g is not None and args.model != "lasso":
         raise ValueError("--g applies only to --model lasso")
     if args.pmfs is not None and args.model != "port":
         raise ValueError("--pmfs applies only to --model port")
-    if args.alpha != 0.1 and args.model == "port":
+    if args.alpha is not None and args.model == "port":
         raise ValueError("--alpha applies only to --model lasso, simplex or ruschendorf")
+    _resolve(args, "alpha", "g", "m_draws", "sampler", "rho")
     rng = RngStream(seed=args.seed)
     ks_ref_alpha = None
     if args.model == "ruschendorf":
@@ -315,8 +342,9 @@ def _cmd_curves(args) -> None:
     if args.points < 0:
         raise ValueError(f"--points must be >= 0, got {args.points!r}")
     if args.figure == "idf":
-        if args.m != 20:
+        if args.m is not None:
             raise ValueError("--m applies only to --figure fisher")
+        _resolve(args, "alpha")
         _import_numpy()
         import numpy as np
 
@@ -331,8 +359,9 @@ def _cmd_curves(args) -> None:
         _emit_table(["x", "phi_uniform", "phi_beta22", "phi_p2alpha"], rows, args.format)
         return
     if args.figure == "fisher":
-        if args.alpha != 0.1:
+        if args.alpha is not None:
             raise ValueError("--alpha applies only to --figure idf")
+        _resolve(args, "m")
         _fisher_dof(args.m)  # before the rows: --points 0 computes none
         rows = []
         for a in _alpha_grid(args.points):
@@ -378,16 +407,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="frequency run of a built-in model")
     p.add_argument("--model", choices=("lasso", "simplex", "port", "ruschendorf"),
                    required=True)
-    p.add_argument("--alpha", type=float, default=0.1)
+    p.add_argument("--alpha", type=float,
+                   help=f"lasso, simplex, ruschendorf parameter (default {_DEFAULTS['alpha']})")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--g", default="uniform", help="lasso travel law: uniform|power2|power3")
+    p.add_argument("--g",
+                   help=f"lasso travel law: uniform|power2|power3 (default {_DEFAULTS['g']})")
     p.add_argument("--pmfs", help="port model pmf CSV (rows = applications)")
     p.add_argument("--estimator", choices=("exact", "p_hat", "r_hat"), default="exact")
-    p.add_argument("--M", dest="m_draws", type=int, default=1,
-                   help="posterior draws per replicate for p_hat/r_hat")
-    p.add_argument("--sampler", choices=("iid", "markov"), default="iid")
-    p.add_argument("--rho", type=float, default=0.0, help="markov sampler autocorrelation")
+    p.add_argument("--M", dest="m_draws", type=int,
+                   help="posterior draws per replicate for p_hat/r_hat "
+                        f"(default {_DEFAULTS['m_draws']})")
+    p.add_argument("--sampler", choices=("iid", "markov"),
+                   help=f"p_hat/r_hat posterior sampler (default {_DEFAULTS['sampler']})")
+    p.add_argument("--rho", type=float,
+                   help=f"markov sampler autocorrelation (default {_DEFAULTS['rho']})")
     p.add_argument("--out", help="write the p-value sample to this CSV path")
     add_format(p)
     p.set_defaults(func=_cmd_simulate)
@@ -404,8 +438,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("curves", help="figure-data export")
     p.add_argument("--figure", choices=("idf", "fisher"), required=True)
-    p.add_argument("--alpha", type=float, default=0.1, help="idf: extremal mixture parameter")
-    p.add_argument("--m", type=int, default=20, help="fisher: number of combined p-values")
+    p.add_argument("--alpha", type=float,
+                   help=f"idf: extremal mixture parameter (default {_DEFAULTS['alpha']})")
+    p.add_argument("--m", type=int,
+                   help=f"fisher: number of combined p-values (default {_DEFAULTS['m']})")
     p.add_argument("--points", type=int, default=512)
     add_format(p)
     p.set_defaults(func=_cmd_curves)

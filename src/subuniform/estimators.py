@@ -139,7 +139,7 @@ class EstimatorScheme:
         else:
             for idx in draws:
                 for piece in _pieces(n):
-                    theta = model.theta_support[idx[piece]]
+                    theta = model.theta_support.take(idx[piece])
                     f_obs = np.asarray(model.discrepancy(data[piece], theta), dtype=float)
                     f_rep = np.asarray(model.discrepancy(model.sample_data(theta, gen), theta),
                                        dtype=float)

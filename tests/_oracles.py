@@ -122,3 +122,38 @@ def max_gap_every_segment(line, family, sign):
     xc = _crossings(x[:-1], x[1:], f[:-1], f[1:], family)
     points = np.concatenate([x, xc.ravel(), [0.0, 1.0]])
     return float(np.max(sign * (line.evaluate(points) - _analytic_phi(family, points))))
+
+
+# ------------------------------------------------------------------ the lasso model's kernels
+#
+# lasso_model's distance and posterior as first written: the or-mask with
+# theta on every call but a scalar theta of 1, and np.sum over the support.
+# The package's kernels must give their floats bit for bit.
+
+def lasso_distance(alpha):
+    """The lasso model's distance(x, theta): the travelled distance."""
+    c = 1.0 - 2.0 * alpha
+
+    def distance(x, theta):
+        x = np.asarray(x, dtype=float)
+        if np.ndim(theta) == 0 and theta == 1:
+            return x.copy()
+        return np.where((x <= c) | (np.asarray(theta) == 1), x, 2.0 - 2.0 * alpha - x)
+
+    return distance
+
+
+def lasso_posterior(alpha, g):
+    """The lasso model's posterior(x) over theta in (0, 1) for travel law g."""
+    distance = lasso_distance(alpha)
+
+    def posterior(x):
+        x = np.asarray(x, dtype=float)
+        w = np.empty((2, *x.shape))
+        for th in (0, 1):
+            w[th] = g.density(distance(x, th))
+        w[w < 0] = 0.0
+        w /= np.sum(w, axis=0)
+        return w
+
+    return posterior

@@ -46,10 +46,12 @@ _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS
 
 # main(argv) in a cold interpreter, then a report of what the process held
 _COLD_MAIN = """\
-import json, os, sys
+import gc, json, os, sys
 from subuniform.cli import main
 
-argv, path, blas_vars = json.loads(sys.argv[1])
+argv, path, blas_vars, gc_off = json.loads(sys.argv[1])
+if gc_off:
+    gc.disable()
 before = dict(os.environ)
 rc = main(argv)
 task = "/proc/self/task"
@@ -59,24 +61,27 @@ with open(path, "w") as fh:
                                  or m.startswith("scipy.")),
                "threads": len(os.listdir(task)) if os.path.isdir(task) else None,
                "environ_kept": dict(os.environ) == before,
-               "blas_env": {var: os.environ.get(var) for var in blas_vars}}, fh)
+               "blas_env": {var: os.environ.get(var) for var in blas_vars},
+               "gc_enabled": gc.isenabled(), "gc_frozen": gc.get_freeze_count()}, fh)
 sys.exit(rc)
 """
 
 
-def _cold_main(argv, tmp_path, env_extra=None):
+def _cold_main(argv, tmp_path, env_extra=None, gc_off=False):
     """Run main(argv) in a cold interpreter, with PPP_THREADS and the BLAS
-    thread variables unset unless env_extra sets them.  Return its process
-    and what it held when main returned (written to a file: stdout is
-    main's): "modules", the scipy modules, numpy, numpy.ma and
-    concurrent.futures, if loaded; "threads", its thread count, or None
-    without /proc/self/task; "environ_kept", whether os.environ equals its
-    value before main; and "blas_env", the BLAS thread variables."""
+    thread variables unset unless env_extra sets them, and the cyclic GC
+    disabled before main if gc_off.  Return its process and what it held when
+    main returned (written to a file: stdout is main's): "modules", the scipy
+    modules, numpy, numpy.ma and concurrent.futures, if loaded; "threads", its
+    thread count, or None without /proc/self/task; "environ_kept", whether
+    os.environ equals its value before main; "blas_env", the BLAS thread
+    variables; "gc_enabled", gc.isenabled(); and "gc_frozen",
+    gc.get_freeze_count()."""
     report = tmp_path / "report.json"
     env = {k: v for k, v in os.environ.items() if k not in ("PPP_THREADS", *_BLAS_THREAD_VARS)}
     env.update(env_extra or {})
     proc = subprocess.run([sys.executable, "-c", _COLD_MAIN,
-                           json.dumps([argv, str(report), _BLAS_THREAD_VARS])],
+                           json.dumps([argv, str(report), _BLAS_THREAD_VARS, gc_off])],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     return proc, json.loads(report.read_text())
@@ -148,6 +153,34 @@ def test_array_commands_keep_the_users_blas_threads(tmp_path):
     _, report = _cold_main(argv, tmp_path, env_extra={"OPENBLAS_NUM_THREADS": "2"})
     assert report["environ_kept"]
     assert report["blas_env"] == {**dict.fromkeys(_BLAS_THREAD_VARS), "OPENBLAS_NUM_THREADS": "2"}
+
+
+_COLD_SIMULATE = ["simulate", "--model", "lasso", "--n", "1000", "--seed", "1"]
+
+
+@pytest.mark.parametrize("argv, gc_off, frozen, enabled", [
+    (_COLD_SIMULATE, False, True, True),
+    (_COLD_SIMULATE, True, True, False),
+    (["calibrate", "--p", "0.03"], False, False, True),
+], ids=["simulate", "simulate.gc_off", "calibrate"])
+def test_numpy_heap_is_frozen_and_the_gc_state_kept(argv, gc_off, frozen, enabled, tmp_path):
+    # an array command imports numpy with the cyclic GC off and freezes what
+    # the import made, so no collection (those at exit included) walks it
+    # again; the GC ends as the caller left it.  A scalar command loads no
+    # numpy and freezes nothing
+    _, report = _cold_main(argv, tmp_path, gc_off=gc_off)
+    assert (report["gc_frozen"] > 0) == frozen
+    assert report["gc_enabled"] == enabled
+
+
+def test_in_process_main_leaves_the_gc_as_it_was(capsys):
+    # numpy is loaded here already, so main imports and freezes nothing
+    import gc
+
+    before = gc.isenabled(), gc.get_freeze_count()
+    assert main(_COLD_SIMULATE) == 0
+    assert (gc.isenabled(), gc.get_freeze_count()) == before
+    assert json.loads(capsys.readouterr().out)["n"] == 1000
 
 
 def test_package_import_loads_no_numpy():
@@ -350,7 +383,10 @@ def test_minp_requires_arguments():
     (("minp", "--pvals", "{pvals}", "--m", "3"), "--m"),
     (("curves", "--figure", "idf", "--m", "5"), "--m"),
     (("curves", "--figure", "fisher", "--alpha", "0.2"), "--alpha"),
-], ids=["minp.pvals.min", "minp.pvals.m", "curves.idf.m", "curves.fisher.alpha"])
+    (("curves", "--figure", "idf", "--m", "20"), "--m"),  # at the flags' defaults
+    (("curves", "--figure", "fisher", "--alpha", "0.1"), "--alpha"),
+], ids=["minp.pvals.min", "minp.pvals.m", "curves.idf.m", "curves.fisher.alpha",
+        "curves.idf.m.default", "curves.fisher.alpha.default"])
 def test_minp_and_curves_reject_flags_they_would_ignore(tmp_path, argv, flag):
     pvals = tmp_path / "pvals.csv"
     pvals.write_text("0.4\n0.1\n")
@@ -512,8 +548,15 @@ def test_simulate_rejects_rho_without_markov_sampler():
     (("--model", "lasso", "--pmfs", "/nonexistent.csv"), "--pmfs"),
     (("--model", "ruschendorf", "--pmfs", "/nonexistent.csv"), "--pmfs"),
     (("--model", "port", "--alpha", "0.2"), "--alpha"),
+    # each flag given at its default is still a flag the run would not read
+    (("--model", "simplex", "--M", "1"), "--M"),
+    (("--model", "simplex", "--sampler", "iid"), "--sampler"),
+    (("--model", "lasso", "--rho", "0.0"), "--rho"),
+    (("--model", "simplex", "--g", "uniform"), "--g"),
+    (("--model", "port", "--alpha", "0.1"), "--alpha"),
 ], ids=["exact.M", "exact.sampler", "exact.rho", "ruschendorf.M", "simplex.g", "port.g",
-        "lasso.pmfs", "ruschendorf.pmfs", "port.alpha"])
+        "lasso.pmfs", "ruschendorf.pmfs", "port.alpha", "exact.M.default",
+        "exact.sampler.default", "exact.rho.default", "simplex.g.default", "port.alpha.default"])
 def test_simulate_rejects_flags_it_would_ignore(extra, flag):
     # a flag the run would not read is an error, not a silent default run
     proc = run_cli("simulate", *extra, "--n", "100", "--seed", "1")

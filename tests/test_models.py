@@ -45,6 +45,41 @@ def test_lasso_far_arc_is_exactly_alpha():
         assert exact_ppp(model, x) == pytest.approx(0.1, abs=1e-12)
 
 
+def _lasso_points(c, gen):
+    """Random points of [0, 1], then c one ulp either side, c itself and 1."""
+    return np.concatenate([gen.random(997), [np.nextafter(c, -1.0), c, np.nextafter(c, 2.0), 1.0]])
+
+
+@pytest.mark.parametrize("g_name", ["uniform", "power2", "power3"])
+@pytest.mark.parametrize("alpha", [0.1, 0.25, 0.3141592653589793, 0.49])
+def test_lasso_kernels_match_the_oracle(alpha, g_name):
+    # bit for bit the first-written distance and posterior (tests/_oracles.py),
+    # through posterior, conditional_sf and discrepancy, at scalar theta as a
+    # Python int and as np.int64, at an array theta, and at one x
+    from _oracles import lasso_distance, lasso_posterior
+    from subuniform.models import G_FAMILIES
+
+    g = G_FAMILIES[g_name]()
+    model = lasso_model(alpha, g)
+    distance, posterior = lasso_distance(alpha), lasso_posterior(alpha, g)
+    gen = np.random.default_rng(23)
+    x = _lasso_points(1.0 - 2.0 * alpha, gen)
+
+    def same(got, want):
+        got, want = np.asarray(got), np.asarray(want)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    thetas = [0, 1, np.int64(0), np.int64(1), gen.integers(0, 2, x.size)]
+    for xs in (x, *x[-4:]):  # the whole array, then each edge point as a scalar
+        same(model.posterior(xs), posterior(xs))
+        for th in thetas:
+            if np.ndim(th) and np.ndim(xs) == 0:
+                continue
+            same(model.discrepancy(xs, th), distance(xs, th))
+            same(model.conditional_sf(th, xs), g.sf(distance(xs, th)))
+
+
 def test_lasso_alpha_domain():
     for bad in (0.0, 0.5, 0.7):
         with pytest.raises(ValueError):

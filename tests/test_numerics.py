@@ -549,6 +549,32 @@ def test_searchsorted_right_counts_columns_of_thresholds():
         assert _searchsorted_right(cum[:-1, 0], u).dtype == np.min_scalar_type(k - 1)
 
 
+def _threshold_tables():
+    """Tables of masses from 1e-12 to 1: 1-d, as lists, (k, n) for k = 1..17,
+    and transposed views of C-ordered (n, k) tables."""
+    gen = np.random.default_rng(19)
+    for n in (1, 2, 8193):
+        w = 10.0 ** gen.uniform(-12.0, 0.0, n)
+        yield w
+        yield (w / w.sum()).tolist()
+    for k in range(1, 18):
+        for n in (1, 2, 8193, 65536):
+            w = 10.0 ** gen.uniform(-12.0, 0.0, (k, n))
+            yield w / w.sum(axis=0)
+            yield np.ascontiguousarray(w.T).T
+
+
+def test_thresholds_match_the_cumulative_sum():
+    # bit for bit np.cumsum(weights, axis=0)[:-1], the order a draw's
+    # thresholds were first computed in, on every layout the callers pass
+    from subuniform.numerics import _thresholds
+
+    for weights in _threshold_tables():
+        got, want = _thresholds(weights), np.cumsum(weights, axis=0)[:-1]
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
 def test_sorted_unique_matches_numpy():
     from subuniform.numerics import _sorted_unique
 
