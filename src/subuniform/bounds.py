@@ -141,9 +141,9 @@ class FisherReport:
 
 
 def _check_m(m: int) -> None:
-    """m counts p-values: at least 1, and no more than a double holds, since
-    every bound takes it into float arithmetic."""
-    if not 1 <= m <= sys.float_info.max:
+    """m counts p-values: an integer at least 1 (an integral float counts), and
+    no more than a double holds, since every bound takes it into floats."""
+    if not (1 <= m <= sys.float_info.max and m == int(m)):
         raise ValueError(f"m must be a positive integer at most {sys.float_info.max:g}, "
                          f"got {m!r}")
 

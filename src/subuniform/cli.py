@@ -112,12 +112,7 @@ def _emit_table(columns: list[str], rows: list[list], fmt: str) -> None:
 
 
 def _read_pvals(path: str) -> list[float]:
-    try:
-        with open(path) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise OSError(f"cannot read {path!r}: {exc}") from exc
-    lines = text.split("\n")
+    lines = _read_file(path).split("\n")
     try:
         try:
             vals = list(map(float, filter(str.strip, lines)))
@@ -194,6 +189,15 @@ def _build_model(args):
         pmfs = _WORKED_PMFS if args.pmfs is None else load_port_pmfs(args.pmfs)
         return port_model(pmfs)
     raise ValueError(f"unknown model {args.model!r}")
+
+
+def _read_file(path: str) -> str:
+    """The text of the file at path; an OSError names the path."""
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except OSError as exc:
+        raise OSError(f"cannot read {path!r}: {exc}") from exc
 
 
 def _write_file(path: str, write: Callable[[TextIO], object]) -> None:
@@ -286,11 +290,7 @@ def _cmd_construct(args) -> None:
 
     if args.n < 1:
         raise ValueError("--n must be >= 1")
-    try:
-        with open(args.target) as fh:
-            target_text = fh.read()
-    except OSError as exc:
-        raise OSError(f"cannot read {args.target!r}: {exc}") from exc
+    target_text = _read_file(args.target)
     try:
         target = SubUniformDist.from_json(target_text)
     except ValueError as exc:

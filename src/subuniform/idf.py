@@ -38,7 +38,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .numerics import EmpiricalSample, _run_blocks
+from .numerics import EmpiricalSample, _run_blocks, _sorted_unique
 
 _ANALYTIC_FAMILIES = ("uniform01", "beta22")
 
@@ -381,7 +381,7 @@ def _max_gap(lower: IntegratedDF, upper: IntegratedDF) -> tuple[float, float, fl
         return 0.0, 0.0, 0.5, 0.5
     if lower.kind == upper.kind == "piecewise":
         # on each segment of the merged nodes F_lower - F_upper is linear
-        nodes = np.union1d(lower.breakpoints, upper.breakpoints)
+        nodes = _sorted_unique(np.concatenate([lower.breakpoints, upper.breakpoints]))
         x0, x1 = nodes[:-1], nodes[1:]
         mid = (x0 + x1) / 2.0
         d0 = lower.right_derivative(x0) - upper.right_derivative(x0)

@@ -352,36 +352,14 @@ _SCALES_LO = _SCALES - _SCALES_HI
 # such a chunk 20 bytes of text and no NUL.  The longest line has 23 bytes.
 _ROW = 24
 _NARROW_LO = _EXP_FLOORS[-2]
-# values formatted at once, in buffers allocated once per call.  Each buffer
-# stays under glibc's 128 KiB mmap threshold and comes from the heap: at 4096
-# the 160 KiB float buffer was mapped afresh, and a cold simulate --out of 5e5
-# values faulted 6.6k times, against 6.5k at 3072.
+# values formatted at once.  Every temporary of a chunk stays under glibc's
+# 128 KiB mmap threshold and comes from the heap; the largest is the (4, m)
+# int64 digit groups at 96 KiB.  At 4096 a 160 KiB buffer was mapped afresh:
+# a cold simulate --out of 5e5 values faulted 6.6k times, 6.5k at 3072.
 _WRITE_CHUNK = 3072
 
 
-class _ChunkBuffers:
-    """The temporaries of _format_chunk for chunks of up to m values, one
-    contiguous row each: numpy loops over a short strided inner axis one row
-    at a time.  Rows are reused once read for the last time: the float rows
-    hold the terms of the product, then the digit groups, the heads and the
-    text; the integer rows the digits, then their ASCII and the mask of the
-    text's NULs."""
-
-    def __init__(self, m: int):
-        self.floats = np.empty((5, m))
-        self.ints = np.empty((3, m), dtype=np.int64)
-        self.flags = np.empty((3, m), dtype=bool)
-        # built per call (0.25 ms), not on import: the 80 KB of ASCII cost a
-        # cold command that imports this module 20 page faults
-        self.heads, self.heads4, self.digits4 = _format_tables()
-
-
-def _scale(table: np.ndarray, k, out: np.ndarray):
-    """table[k] for an index k of the chunk or one per value."""
-    return table.take(k, out=out, mode="clip") if isinstance(k, np.ndarray) else table[k]
-
-
-def _format_chunk(x: np.ndarray, buf: _ChunkBuffers) -> str:
+def _format_chunk(x: np.ndarray, tables) -> str:
     """The lines "\\n" + f"{v:.17g}" of x as one string (each line's newline
     leads it), with no Python work per value in [10**_EXP_MIN, 10).
 
@@ -396,82 +374,61 @@ def _format_chunk(x: np.ndarray, buf: _ChunkBuffers) -> str:
     (0, negatives, tiny, large, nan, inf) are formatted by Python and spliced
     in; a chunk with a line longer than 24 bytes is formatted by Python alone.
     """
-    m = x.size
-    hi, c, vl, t, lo = f = buf.floats[:, :m]
-    d, i, q = buf.ints[:, :m]
-    flag = buf.flags[:, :m]
+    heads, heads4, digits4 = tables
     low, high = float(x.min()), float(x.max())
     v, slow = x, None
     if not (low >= _FAST_LO and high < 10.0):  # a NaN fails both
-        slow = np.flatnonzero(~((x >= _FAST_LO) & (x < 10.0)))
+        fast = (x >= _FAST_LO) & (x < 10.0)
+        slow = np.flatnonzero(~fast)
         other = [f"\n{w:.17g}" for w in x[slow].tolist()]
         if max(map(len, other)) > _ROW:
             return "".join(f"\n{w:.17g}" for w in x.tolist())
-        v = lo  # lo is written after v's last read
-        v[...] = x
-        v[slow] = 1.0
+        v = np.where(fast, x, 1.0)
     k = bisect.bisect_right(_EXP_FLOORS, low)  # k - _EXP_MIN, as an index
     if slow is not None or k != bisect.bisect_right(_EXP_FLOORS, high):
-        k = i  # one per value
-        np.copyto(k, np.greater_equal(v, _EXP_FLOORS[0], out=flag[0]))
-        for floor in _EXP_FLOORS[1:]:
-            k += np.greater_equal(v, floor, out=flag[0])
-    np.multiply(v, _scale(_SCALES, k, hi), out=hi)
-    np.multiply(v, _SPLIT, out=c)
-    np.subtract(c, np.subtract(c, v, out=vl), out=c)  # vh
-    np.subtract(v, c, out=vl)
-    sh = _scale(_SCALES_HI, k, t)
-    np.multiply(c, sh, out=lo)
-    lo -= hi
-    lo += np.multiply(vl, sh, out=t)
-    sl = _scale(_SCALES_LO, k, t)
-    lo += np.multiply(c, sl, out=c)  # vh * sl
-    lo += np.multiply(vl, sl, out=vl)  # vl * sl
-    np.copyto(d, hi, casting="unsafe")
-    np.copyto(q, np.rint(lo, out=lo), casting="unsafe")
-    d += q
+        k = sum(v >= floor for floor in _EXP_FLOORS)  # one per value
+    hi = v * _SCALES[k]
+    vh = v * _SPLIT
+    vh = vh - (vh - v)
+    vl = v - vh
+    sh, sl = _SCALES_HI[k], _SCALES_LO[k]
+    lo = vh * sh - hi + vl * sh + vh * sl + vl * sl
+    d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
     # d is d0 and 16 more digits, never 10**17: the greatest double below
     # 10**(k + 1) lies at least 8e-17 of it below, and rounding to 17 digits
-    # carries up from 5e-18.  Its four groups of four: each half of eight
-    # digits goes to the slot of its second group, then splits in place
-    g = f[:4].view(np.int64)
-    np.floor_divide(d, 10 ** 8, out=q)  # d0 and the first eight
-    np.subtract(d, np.multiply(q, 10 ** 8, out=g[3]), out=g[3])
-    np.floor_divide(q, 10 ** 8, out=d)  # d0
-    np.subtract(q, np.multiply(d, 10 ** 8, out=g[1]), out=g[1])
-    d *= 2
-    d += np.not_equal(np.bitwise_or(g[1], g[3], out=q), 0, out=flag[0])  # has_more
-    d += 20 * k  # d: the head's index
-    np.floor_divide(g[1::2], 10 ** 4, out=g[0::2])
-    g[1::2] -= np.multiply(g[0::2], 10 ** 4, out=buf.ints[1:, :m])  # i and q
+    # carries up from 5e-18.  It splits into d0 and four groups of four.
+    g = np.empty((4, x.size), dtype=np.int64)
+    top = d // 10 ** 8  # d0 and the first eight
+    g[3] = d - top * 10 ** 8
+    d0 = top // 10 ** 8
+    g[1] = top - d0 * 10 ** 8
+    at = 20 * k + 2 * d0 + ((g[1] | g[3]) != 0)  # the head's index: k, d0, has_more
+    g[0::2] = g[1::2] // 10 ** 4
+    g[1::2] -= g[0::2] * 10 ** 4
     # a group followed only by zero groups takes its ASCII with NULs for its
     # trailing '0' digits
-    zero = np.equal(g[1:], 0, out=flag)
+    zero = g[1:] == 0
     zero[1] &= zero[2]
     zero[0] &= zero[1]
     g <<= 1
     g[:3] |= zero
     g[3] |= 1
     width = _ROW if slow is not None or low < _NARROW_LO else _ROW - 4
-    # the text goes in float rows 1-3 and its head in row 0; numpy's take into
-    # a strided out gathers into a temporary and copies it back, which costs
-    # twice this gather and column copy
-    rows = buf.floats[1:].reshape(-1).view("<u4")[:m * width // 4].reshape(m, width // 4)
-    ascii4 = buf.ints[1:].reshape(-1).view("<u4")[:4 * m].reshape(4, m)
-    for column, group in zip(rows.T[-4:], buf.digits4.take(g, out=ascii4, mode="clip")):
-        np.copyto(column, group)
+    # filled column by column: numpy copies into a short strided inner axis
+    # one row at a time, which costs three times as much
+    rows = np.empty((x.size, width // 4), dtype="<u4")
     if width == _ROW:
-        heads = buf.heads.take(d, out=f[0].view("<u8"), mode="clip")
-        np.copyto(rows[:, :2].view("<u8")[:, 0], heads)
+        rows[:, :2].view("<u8")[:, 0] = heads.take(at)
     else:
-        np.copyto(rows[:, 0], buf.heads4.take(d, out=f[0].view("<u4")[:m], mode="clip"))
+        rows[:, 0] = heads4.take(at)
+    for column, group in zip(rows.T[-4:], digits4.take(g)):
+        column[...] = group
     text = rows.view(np.uint8)
     if slow is not None:
         text[slow] = np.frombuffer("".join(w.ljust(_ROW, "\0") for w in other).encode(),
                                    dtype=np.uint8).reshape(-1, _ROW)
     text = text.reshape(-1)
-    nonzero = np.not_equal(text, 0, out=buf.ints.reshape(-1).view(bool)[:text.size])
-    return str(text[nonzero], "ascii")
+    return str(text[text != 0], "ascii")
 
 
 def _write_values(fh: TextIO, values: np.ndarray) -> None:
@@ -479,8 +436,10 @@ def _write_values(fh: TextIO, values: np.ndarray) -> None:
     and of f"{x:.17g}"), formatting one chunk at a time."""
     if values.size == 0:
         return
-    buf = _ChunkBuffers(min(values.size, _WRITE_CHUNK))
+    # built per call (0.25 ms), not on import: the 80 KB of ASCII cost a cold
+    # command that imports this module 20 page faults
+    tables = _format_tables()
     for lo in range(0, values.size, _WRITE_CHUNK):
-        text = _format_chunk(values[lo:lo + _WRITE_CHUNK], buf)
+        text = _format_chunk(values[lo:lo + _WRITE_CHUNK], tables)
         fh.write(text if lo else text[1:])
     fh.write("\n")

@@ -221,6 +221,26 @@ def test_fisher_huge_m_evaluates_in_log_space():
     assert rep.bound_shifted_chi2 >= 0.5  # the doubling shift is useless at this scale
 
 
+# ------------------------------------------------------------------ the count m
+
+_M_CALLS = {
+    "fisher_bounds": lambda m: fisher_bounds(10.0, m),
+    "fisher_critical": lambda m: fisher_critical(0.05, m),
+    "minp_bound": lambda m: minp_bound(0.1, m),
+    "minp_limit_check": lambda m: minp_limit_check(0.1, m),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_M_CALLS))
+def test_m_must_be_an_integer(name):
+    # fisher_bounds(10.0, 2.5) read the tail of 5 degrees of freedom as m = 2's
+    call = _M_CALLS[name]
+    for m in (1.5, 2.5, 2.0 + 2.0 ** -51):
+        with pytest.raises(ValueError, match="m must be a positive integer"):
+            call(m)
+    assert call(2.0) == call(np.int64(2)) == call(2)
+
+
 # ------------------------------------------------------------------ minp
 
 def test_minp_bound():

@@ -352,9 +352,13 @@ def test_pvals_reject_nan_and_inf(tmp_path, command, bad):
     assert "error: p-values must lie in [0, 1]" in proc.stderr
 
 
-def test_fisher_missing_file_is_io_error():
-    proc = run_cli("fisher", "--pvals", "/no/such/file.csv")
+@pytest.mark.parametrize("command", ["fisher", "minp"])
+def test_fisher_missing_file_is_io_error(command):
+    path = "/no/such/file.csv"
+    proc = run_cli(command, "--pvals", path)
     assert proc.returncode == 2
+    assert proc.stderr.splitlines()[0] == (f"error: cannot read {path!r}: [Errno 2] "
+                                           f"No such file or directory: {path!r}")
 
 
 # ------------------------------------------------------------------ minp
@@ -624,7 +628,7 @@ def test_simulate_out_of_memory_is_a_domain_error(model):
 
 # Digests of the stdout of one version of the package, recomputed only when an
 # output is meant to change.  n = 2 * 65536 + 17 crosses two RNG blocks and
-# several 16384-value pieces; the 10-application port model at 65536 + 16385
+# several 8192-value pieces; the 10-application port model at 65536 + 16385
 # replicates has a last block of one piece plus one value, where a lone value
 # would round its 10-term posterior average differently.  Pinned with numpy
 # 2.4 on x86-64: another numpy or CPU may round pow, sin or exp differently.
@@ -688,6 +692,25 @@ _PINNED = {
     "construct.uniform01": (("construct", "--target", "uniform01.json", "--n", _N_PIN,
                              "--seed", "13"),
                             "7dee9b53cb54b08d2bb7c9bafa94e151c7a1c3ca493389b68b90709f46a721a1"),
+    # the scalar commands
+    "calibrate": (("calibrate", "--p", "0.03"),
+                  "ae6e8c21bdded6046c4481802e0e36c8ba053a4d8bd60df5efb69de9b34b89d5"),
+    "minp.args": (("minp", "--min", "0.0123", "--m", "37"),
+                  "b592e0b8164fc6180ef4ab6f163b878f5f5df6c98f73982607490f51dd801581"),
+    "minp.pvals": (("minp", "--pvals", "pvals.csv"),
+                   "4647ef0098a3d53ea9751b7dae5c5b2d9c9a95c6ff55c8dc8f799af01c9e9e5e"),
+    # one p-value of 0: its note goes to stderr and into the report
+    "fisher.pvals0": (("fisher", "--pvals", "pvals0.csv"),
+                      "8a921d2675cec122764bdc9f65f974662b1b257e83f6a74cd33c6c23e3e89ae7"),
+    "curves.fisher": (("curves", "--figure", "fisher"),
+                      "b913b27419079ed70105b348355f0036d355bd138c217c2ed3b9604fd49017eb"),
+    "curves.fisher.csv": (("curves", "--figure", "fisher", "--format", "csv"),
+                          "a642b1918e23fe4f48a066f1918471d307b79206448b3fec3cc993cfdf0cb7d1"),
+    "curves.fisher.m1e9": (("curves", "--figure", "fisher", "--m", "1000000000",
+                            "--points", "64"),
+                           "415f2fecfa20bf818ad4ad9d45f313d4dd09d7d9bb1f3fd755f9a9a477be7c71"),
+    "curves.idf": (("curves", "--figure", "idf"),
+                   "67c13f0ba2ffbf73d523a9c14f18fec76e109d03cd1a14585941172c188398b5"),
 }
 
 
@@ -702,6 +725,10 @@ def test_stdout_matches_pinned_digest(name, tmp_path):
     (tmp_path / "beta22.json").write_text('{"variant": "beta22"}')
     (tmp_path / "p2alpha.json").write_text('{"variant": "p2alpha", "alpha": 0.2}')
     (tmp_path / "uniform01.json").write_text('{"variant": "uniform01"}')
+    pvals = np.random.default_rng(7).random(1000)
+    np.savetxt(tmp_path / "pvals.csv", pvals, fmt="%.17g")
+    pvals[17] = 0.0
+    np.savetxt(tmp_path / "pvals0.csv", pvals, fmt="%.17g")
     argv, digest, *env = _PINNED[name]
     proc = run_cli(*(str(tmp_path / a) if a.endswith((".csv", ".json")) else a for a in argv),
                    env_extra=env[0] if env else None)
@@ -796,9 +823,11 @@ def test_construct_malformed_target_names_its_field(tmp_path, spec, field):
 
 
 def test_construct_missing_target_is_io_error():
-    proc = run_cli("construct", "--target", "/no/such/target.json",
-                   "--n", "100", "--seed", "510")
+    path = "/no/such/target.json"
+    proc = run_cli("construct", "--target", path, "--n", "100", "--seed", "510")
     assert proc.returncode == 2
+    assert proc.stderr.splitlines()[0] == (f"error: cannot read {path!r}: [Errno 2] "
+                                           f"No such file or directory: {path!r}")
 
 
 # ------------------------------------------------------------------ curves

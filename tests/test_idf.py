@@ -235,6 +235,22 @@ def test_dominates_cx_exact_between_atom_lists(first, second):
     _assert_exact_max(_atoms_idf(first), _atoms_idf(second))
 
 
+def test_dominates_cx_between_piecewise_laws_leaves_out_numpy_ma():
+    # the merged nodes of two piecewise IDFs are found without np.union1d,
+    # whose import of numpy.ma costs about 10 ms of a cold command
+    import subprocess
+    import sys
+
+    code = ("import sys\n"
+            "from subuniform import IntegratedDF, dominates_cx\n"
+            "a = IntegratedDF.from_atoms([0.2, 0.6], [0.5, 0.5])\n"
+            "b = IntegratedDF.from_atoms([0.1, 0.5, 0.9], [0.3, 0.4, 0.3])\n"
+            "print(dominates_cx(a, b).holds, 'numpy.ma' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "False"]
+
+
 def test_from_samples_small_cases():
     phi = IntegratedDF.from_samples([0.5])
     for x in (-1.0, 0.25, 0.5, 0.75, 2.0):

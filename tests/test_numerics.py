@@ -466,22 +466,32 @@ def test_write_values_on_sorted_samples():
 def test_write_values_memory_is_one_chunk(tmp_path):
     import tracemalloc
 
-    from subuniform.numerics import _ROW, _WRITE_CHUNK, _ChunkBuffers, _write_values
+    from subuniform.numerics import _ROW, _WRITE_CHUNK, _write_values
 
-    workspace = sum(a.nbytes for a in vars(_ChunkBuffers(_WRITE_CHUNK)).values())
+    # In chunks of float64 (8 * _WRITE_CHUNK bytes), what is live at once
+    # when _format_chunk strips the NULs of a chunk that holds a value below
+    # 1e-4, and so one k per value: the ASCII tables (3.3); v, k, the four
+    # terms of the product and the two scale rows (8); d, top, d0 and the head
+    # index (4); the four digit groups (4); the zero-group and fast-value masks
+    # (0.5); the rows of text, their NUL mask, the text without NULs and its
+    # str (3 each: a row is _ROW = 3 * 8 bytes); and the str of the chunk
+    # before, still bound in _write_values (3).  That is 34.8.
+    chunk = 8 * _WRITE_CHUNK
     values = RngStream(seed=14).generator().random(1_000_000)
     for order in (values, np.sort(values)):
-        with open(tmp_path / "out.csv", "w") as fh:
-            _write_values(fh, order[:10])  # first-call set-up is not a per-sample cost
-            tracemalloc.start()
-            try:
-                _write_values(fh, order)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-        # the workspace and three copies of a chunk's text: without its NULs,
-        # as a str and encoded by the file
-        assert peak <= workspace + 3 * _WRITE_CHUNK * _ROW
+        peaks = []
+        for n in (100_000, 1_000_000):
+            with open(tmp_path / "out.csv", "w") as fh:
+                _write_values(fh, order[:10])  # first-call set-up is not a per-sample cost
+                tracemalloc.start()
+                try:
+                    _write_values(fh, order[:n])
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+        assert max(peaks) <= 35 * chunk
+        # nothing held grows with n
+        assert peaks[1] - peaks[0] <= _WRITE_CHUNK * _ROW
 
 
 # ------------------------------------------------------------------ small helpers
