@@ -6,7 +6,8 @@ estimators, synthesis of a p-value with a prescribed law, and curve-data
 export.  Payload goes to stdout as JSON (or CSV with --format csv);
 diagnostics go to stderr.  Exit codes: 0 success, 1 domain or validation
 error or out of memory, 2 I/O error.  Identical flags and seed give
-byte-identical stdout; PPP_THREADS changes speed only.
+byte-identical stdout; PPP_THREADS sets the threads of an estimator
+simulate (exact-model runs use one) and changes speed only.
 
 calibrate, fisher, minp and the fisher figure are scalar math code; only
 simulate, construct and the idf figure import numpy and the array layers,
@@ -221,9 +222,10 @@ def _cmd_simulate(args) -> None:
     _import_numpy()
     from .distributions import ks_distance, p2alpha
     from .estimators import PosteriorSampler, marginal_estimator_run
-    from .models import frequency_run, ruschendorf_sample, simplex_atom
+    from .models import _thread_count, frequency_run, ruschendorf_sample, simplex_atom
     from .numerics import RngStream, _write_values
 
+    _thread_count(None)  # a malformed PPP_THREADS is an error for every model
     if args.n < 1:
         raise ValueError("--n must be >= 1")
     if args.estimator == "exact":
@@ -251,7 +253,8 @@ def _cmd_simulate(args) -> None:
     else:
         model = _build_model(args)
         if args.estimator == "exact":
-            run = frequency_run(model, args.n, rng)
+            # a second thread costs an exact-model run time and memory (README)
+            run = frequency_run(model, args.n, rng, threads=1)
         else:
             run = marginal_estimator_run(model, args.estimator, args.m_draws, args.n, rng,
                                          sampler=PosteriorSampler(kind=args.sampler, rho=args.rho))

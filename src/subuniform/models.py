@@ -327,11 +327,14 @@ def port_model(pmfs: np.ndarray,
         u = gen.random(theta.size)
         port = np.zeros(theta.size, dtype=np.min_scalar_type(n_ports - 1))
         for row in cum:
-            port += u >= row[theta]
+            port += u >= row.take(theta)
         return port
 
     def conditional_sf(theta, pi):
-        return q_table[np.asarray(theta, dtype=int), np.asarray(pi, dtype=int)]
+        if np.ndim(theta):
+            return q_table[np.asarray(theta, dtype=int), np.asarray(pi, dtype=int)]
+        # exact_ppp's one theta at a time: a 1-d gather, a third of the 2-d one
+        return q_table[int(theta)].take(np.asarray(pi, dtype=int))
 
     return GenerativeModel(
         model_id=f"port(n_apps={n_apps},n_ports={n_ports})",

@@ -157,3 +157,30 @@ def lasso_posterior(alpha, g):
         return w
 
     return posterior
+
+
+# ------------------------------------------------------------------ the port model's gathers
+#
+# port_model's sample_data and conditional_sf as first written, every gather
+# a fancy index: each threshold row at theta, and q_table at (theta, pi).
+# The package's must give their ports and floats bit for bit.
+
+def port_gathers(pmfs):
+    """port_model's (sample_data, conditional_sf) for pmfs, by fancy indexing."""
+    h = np.asarray(pmfs, dtype=float)
+    n_ports = h.shape[1]
+    q_table = np.array([[row[row <= row[j]].sum() for j in range(n_ports)] for row in h])
+    cum = np.cumsum(h.T, axis=0)[:-1]
+
+    def sample_data(theta, gen):
+        theta = np.asarray(theta, dtype=int)
+        u = gen.random(theta.size)
+        port = np.zeros(theta.size, dtype=np.min_scalar_type(n_ports - 1))
+        for row in cum:
+            port += u >= row[theta]
+        return port
+
+    def conditional_sf(theta, pi):
+        return q_table[np.asarray(theta, dtype=int), np.asarray(pi, dtype=int)]
+
+    return sample_data, conditional_sf

@@ -148,6 +148,21 @@ def test_array_commands_start_no_threads(argv, tmp_path):
     assert report["threads"] == 1
 
 
+@pytest.mark.parametrize("argv, pool", [
+    (["simulate", "--model", "lasso", "--n", "70000", "--seed", "1"], False),
+    (["simulate", "--model", "lasso", "--estimator", "r_hat", "--M", "2", "--n", "70000",
+      "--seed", "1"], True),
+], ids=["exact", "r_hat"])
+def test_simulate_pool_serves_only_estimator_runs(argv, pool, tmp_path):
+    # n = 70000 is two RNG blocks.  At PPP_THREADS 2 an exact-model run still
+    # takes them on one thread, so it loads no concurrent.futures; an
+    # estimator run takes them on the pool, if the process may use two CPUs
+    from subuniform.models import _thread_count
+
+    _, report = _cold_main(argv, tmp_path, env_extra={"PPP_THREADS": "2"})
+    assert ("concurrent.futures" in report["modules"]) == (pool and _thread_count(2) == 2)
+
+
 def test_array_commands_keep_the_users_blas_threads(tmp_path):
     argv = ["simulate", "--model", "lasso", "--n", "1000", "--seed", "1"]
     _, report = _cold_main(argv, tmp_path, env_extra={"OPENBLAS_NUM_THREADS": "2"})
@@ -576,9 +591,15 @@ def test_simulate_thread_count_does_not_change_output(tmp_path):
     assert one.returncode == 0 and one.stdout == four.stdout
 
 
+@pytest.mark.parametrize("model", [
+    ("--model", "simplex"),
+    ("--model", "ruschendorf"),
+    ("--model", "simplex", "--estimator", "r_hat", "--M", "2"),
+], ids=["simplex", "ruschendorf", "r_hat"])
 @pytest.mark.parametrize("value", ["abc", "0", "-2"])
-def test_simulate_rejects_bad_thread_count(value):
-    proc = run_cli("simulate", "--model", "simplex", "--n", "1000", "--seed", "507",
+def test_simulate_rejects_bad_thread_count(value, model):
+    # every simulate reads PPP_THREADS, also one that runs on one thread
+    proc = run_cli("simulate", *model, "--n", "1000", "--seed", "507",
                    env_extra={"PPP_THREADS": value})
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: ")

@@ -217,6 +217,38 @@ def test_port_rejects_weights_that_are_not_probability_vectors(kwargs, message):
         port_model(**kwargs)
 
 
+@pytest.mark.parametrize("n_apps", [2, 3, 4, 5])
+@pytest.mark.parametrize("n_ports", [2, 3, 4, 5])
+def test_port_gathers_match_the_oracle(n_apps, n_ports):
+    # bit for bit the fancy-index gathers (tests/_oracles.py): the ports drawn
+    # at an array and at a scalar theta, and conditional_sf at theta as a
+    # Python int, as np.int64 and as an array, with ports as uint8 and as int;
+    # random pmfs, one of them with ties
+    from _oracles import port_gathers
+
+    def same(got, want):
+        got, want = np.asarray(got), np.asarray(want)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    gen = np.random.default_rng(100 * n_apps + n_ports)
+    for weights in (gen.random((n_apps, n_ports)) + 0.01,
+                    gen.integers(1, 4, (n_apps, n_ports)).astype(float)):
+        pmfs = weights / weights.sum(axis=1, keepdims=True)
+        model = port_model(pmfs)
+        sample_data, conditional_sf = port_gathers(pmfs)
+        theta = gen.integers(0, n_apps, 1000)
+        for th in (theta, n_apps - 1, np.int64(n_apps - 1)):
+            seed = int(gen.integers(2**32))
+            same(model.sample_data(th, np.random.default_rng(seed)),
+                 sample_data(th, np.random.default_rng(seed)))
+        ports = sample_data(theta, gen)
+        assert ports.dtype == np.uint8
+        for pi in (ports, ports.astype(int)):
+            for th in (*range(n_apps), *map(np.int64, range(n_apps)), theta):
+                same(model.conditional_sf(th, pi), conditional_sf(th, pi))
+
+
 def test_port_tail_and_dcx_bounds():
     run = frequency_run(port_model(WORKED_PMFS), 200_000, RngStream(seed=36))
     for a in (0.05, 0.1, 0.25):
