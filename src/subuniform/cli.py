@@ -27,13 +27,10 @@ import os
 import sys
 import warnings
 from dataclasses import asdict
-from typing import TYPE_CHECKING, Callable, TextIO
+from typing import Callable, TextIO
 
 from .bounds import (FisherReport, _fisher_dof, _in_unit_interval, conservative_single,
                      fisher_bounds, fisher_critical, fisher_score, minp_bound)
-
-if TYPE_CHECKING:
-    from .numerics import EmpiricalSample
 
 _TAIL_GRID = (0.01, 0.05, 0.1, 0.25)
 
@@ -210,20 +207,13 @@ def _write_file(path: str, write: Callable[[TextIO], object]) -> None:
         raise OSError(f"cannot write {path!r}: {exc}") from exc
 
 
-def _sub_uniformity_payload(sample: EmpiricalSample) -> dict:
-    from .idf import IntegratedDF, dominates_cx, uniform_idf
-
-    emp = IntegratedDF.from_samples(sample)
-    res = dominates_cx(emp, uniform_idf())
-    return {"holds": bool(res), "max_violation": res.max_violation, "tol": res.tol}
-
-
 def _cmd_simulate(args) -> None:
     _import_numpy()
-    from .distributions import ks_distance, p2alpha
-    from .estimators import PosteriorSampler, marginal_estimator_run
-    from .models import _thread_count, frequency_run, ruschendorf_sample, simplex_atom
-    from .numerics import RngStream, _write_values
+    from .distributions import _binned_ks, as_p2alpha
+    from .estimators import EstimatorScheme, PosteriorSampler
+    from .idf import _binned_sub_uniformity
+    from .models import _fold, _model_blocks, _ruschendorf_blocks, _thread_count
+    from .numerics import EmpiricalSample, RngStream, _BinSummary, _write_values
 
     _thread_count(None)  # a malformed PPP_THREADS is an error for every model
     if args.n < 1:
@@ -241,47 +231,50 @@ def _cmd_simulate(args) -> None:
         raise ValueError("--alpha applies only to --model lasso, simplex or ruschendorf")
     _resolve(args, "alpha", "g", "m_draws", "sampler", "rho")
     rng = RngStream(seed=args.seed)
-    ks_ref_alpha = None
     if args.model == "ruschendorf":
         if not 0.0 < args.alpha <= 0.5:
             raise ValueError(f"--alpha must lie in (0, 0.5] for ruschendorf, got {args.alpha!r}")
         if args.estimator != "exact":
             raise ValueError("ruschendorf is a direct construction; only --estimator exact applies")
-        sample = ruschendorf_sample(args.alpha, rng, args.n)
-        model_id = f"ruschendorf(alpha={args.alpha:g})"
-        ks_ref_alpha = args.alpha
+        blocks, workers = _ruschendorf_blocks(args.alpha, rng), 1
     else:
         model = _build_model(args)
         if args.estimator == "exact":
-            # a second thread costs an exact-model run time and memory (README)
-            run = frequency_run(model, args.n, rng, threads=1)
+            workers = 1  # a second thread costs an exact-model run time and memory (README)
         else:
-            run = marginal_estimator_run(model, args.estimator, args.m_draws, args.n, rng,
-                                         sampler=PosteriorSampler(kind=args.sampler, rho=args.rho))
-        sample, model_id = run.pvalues, run.model_id
-        if args.estimator == "exact":
-            if args.model == "lasso" and args.g == "uniform":
-                ks_ref_alpha = args.alpha
-            elif args.model == "simplex":
-                ks_ref_alpha = simplex_atom(args.alpha)
-    if args.out is not None:
-        _write_file(args.out, lambda fh: _write_values(fh, sample.values))
-    if args.format == "csv":  # the sample itself; the summary below is JSON-only
-        _write_values(sys.stdout, sample.values)
-        return
+            model = EstimatorScheme(model, args.estimator, args.m_draws,
+                                    PosteriorSampler(kind=args.sampler, rho=args.rho))
+            workers = _thread_count(None)
+        blocks = _model_blocks(model, rng)
+    # the law the model states for its values, if it is p2alpha(a) with
+    # a < 1/2 (p2alpha(1/2) is a point mass): its atom is at a
+    ref = None if blocks.law is None else as_p2alpha(blocks.law)
+    ref = ref if ref != 0.5 else None
+    summary = None if args.format == "csv" else _BinSummary(
+        (*_TAIL_GRID, *(() if ref is None else (ref,))))
+    keep = args.out is not None or args.format == "csv"
+    values = _fold(blocks.draw, args.n, workers, summary and summary.add, keep)
+    if keep:
+        sample = EmpiricalSample(values, _owned=True)
+        if args.out is not None:
+            _write_file(args.out, lambda fh: _write_values(fh, sample.values))
+        if args.format == "csv":  # the sample itself; the summary below is JSON-only
+            _write_values(sys.stdout, sample.values)
+            return
+    res, lower = _binned_sub_uniformity(summary)
     payload = {
-        "model": model_id,
+        "model": blocks.model_id,
         "n": args.n,
         "seed": args.seed,
-        "mean": sample.mean(),
-        "variance": sample.variance(),
-        "p_le_alpha": {f"{a:g}": sample.tail_prob(a) for a in _TAIL_GRID},
-        "sub_uniformity": _sub_uniformity_payload(sample),
+        "mean": summary.mean(),
+        "variance": summary.variance(),
+        "p_le_alpha": {f"{a:g}": summary.tail_prob(a) for a in _TAIL_GRID},
+        "sub_uniformity": {"holds": bool(res), "max_violation": lower,
+                           "max_violation_upper": res.max_violation, "tol": res.tol},
     }
-    if ks_ref_alpha is not None and ks_ref_alpha < 0.5:
-        ref = p2alpha(ks_ref_alpha)
-        payload["ks_vs_p2alpha"] = ks_distance(ref, sample)
-        payload["p2alpha_alpha"] = ks_ref_alpha
+    if ref is not None:
+        payload["ks_vs_p2alpha"], payload["ks_vs_p2alpha_upper"] = _binned_ks(blocks.law, summary)
+        payload["p2alpha_alpha"] = ref
     _emit(payload, args.format)
 
 

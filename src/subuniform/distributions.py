@@ -25,8 +25,8 @@ from typing import Callable
 import numpy as np
 
 from .idf import _ANALYTIC_FAMILIES, DominanceResult, IntegratedDF, dominates_cx, uniform_idf
-from .numerics import (_ATOM_TOL, EmpiricalSample, _as_generator, _inverse_draws, _run_blocks,
-                       _snap_window, _sorted_unique)
+from .numerics import (_ATOM_TOL, _BINS, EmpiricalSample, _as_generator, _BinSummary,
+                       _inverse_draws, _run_blocks, _snap_edges, _snap_window, _sorted_unique)
 
 
 @contextmanager
@@ -267,6 +267,52 @@ def _step_cdf_gap(dist: SubUniformDist, locs: np.ndarray,
                     for lo, hi, loc in windows)
         d = max(d, float(np.max(np.abs(level(n) - f))))
     return d
+
+
+def _binned_ks(dist: SubUniformDist, summary: _BinSummary) -> tuple[float, float]:
+    """ks_distance(dist, sample), bracketed from the bins of summary: an
+    attained lower end and an upper end.  summary must count the snap window
+    of each atom of dist, and the atoms lie more than 2 * _ATOM_TOL apart.
+
+    The points are the bin edges and the atoms, less the edges inside an
+    atom's window, taken one block of edges at a time
+    (_BinSummary.edge_blocks).  At a point p the snapped empirical CDF E has
+    the exact left limit E(p-): the count below the edge, or below the window,
+    over n; at an atom E(p) is exact too.  |E - F| at those limits is
+    attained, and the largest is the lower end.  On [p, q) between two points
+    F has no atom and both E and F rise, so there
+    |E - F| <= max(E(q-) - F(p), F(q-) - E(p)), with E(p) taken as E(p-) at
+    an edge; the largest of these is the upper end.  Each is within F(q-) - F(p) of a limit taken at p or q, so the two
+    ends differ by at most the mass F puts on one bin outside its atoms
+    (widened by an atom's window where it holds an edge).
+    """
+    atoms = sorted(loc for loc, _ in dist.atoms)
+    if np.any(np.diff(atoms) <= 2.0 * _ATOM_TOL):
+        raise ValueError("atoms closer than 2 * _ATOM_TOL share snap windows")
+    windows = [_snap_edges(loc) for loc in atoms]
+    lower = upper = 0.0
+    last = None  # E and F at the last point of the block before
+    for edges, below, _, _ in summary.edge_blocks():
+        keep = np.ones(edges.size, dtype=bool)
+        for lo, hi in windows:
+            keep &= (edges < lo) | (edges > hi)
+        start, stop = edges[0], edges[-1] + 1.0 / _BINS
+        mine = [loc for loc in atoms if start <= loc < stop]
+        counts = np.array([summary.windows[loc] for loc in mine], dtype=float).reshape(-1, 2)
+        at = np.searchsorted(edges[keep], mine)
+        points = np.insert(edges[keep], at, mine)
+        left = np.insert(below[keep], at, counts[:, 0]) / summary.n  # E(p-)
+        right = np.insert(below[keep], at, counts[:, 1]) / summary.n  # E(p), or E(p-) at an edge
+        f, f_left = _cdf_limits(dist, points)
+        atom = np.isin(points, mine)
+        lower = max(lower, float(np.max(np.abs(left - f_left))),
+                    float(np.max(np.abs(right - f)[atom], initial=0.0)))
+        if last is not None:
+            upper = max(upper, left[0] - last[1], f_left[0] - last[0])
+        between = np.maximum(left[1:] - f[:-1], f_left[1:] - right[:-1])
+        upper = max(upper, float(np.max(between, initial=0.0)))
+        last = right[-1], f[-1]
+    return lower, max(lower, upper)
 
 
 def _runs_gap(dist: SubUniformDist, level: Callable[[np.ndarray], np.ndarray], bounds: np.ndarray,

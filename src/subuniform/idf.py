@@ -38,7 +38,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .numerics import EmpiricalSample, _run_blocks, _sorted_unique
+from .numerics import _BINS, EmpiricalSample, _BinSummary, _run_blocks, _sorted_unique
 
 _ANALYTIC_FAMILIES = ("uniform01", "beta22")
 
@@ -345,8 +345,13 @@ def beta22_idf() -> IntegratedDF:
 def _default_tol(lower: IntegratedDF, upper: IntegratedDF) -> float:
     ns = [s for s in (lower.sample_size, upper.sample_size) if s]
     if ns:
-        return 3.0 / np.sqrt(min(ns))
+        return _sample_tol(min(ns))
     return 1e-9
+
+
+def _sample_tol(n: int) -> float:
+    """The tolerance of a check on a sample of n values: 3 / sqrt(n)."""
+    return 3.0 / np.sqrt(n)
 
 
 def _crossings(x0, x1, a, b, family: str | None) -> np.ndarray:
@@ -486,11 +491,78 @@ def dominates_cx(lower: IntegratedDF, upper: IntegratedDF,
     """
     if tol is None:
         tol = _default_tol(lower, upper)
-    max_violation, witness, lower_mean, upper_mean = _max_gap(lower, upper)
+    return _verdict(_max_gap(lower, upper), max(lower.support[1], upper.support[1]), tol)
+
+
+def _verdict(gap: tuple[float, float, float, float], hi: float, tol: float) -> DominanceResult:
+    """dominates_cx's result from a _max_gap result; hi is the right end of
+    the two supports, the witness of a mean gap."""
+    max_violation, witness, lower_mean, upper_mean = gap
     mean_gap = abs(lower_mean - upper_mean)
     if max_violation > tol:
         return DominanceResult(False, max_violation, witness, tol)
     if mean_gap > tol:
-        hi = max(lower.support[1], upper.support[1])
         return DominanceResult(False, mean_gap, hi, tol)
     return DominanceResult(True, max(0.0, max_violation), None, tol)  # 0.0 wins a tie with -0.0
+
+
+def _spread_blocks(summary: _BinSummary):
+    """The nodes (x, f, f_end, phi) of the spread law of summary's bins, one
+    block of edges at a time (_BinSummary.edge_blocks), in the form of
+    _node_blocks.
+
+    The spread law takes each bin's values to the bin's two edges, keeping
+    the bin's mass and mean: an atom law on the edges, and every edge is a
+    node, one without mass too.  The CDF at an edge is (N + c - t) / n, with N
+    the count of the values below it and c and t the count and the summed
+    offsets of the bin that starts there, so no running sum of masses rounds.
+    phi at edge k is 2**-16 / n times the sum over the bins j < k of
+    N_j + c_j - t_j.  The sum of the integers N_j + c_j is exact in floats
+    while (_BINS + 2) * n < 2**53, so only the running sum of the offsets
+    rounds, not a running sum of phi's increments.  Both sums are carried
+    from block to block.
+    """
+    x_last = f_last = phi_last = 0.0
+    ints = offs = 0.0  # the two sums over the bins before the block
+    for edges, below, counts, shifts in summary.edge_blocks():
+        x, f, phi, run = (np.empty(edges.size + 1) for _ in range(4))
+        x[0], f[0], phi[0] = x_last, f_last, phi_last
+        x[1:] = edges
+        np.add(below, counts, out=f[1:])
+        run[0], run[1:] = ints, f[1:]
+        np.add.accumulate(run, out=run)
+        ints, phi[1:] = run[-1], run[:-1]
+        run[0], run[1:] = offs, shifts
+        np.add.accumulate(run, out=run)
+        offs = run[-1]
+        phi[1:] -= run[:-1]
+        phi[1:] *= 1.0 / _BINS
+        phi[1:] /= summary.n
+        f[1:] -= shifts
+        f[1:] /= summary.n
+        x_last, f_last, phi_last = x[-1], f[-1], phi[-1]
+        yield x, f, f[:-1], phi
+
+
+def _binned_sub_uniformity(summary: _BinSummary) -> tuple[DominanceResult, float]:
+    """dominates_cx(sample, uniform_idf()) at the sample's tolerance,
+    bracketed from the bins of summary: the check of the spread law
+    (_spread_blocks), and a lower end of the violation it reports.
+
+    Spreading a bin's values over the bin is a mean-preserving spread, so the
+    spread law is above the sample in the convex order, and when it passes,
+    the sample's law does too.  No mass crosses an edge, so its phi equals
+    the sample's at every edge, and on a bin it is the chord.  There x^2/2
+    falls below its own chord by at most h^2/8 (h = 2**-16, 2.9e-11), so the
+    spread law's largest gap phi - x^2/2 is at most that above the largest
+    at the edges, where the gap is the sample's.  That edge maximum, at least
+    the gap 0 at x = 0, is the lower end.  When the check fails on the mean
+    gap alone, both laws have the sample's mean, and the mean gap is both
+    ends.
+    """
+    gap = _gap_walk(_spread_blocks(summary), "uniform01", 1.0)
+    res = _verdict((*gap, 0.5), 1.0 + 1.0 / _BINS, _sample_tol(summary.n))
+    if gap[0] <= res.tol < res.max_violation:
+        return res, res.max_violation
+    return res, max(float(np.max(phi - _analytic_phi("uniform01", x)))
+                    for x, _, _, phi in _spread_blocks(summary))

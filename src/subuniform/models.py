@@ -21,11 +21,13 @@ without inner Monte Carlo.  The built-ins realize the extreme behaviours:
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-from typing import Callable
+from collections import deque
+from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .distributions import SubUniformDist, p2alpha
 from .numerics import (_BLOCK, EmpiricalSample, RngStream, _as_generator, _pieces,
                        _searchsorted_right, _thresholds, _write_values)
 
@@ -91,6 +93,8 @@ class GenerativeModel:
     posterior: Callable
     discrepancy: Callable
     conditional_sf: Callable
+    # the law of the exact p-value, where a constructor below states it
+    _law: SubUniformDist | None = field(default=None, init=False, repr=False, compare=False)
 
     def sample_prior(self, gen: np.random.Generator, n: int) -> np.ndarray:
         return self.theta_support.take(self._prior_indices(gen, n))
@@ -119,6 +123,12 @@ class GenerativeModel:
         for piece in _pieces(n):
             out[piece] = exact_ppp(self, self.sample_data(self.theta_support.take(idx[piece]), gen))
         return out
+
+
+def _stating(model: GenerativeModel, law: SubUniformDist | None) -> GenerativeModel:
+    """model, stating law as the law of its exact p-value (see _Blocks.law)."""
+    object.__setattr__(model, "_law", law)
+    return model
 
 
 def exact_ppp(model: GenerativeModel, data) -> np.ndarray | float:
@@ -186,7 +196,7 @@ def lasso_model(alpha: float, g: SurvivalG | None = None) -> GenerativeModel:
     def conditional_sf(theta, x):
         return g.sf(distance(x, theta))
 
-    return GenerativeModel(
+    model = GenerativeModel(
         model_id=f"lasso(alpha={alpha:g},g={g.name})",
         theta_support=np.array([0, 1]),
         prior=np.array([0.5, 0.5]),
@@ -195,6 +205,7 @@ def lasso_model(alpha: float, g: SurvivalG | None = None) -> GenerativeModel:
         discrepancy=lambda x, theta: distance(x, theta),
         conditional_sf=conditional_sf,
     )
+    return _stating(model, p2alpha(alpha) if g.name == "uniform" else None)
 
 
 # ------------------------------------------------------------------ simplex model
@@ -235,7 +246,7 @@ def simplex_model(alpha: float) -> GenerativeModel:
         d /= w
         return np.clip(d, 0.0, 1.0, out=d)
 
-    return GenerativeModel(
+    model = GenerativeModel(
         model_id=f"simplex(alpha={alpha:g})",
         theta_support=np.array([0, 1]),
         prior=np.array([0.5, 0.5]),
@@ -244,6 +255,7 @@ def simplex_model(alpha: float) -> GenerativeModel:
         discrepancy=lambda x, theta: np.abs(np.asarray(x, dtype=float) - theta),
         conditional_sf=conditional_sf,
     )
+    return _stating(model, p2alpha(simplex_atom(alpha)))
 
 
 def simplex_atom(alpha: float) -> float:
@@ -371,13 +383,25 @@ def ruschendorf_sample(alpha: float, rng: RngStream | np.random.Generator, n: in
     alpha exactly on the reflected branch (the atom lands on alpha verbatim)
     and U0 on the other, which is the extremal mixture for this alpha.
     """
-    if not 0.0 < alpha <= 0.5:
-        raise ValueError(f"alpha must lie in (0, 0.5], got {alpha!r}")
+    blocks = _ruschendorf_blocks(alpha, rng)
     if n <= 0:
         raise ValueError("n must be positive")
-    u0 = _as_generator(rng).random(n)
-    u0[u0 < 2.0 * alpha] = alpha
-    return EmpiricalSample(u0, _owned=True)
+    return EmpiricalSample(_fold(blocks.draw, n, 1), _owned=True)
+
+
+def _ruschendorf_blocks(alpha: float, rng: RngStream | np.random.Generator) -> _Blocks:
+    """ruschendorf_sample's draws block by block: the blocks continue one
+    generator, so in order they are the draws of one random(n), and they
+    must be drawn in order, on one thread."""
+    if not 0.0 < alpha <= 0.5:
+        raise ValueError(f"alpha must lie in (0, 0.5], got {alpha!r}")
+    gen = _as_generator(rng)
+
+    def draw(b: int, out: np.ndarray) -> None:
+        gen.random(out=out)
+        out[out < 2.0 * alpha] = alpha
+
+    return _Blocks(f"ruschendorf(alpha={alpha:g})", draw, p2alpha(alpha))
 
 
 # ------------------------------------------------------------------ frequency runs
@@ -424,25 +448,70 @@ def frequency_run(model, n: int, rng: RngStream, threads: int | None = None) -> 
     """
     if n <= 0:
         raise ValueError("n must be positive")
-    values = np.empty(n)
+    blocks = _model_blocks(model, rng)
+    return FrequencyRun(
+        model_id=blocks.model_id, n=n, seed=rng.seed, stream_id=rng.stream_id,
+        pvalues=EmpiricalSample(_fold(blocks.draw, n, _thread_count(threads)), _owned=True),
+    )
+
+
+class _Blocks(NamedTuple):
+    """What a frequency run draws, block by block (see _fold)."""
+
+    model_id: str
+    draw: Callable[[int, np.ndarray], object]  # draw(b, out) fills out with block b
+    law: SubUniformDist | None  # the law of the values, where the package knows it
+
+
+def _model_blocks(model, rng: RngStream) -> _Blocks:
+    """model's replicates block by block: block b is drawn by
+    rng.block_generator(b), so blocks may be drawn in any order.  The law is
+    the one model's constructor states, if any."""
+    return _Blocks(getattr(model, "model_id", type(model).__name__),
+                   lambda b, out: model.draw_pvalues(rng.block_generator(b), out.size, out=out),
+                   getattr(model, "_law", None))
+
+
+def _fold(draw: Callable[[int, np.ndarray], object], n: int, workers: int,
+          sink: Callable[[np.ndarray], object] | None = None,
+          keep: bool = True) -> np.ndarray | None:
+    """Draw n values block by block and hand each block to sink, in block order;
+    return them, in one n-array, if keep.
+
+    Block b holds values b * _BLOCK to min((b + 1) * _BLOCK, n) - 1, and
+    draw(b, out) fills out with them: a slice of the n-array, or without keep
+    a buffer that sink must be done with when it returns.  On workers > 1,
+    blocks are drawn on that many threads, at most 2 * workers at a time: block
+    b is handed out once block b - 2 * workers went to sink, so a ring of
+    2 * workers buffers serves them all.
+    """
     n_blocks = -(-n // _BLOCK)
+    workers = 1 if n_blocks == 1 else workers
+    if keep:
+        values = np.empty(n)
+    else:
+        ring = [np.empty(min(n, _BLOCK)) for _ in range(1 if workers == 1 else 2 * workers)]
 
-    def run_block(b: int) -> None:
+    def block(b: int) -> np.ndarray:
         lo, hi = b * _BLOCK, min((b + 1) * _BLOCK, n)
-        model.draw_pvalues(rng.block_generator(b), hi - lo, out=values[lo:hi])
+        out = values[lo:hi] if keep else ring[b % len(ring)][:hi - lo]
+        draw(b, out)
+        return out
 
-    workers = _thread_count(threads)
-    if workers == 1 or n_blocks == 1:
+    take = sink or (lambda out: None)
+    if workers == 1:
         for b in range(n_blocks):
-            run_block(b)
+            take(block(b))
     else:
         # imported here: it loads logging, a cost the one-thread default skips
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_block, range(n_blocks)))  # re-raises a block's error
-    return FrequencyRun(
-        model_id=getattr(model, "model_id", type(model).__name__),
-        n=n, seed=rng.seed, stream_id=rng.stream_id,
-        pvalues=EmpiricalSample(values, _owned=True),
-    )
+            pending = deque()
+            for b in range(n_blocks):
+                if len(pending) == 2 * workers:
+                    take(pending.popleft().result())  # re-raises the block's error
+                pending.append(pool.submit(block, b))
+            for future in pending:
+                take(future.result())
+    return values if keep else None

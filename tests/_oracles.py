@@ -124,6 +124,45 @@ def max_gap_every_segment(line, family, sign):
     return float(np.max(sign * (line.evaluate(points) - _analytic_phi(family, points))))
 
 
+# ------------------------------------------------------------------ the exact sub-uniformity gap
+
+def exact_max_gap_uniform(values):
+    """sup over x of phi_n(x) - x^2/2 for the sample values in [0, 1], in
+    exact rational arithmetic: every double is a Fraction.  The sup is at 0,
+    at a distinct value, or where the empirical CDF F crosses x: on the
+    segment from one distinct value to the next (to 1 after the last), the
+    gap is concave with slope F - x, so its maximum there is at x = F clipped
+    into the segment.  Past 1 the gap stays at its value at 1."""
+    from fractions import Fraction
+
+    vals, counts = np.unique(np.asarray(values, dtype=float), return_counts=True)
+    n = int(counts.sum())
+    best, below, total = Fraction(0), 0, Fraction(0)  # count and sum of values < x
+    ends = [*vals.tolist()[1:], 1.0]
+    for v, c, end in zip(vals.tolist(), counts.tolist(), ends):
+        v, end = Fraction(v), Fraction(max(end, v))
+        best = max(best, (v * below - total) / n - v * v / 2)
+        below, total = below + c, total + c * v
+        x = min(max(Fraction(below, n), v), end)
+        best = max(best, (x * below - total) / n - x * x / 2)
+    return best
+
+
+def exact_phi(values, points):
+    """phi_n(x), the mean of (x - v)+ over the sample values v, at each of the
+    ascending points x, in exact rational arithmetic (Fractions)."""
+    from fractions import Fraction
+
+    vals = sorted(map(Fraction, np.asarray(values, dtype=float).tolist()))
+    out, below, total = [], 0, Fraction(0)  # count and sum of values < x
+    for x in map(Fraction, np.asarray(points, dtype=float).tolist()):
+        while below < len(vals) and vals[below] < x:
+            total += vals[below]
+            below += 1
+        out.append((x * below - total) / len(vals))
+    return out
+
+
 # ------------------------------------------------------------------ the lasso model's kernels
 #
 # lasso_model's distance and posterior as first written: the or-mask with

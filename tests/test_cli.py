@@ -205,6 +205,16 @@ def test_package_import_loads_no_numpy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_cli_import_loads_only_the_scalar_bounds():
+    # a cold import subuniform.cli is the start-up every command pays: the
+    # array layers load inside the commands that use them
+    code = ("import sys, subuniform.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('subuniform', 'numpy')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "['subuniform', 'subuniform.bounds', 'subuniform.cli']"
+
+
 def test_only_numerics_imports_scipy():
     # no module imports scipy: a stray import would show only later, as a
     # slower cold start.  Nor do the modules a scalar command loads import
@@ -505,6 +515,36 @@ def test_simulate_lasso_summary_keys():
     assert doc["sub_uniformity"]["holds"] is True
     assert doc["ks_vs_p2alpha"] <= 0.02
     assert doc["p2alpha_alpha"] == 0.1
+    assert list(doc) == ["model", "n", "seed", "mean", "variance", "p_le_alpha",
+                         "sub_uniformity", "ks_vs_p2alpha", "ks_vs_p2alpha_upper", "p2alpha_alpha"]
+    assert list(doc["sub_uniformity"]) == ["holds", "max_violation", "max_violation_upper", "tol"]
+    # the brackets' widths: h^2/8 (h = 2**-16) on the violation, and on the KS
+    # distance the mass p2alpha(0.1) puts on one bin, h
+    low, high = doc["sub_uniformity"]["max_violation"], doc["sub_uniformity"]["max_violation_upper"]
+    assert 0.0 <= low <= high <= low + 2.0**-35 + 1e-14
+    assert doc["ks_vs_p2alpha"] <= doc["ks_vs_p2alpha_upper"] <= doc["ks_vs_p2alpha"] + 2.0**-16
+
+
+@pytest.mark.parametrize("argv", [
+    ("--model", "lasso"),
+    ("--model", "ruschendorf", "--alpha", "0.25"),
+    ("--model", "port", "--estimator", "r_hat", "--M", "3"),
+], ids=["lasso", "ruschendorf", "r_hat"])
+def test_simulate_stdout_is_the_same_with_and_without_out(argv, tmp_path):
+    # --out keeps the n-array; the summary folds the same blocks either way
+    args = ("simulate", *argv, "--n", "70000", "--seed", "509")
+    with_out = run_cli(*args, "--out", str(tmp_path / "pvals.csv"))
+    assert with_out.returncode == 0 and with_out.stdout == run_cli(*args).stdout
+    assert (tmp_path / "pvals.csv").read_text().count("\n") == 70000
+
+
+def test_simulate_estimator_summary_is_the_same_on_two_threads():
+    # blocks go to the summary in block order whatever thread drew them
+    args = ("simulate", "--model", "lasso", "--estimator", "r_hat", "--M", "2", "--n", "200000",
+            "--seed", "510")
+    one = run_cli(*args, env_extra={"PPP_THREADS": "1"})
+    two = run_cli(*args, env_extra={"PPP_THREADS": "2"})
+    assert one.returncode == 0 and one.stdout == two.stdout
 
 
 def test_simulate_port_default_pmfs():
@@ -635,38 +675,75 @@ def _limit_address_space():
 
 
 @pytest.mark.parametrize("model", ["lasso", "ruschendorf"])
-def test_simulate_out_of_memory_is_a_domain_error(model):
+def test_simulate_out_of_memory_is_a_domain_error(model, tmp_path):
+    # --out writes the sample, so the run holds all n values; a summary-only
+    # run of this n holds none and would run for hours
     env = os.environ.copy()
     env.pop("PPP_THREADS", None)
+    out = tmp_path / "pvals.csv"
     proc = subprocess.run([sys.executable, "-m", "subuniform.cli", "simulate", "--model", model,
-                           "--n", "100000000000", "--seed", "1"],
+                           "--n", "100000000000", "--seed", "1", "--out", str(out)],
                           capture_output=True, text=True, env=env,
                           preexec_fn=_limit_address_space)
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr.startswith("error: out of memory: ")
-    assert "Traceback" not in proc.stderr and proc.stdout == ""
+    assert "Traceback" not in proc.stderr and proc.stdout == "" and not out.exists()
+
+
+# argv of the package's CLI in a child forked from this small launcher, which
+# prints the child's exit code and peak RSS in KB.  Not a subprocess of pytest
+# itself: subprocess spawns with vfork, and the child's ru_maxrss starts at
+# the spawning process's RSS
+_PEAK_RSS = """\
+import os, sys
+pid = os.fork()
+if pid == 0:
+    os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+    os.execv(sys.executable, [sys.executable, "-m", "subuniform.cli", *sys.argv[1:]])
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def _peak_rss_kb(*argv):
+    env = os.environ.copy()
+    env.pop("PPP_THREADS", None)
+    proc = subprocess.run([sys.executable, "-c", _PEAK_RSS, *argv], capture_output=True,
+                          text=True, env=env)
+    code, peak = map(int, proc.stdout.split())
+    assert proc.returncode == 0 and code == 0, proc.stderr
+    return peak
+
+
+def test_simulate_summary_memory_is_flat_in_n():
+    # a summary-only run folds its blocks into fixed bins and keeps no value:
+    # 20 times the replicates (160 MB of p-values) cost no more than 2 MB
+    argv = ("simulate", "--model", "lasso", "--seed", "1", "--n")
+    assert _peak_rss_kb(*argv, "20000000") - _peak_rss_kb(*argv, "1000000") <= 2048
 
 
 # Digests of the stdout of one version of the package, recomputed only when an
-# output is meant to change.  n = 2 * 65536 + 17 crosses two RNG blocks and
-# several 8192-value pieces; the 10-application port model at 65536 + 16385
-# replicates has a last block of one piece plus one value, where a lone value
-# would round its 10-term posterior average differently.  Pinned with numpy
-# 2.4 on x86-64: another numpy or CPU may round pow, sin or exp differently.
+# output is meant to change (the simulate JSON last moved when it came to be
+# built from a _BinSummary's bins, with two bracket keys).  n = 2 * 65536 + 17
+# crosses two RNG blocks and several 8192-value pieces; the 10-application
+# port model at 65536 + 16385 replicates has a last block of one piece plus
+# one value, where a lone value would round its 10-term posterior average
+# differently.  Pinned with numpy 2.4 on x86-64: another numpy or CPU may
+# round pow, sin or exp differently.
 _N_PIN = str(2 * 65536 + 17)
 _PINNED = {
     "lasso": (("simulate", "--model", "lasso", "--n", _N_PIN, "--seed", "1"),
-              "ab1c72ae7f1d77bcbfbe50d9da46757d3d7acb39c55cf0c9c0fa530bc72c8487"),
+              "b6aa61bc0fcf8ddf4cb8fa4e422a036f4f03a3cb96bdb1c9aaa327fbcbcf491e"),
     "lasso.power2": (("simulate", "--model", "lasso", "--g", "power2", "--n", _N_PIN,
                       "--seed", "2"),
-                     "35fd6bc0f6cddaabef14b60743ea5eef7eeb45fcbb085a871fada89ffef55e09"),
+                     "b763cbf02fcde831e27f76df358abcc297a409ff6f87f01569f8c308bb39d2c4"),
     "lasso.power3": (("simulate", "--model", "lasso", "--g", "power3", "--n", _N_PIN,
                       "--seed", "3"),
-                     "8e26f927f582d578d498fb04a6032e2ef5d534517494cd6280d54924679f2a8b"),
+                     "0795d5b89c4200236e73f5789c9cb7bf988916bb3c0d65f5b39e47940f43bd8d"),
     "simplex": (("simulate", "--model", "simplex", "--n", _N_PIN, "--seed", "4"),
-                "46038f9b74f7c4d110eb2a4451b707dc8533957e4028a83258db240d3c2bdcc7"),
+                "503ac1c7170bd349f29ec1ba279864f9ed8e9fbccd7ba2f12c7caf4a936262d9"),
     "port": (("simulate", "--model", "port", "--n", _N_PIN, "--seed", "5"),
-             "0f04e87bf835f23db4dc563670b5199b927803223b4771482a5a2d2c822f95f3"),
+             "cea7ff5a3f0d611974b28e4b0d1da44cefad9e944f576be7d4f9cd3c2c9b5ea4"),
     "port.10apps.csv": (("simulate", "--model", "port", "--pmfs", "pmfs10.csv",
                          "--n", str(65536 + 16385), "--seed", "6", "--format", "csv"),
                         "ebeb4d1ed3a6b5740213426ce61a90abcfec05df8176af889e06bdf06919438b"),
@@ -675,16 +752,16 @@ _PINNED = {
                         "--seed", "3", "--format", "csv"),
                        "bed4cc61f14b3918f78f374c91f4f345eea4c0afac66661981d6b229fa09d98a"),
     "ruschendorf": (("simulate", "--model", "ruschendorf", "--n", _N_PIN, "--seed", "7"),
-                    "58f30481e0049dfb1fd8c6c233f0ad6867517a6c43f947e09331ed2259ec33a7"),
+                    "fb48edc546ebbcebf55784af6e9966b58784515f425b3c1576c7af88a574cb0b"),
     "simplex.r_hat": (("simulate", "--model", "simplex", "--estimator", "r_hat", "--M", "4",
                        "--sampler", "markov", "--rho", "0.9", "--n", _N_PIN, "--seed", "8"),
-                      "088a26c7f282fcf9e34c0f6a433d23eb67dd385d18546c21f6d37579fcc8bb32"),
+                      "7d417177a8d1762c13bc7e8f225b717a03c4f4c31571f2fe47e50a024b4f3879"),
     "lasso.p_hat": (("simulate", "--model", "lasso", "--estimator", "p_hat", "--M", "3",
                      "--n", _N_PIN, "--seed", "9"),
-                    "e4c93310d10183c349becd50e52e5b955ffc493488aed893fc9470ea72ad8d6e"),
+                    "7c918684d52e0bb8d019903fb3cefb7d96a79c1f12022063c8d95620bbee6fbe"),
     "port.r_hat": (("simulate", "--model", "port", "--estimator", "r_hat", "--M", "2",
                     "--n", _N_PIN, "--seed", "10"),
-                   "b2f8dfca6515d893c015563012cb42524e90f376115318ad95a70fd12ec87538"),
+                   "ee281d200e9b104578140430aa32702992b97eb6849fd22fe41d4765cae81632"),
     "lasso.csv": (("simulate", "--model", "lasso", "--n", _N_PIN, "--seed", "11",
                    "--format", "csv"),
                   "221e6b3928ce0a6a7ac5be21a6df43431a026196fd08f18ef95f7209aaec756a"),
@@ -693,13 +770,16 @@ _PINNED = {
     "lasso.out": (("simulate", "--model", "lasso", "--n", _N_PIN, "--seed", "1",
                    "--out", "out.csv"),
                   "0a19017779f33f9add2ffd29c526c89f81b3e6c7549b1978c153b70bad53d42d"),
+    "ruschendorf.out": (("simulate", "--model", "ruschendorf", "--n", _N_PIN, "--seed", "7",
+                         "--out", "out.csv"),
+                        "2f7b882a0faa20928383881e16b767620f585cbf89579583da4db9df364f079b"),
     "lasso.threads2": (("simulate", "--model", "lasso", "--n", _N_PIN, "--seed", "1"),
-                       "ab1c72ae7f1d77bcbfbe50d9da46757d3d7acb39c55cf0c9c0fa530bc72c8487",
+                       "b6aa61bc0fcf8ddf4cb8fa4e422a036f4f03a3cb96bdb1c9aaa327fbcbcf491e",
                        {"PPP_THREADS": "2"}),
     "simplex.r_hat.threads2": (("simulate", "--model", "simplex", "--estimator", "r_hat",
                                 "--M", "4", "--sampler", "markov", "--rho", "0.9",
                                 "--n", _N_PIN, "--seed", "8"),
-                               "088a26c7f282fcf9e34c0f6a433d23eb67dd385d18546c21f6d37579fcc8bb32",
+                               "7d417177a8d1762c13bc7e8f225b717a03c4f4c31571f2fe47e50a024b4f3879",
                                {"PPP_THREADS": "2"}),
     "construct.beta22": (("construct", "--target", "beta22.json", "--n", "3000", "--seed", "12"),
                          "d7654c85ea995d9f04bae5a8161980f68b19de267907b1fc5d06aa766bfd7a68"),
