@@ -32,7 +32,6 @@ import json
 import math
 import sys
 import warnings as _warnings
-from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 if TYPE_CHECKING:
@@ -113,17 +112,22 @@ def fisher_score(pvals: Iterable[float]) -> FisherScore:
         raise ValueError("pvals must be a non-empty 1-d array")
     if not _in_unit_interval(p):
         raise ValueError("p-values must lie in [0,1]")
+    return _fisher_score(p)
+
+
+def _fisher_score(p: list[float]) -> FisherScore:
+    """fisher_score of a non-empty list of floats already checked to lie in
+    [0, 1]; the warning names fisher_score's caller."""
     zeros = p.count(0.0)
     if zeros:
         _warnings.warn(f"{zeros} zero p-value(s) floored at {_ZERO_FLOOR:g} "
-                       "before taking logs", UserWarning, stacklevel=2)
+                       "before taking logs", UserWarning, stacklevel=3)
         p = [v or _ZERO_FLOOR for v in p]
     score = -2.0 * math.fsum(map(math.log, p)) + 0.0  # normalize -0.0
     return FisherScore(score, len(p), zeros)
 
 
-@dataclass(frozen=True)
-class FisherReport:
+class FisherReport(NamedTuple):
     """Nominal and worst-case tail assessments of a Fisher score."""
 
     score: float
@@ -137,7 +141,7 @@ class FisherReport:
     warnings: tuple[str, ...] = ()
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self))
+        return json.dumps(self._asdict())
 
 
 def _check_m(m: int) -> None:
@@ -170,7 +174,13 @@ def fisher_bounds(score: float, m: int, warnings: Sequence[str] = ()) -> FisherR
     k = _fisher_dof(m)
     if not math.isfinite(score):
         raise ValueError(f"score must be finite, got {score!r}")
-    nominal = chi2_sf(score, k)
+    return _fisher_report(score, m, k, chi2_sf(score, k), warnings)
+
+
+def _fisher_report(score: float, m: int, k: float, nominal: float,
+                   warnings: Sequence[str] = ()) -> FisherReport:
+    """fisher_bounds of a finite score and a checked m, with k = 2m and the
+    nominal tail chi2_sf(score, k) already computed."""
     shifted = chi2_sf(max(0.0, score - k * math.log(2.0)), k)
     inapplicable: dict[str, str] = {}
     t = score - k  # distance above the sub-uniform worst-case mean
@@ -202,13 +212,18 @@ def fisher_critical(alpha: float, m: int) -> float:
     within 1e-6 relative: for m near 1e20 and above, doubles no longer
     resolve the chi-square's spread of 2*sqrt(m) around its mean 2m.
     """
-    k = _fisher_dof(m)
+    return _fisher_critical(alpha, m, _fisher_dof(m))[0]
+
+
+def _fisher_critical(alpha: float, m: int, k: float) -> tuple[float, float]:
+    """fisher_critical for a checked m with k = 2m, and the chi-square tail
+    at the score it returns."""
     score = chi2_quantile(alpha, k)
     tail = chi2_sf(score, k)
     if not math.isclose(tail, alpha, rel_tol=1e-6):
         raise ValueError(f"no Fisher critical value for m = {m}: the chi-square tail at the "
                          f"score {score!r} reads {tail!r}, not alpha = {alpha!r}")
-    return score
+    return score, tail
 
 
 def minp_bound(x: float, m: int) -> float:

@@ -15,6 +15,8 @@ inside their functions, so the scalar commands start without numpy.  Those
 three load numpy with its BLAS on one thread (see _import_numpy): the package
 calls no BLAS routine, and OpenBLAS otherwise starts a thread per CPU.  They
 also freeze numpy's import-time heap, so no garbage collection walks it.
+simulate and construct, which draw, import numpy.random without OpenSSL's
+hashes: the package always seeds, so it needs no entropy from secrets.
 """
 
 from __future__ import annotations
@@ -26,11 +28,10 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import asdict
 from typing import Callable, TextIO
 
-from .bounds import (FisherReport, _fisher_dof, _in_unit_interval, conservative_single,
-                     fisher_bounds, fisher_critical, fisher_score, minp_bound)
+from .bounds import (_fisher_critical, _fisher_dof, _fisher_report, _fisher_score,
+                     _in_unit_interval, conservative_single, fisher_bounds, minp_bound)
 
 _TAIL_GRID = (0.01, 0.05, 0.1, 0.25)
 
@@ -42,10 +43,10 @@ _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS
 _DEFAULTS = {"alpha": 0.1, "m": 20, "g": "uniform", "m_draws": 1, "sampler": "iid", "rho": 0.0}
 
 
-def _import_numpy() -> None:
-    """Import numpy with its BLAS on one thread, unless numpy is loaded
-    already or the user set the thread count, and with the cyclic GC off,
-    then freeze the heap the import made.
+def _import_numpy(random: bool = False) -> None:
+    """Import numpy, and numpy.random too if random, with its BLAS on one
+    thread, unless numpy is loaded already or the user set the thread count,
+    and with the cyclic GC off, then freeze the heap the import made.
 
     BLAS reads these variables once, when numpy loads it; a variable the user
     set is left as it is, and the ones set here are removed again, so the
@@ -55,7 +56,14 @@ def _import_numpy() -> None:
     walk them again and again (about 18 ms of a cold array command).
     gc.freeze moves them where no collection looks, the few hundred the import
     left unreachable included (about 0.2 MB); the caller's GC state is
-    restored."""
+    restored.
+
+    numpy.random imports secrets only for unseeded entropy, and through hmac
+    and hashlib that loads _hashlib, which maps OpenSSL's libcrypto (about
+    3.5 MB and 4 ms).  Unless something loaded _hashlib already, it is hidden
+    from sys.modules for that one import, so hashlib and hmac take their
+    builtin code, and the entry is removed again: a later import _hashlib
+    loads it as usual."""
     if "numpy" in sys.modules:
         return
     unset = [var for var in _BLAS_THREAD_VARS if var not in os.environ]
@@ -64,6 +72,15 @@ def _import_numpy() -> None:
     gc.disable()
     try:
         import numpy  # noqa: F401
+        if random:
+            hide = "_hashlib" not in sys.modules
+            if hide:
+                sys.modules["_hashlib"] = None  # its import now raises ImportError
+            try:
+                import numpy.random  # noqa: F401
+            finally:
+                if hide:
+                    del sys.modules["_hashlib"]
         gc.freeze()
     finally:
         if enabled:
@@ -110,11 +127,15 @@ def _emit_table(columns: list[str], rows: list[list], fmt: str) -> None:
 
 
 def _read_pvals(path: str) -> list[float]:
+    """The p-values of the file at path, one a line, checked to lie in [0, 1].
+    Blank lines are skipped, and float ignores whitespace around a value."""
     lines = _read_file(path).split("\n")
+    if not lines[-1]:
+        lines.pop()  # after the final newline
     try:
-        try:
-            vals = list(map(float, filter(str.strip, lines)))
-        except ValueError:  # again, for a message that quotes the stripped line
+        try:  # one pass when no line is blank, the usual file
+            vals = list(map(float, lines))
+        except ValueError:  # a blank line, or again for a message quoting the stripped line
             vals = [float(ln.strip()) for ln in lines if ln.strip()]
     except ValueError as exc:
         raise ValueError(f"non-numeric entry in {path!r}: {exc}") from exc
@@ -134,15 +155,14 @@ def _cmd_calibrate(args) -> None:
 
 
 def _cmd_fisher(args) -> None:
-    vals = _read_pvals(args.pvals)
+    vals = _read_pvals(args.pvals)  # non-empty and in [0, 1]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        score = fisher_score(vals)
+        score = _fisher_score(vals)
     notes = tuple(str(w.message) for w in caught)
     for note in notes:
         print(f"note: {note}", file=sys.stderr)
-    report: FisherReport = fisher_bounds(score.score, score.m, warnings=notes)
-    _emit(asdict(report), args.format)
+    _emit(fisher_bounds(score.score, score.m, warnings=notes)._asdict(), args.format)
 
 
 def _cmd_minp(args) -> None:
@@ -208,7 +228,7 @@ def _write_file(path: str, write: Callable[[TextIO], object]) -> None:
 
 
 def _cmd_simulate(args) -> None:
-    _import_numpy()
+    _import_numpy(random=True)
     from .distributions import _binned_ks, as_p2alpha
     from .estimators import EstimatorScheme, PosteriorSampler
     from .idf import _binned_sub_uniformity
@@ -279,7 +299,7 @@ def _cmd_simulate(args) -> None:
 
 
 def _cmd_construct(args) -> None:
-    _import_numpy()
+    _import_numpy(random=True)
     from .coupling import synthesize_ppp
     from .distributions import SubUniformDist, ks_distance
     from .numerics import EmpiricalSample, RngStream, _write_values
@@ -358,11 +378,11 @@ def _cmd_curves(args) -> None:
         if args.alpha is not None:
             raise ValueError("--alpha applies only to --figure idf")
         _resolve(args, "m")
-        _fisher_dof(args.m)  # before the rows: --points 0 computes none
+        k = _fisher_dof(args.m)  # before the rows: --points 0 computes none
         rows = []
         for a in _alpha_grid(args.points):
-            score = fisher_critical(a, args.m)
-            rep = fisher_bounds(score, args.m)
+            score, tail = _fisher_critical(a, args.m, k)  # tail is the nominal p
+            rep = _fisher_report(score, args.m, k, tail)
             rows.append([a, score, rep.nominal_p, rep.bound_shifted_chi2,
                          rep.bound_cantelli, rep.bound_mgf])
         _emit_table(["alpha", "score", "nominal", "bound_shifted_chi2",

@@ -14,7 +14,7 @@ import pytest
 
 from subuniform import (RngStream, SubUniformDist, SyntheticPPPModel, fisher_bounds,
                         fisher_critical, fisher_score, p2alpha)
-from subuniform.cli import _alpha_grid, main
+from subuniform.cli import _alpha_grid, _read_pvals, main
 
 
 def run_cli(*argv, env_extra=None):
@@ -54,12 +54,15 @@ if gc_off:
     gc.disable()
 before = dict(os.environ)
 rc = main(argv)
-task = "/proc/self/task"
+task, maps = "/proc/self/task", "/proc/self/maps"
 with open(path, "w") as fh:
     json.dump({"modules": sorted(m for m in sys.modules
-                                 if m in ("scipy", "numpy", "numpy.ma", "concurrent.futures")
+                                 if m in ("scipy", "numpy", "numpy.ma", "numpy.random",
+                                          "concurrent.futures", "dataclasses", "inspect",
+                                          "_hashlib")
                                  or m.startswith("scipy.")),
                "threads": len(os.listdir(task)) if os.path.isdir(task) else None,
+               "libcrypto": ("libcrypto" in open(maps).read()) if os.path.exists(maps) else None,
                "environ_kept": dict(os.environ) == before,
                "blas_env": {var: os.environ.get(var) for var in blas_vars},
                "gc_enabled": gc.isenabled(), "gc_frozen": gc.get_freeze_count()}, fh)
@@ -72,8 +75,10 @@ def _cold_main(argv, tmp_path, env_extra=None, gc_off=False):
     thread variables unset unless env_extra sets them, and the cyclic GC
     disabled before main if gc_off.  Return its process and what it held when
     main returned (written to a file: stdout is main's): "modules", the scipy
-    modules, numpy, numpy.ma and concurrent.futures, if loaded; "threads", its
-    thread count, or None without /proc/self/task; "environ_kept", whether
+    modules, numpy, numpy.ma, numpy.random, concurrent.futures, dataclasses,
+    inspect and _hashlib, if loaded; "threads", its thread count, or None without
+    /proc/self/task; "libcrypto", whether OpenSSL's libcrypto is mapped, or
+    None without /proc/self/maps; "environ_kept", whether
     os.environ equals its value before main; "blas_env", the BLAS thread
     variables; "gc_enabled", gc.isenabled(); and "gc_frozen",
     gc.get_freeze_count()."""
@@ -100,13 +105,15 @@ def _cold_main(argv, tmp_path, env_extra=None, gc_off=False):
 ])
 def test_cli_loads_scipy_only_where_used(argv, tmp_path):
     # no command loads scipy, the chi-square tails included; none needs
-    # numpy.ma, which np.unique imports (about 18 ms of a cold start); and at
-    # one PPP_THREADS worker none loads concurrent.futures, which loads
-    # logging (about 7 ms)
+    # numpy.ma, which np.unique imports (about 18 ms of a cold start); at one
+    # PPP_THREADS worker none loads concurrent.futures, which loads logging
+    # (about 7 ms); and none loads _hashlib.  numpy.random, and the array
+    # layers' dataclasses (with the inspect it imports), are theirs to load
     target = tmp_path / "beta22.json"
     target.write_text('{"variant": "beta22"}')
     _, report = _cold_main([a.format(beta22=target) for a in argv], tmp_path)
-    assert [m for m in report["modules"] if m != "numpy"] == []
+    assert [m for m in report["modules"]
+            if m not in ("numpy", "numpy.random", "dataclasses", "inspect")] == []
 
 
 @pytest.mark.parametrize("argv", [
@@ -119,7 +126,8 @@ def test_cli_loads_scipy_only_where_used(argv, tmp_path):
 ])
 def test_scalar_commands_load_no_numpy(argv, tmp_path):
     # the scalar commands are math code: importing numpy would be about 60%
-    # of their cold start
+    # of their cold start, and dataclasses, which imports inspect, ast, dis
+    # and tokenize, about 8 ms of it
     path = tmp_path / "p.csv"
     path.write_text("0.01\n0.2\n0.03\n0.5\n")
     _, report = _cold_main([a.format(pvals=path) for a in argv], tmp_path)
@@ -209,10 +217,73 @@ def test_cli_import_loads_only_the_scalar_bounds():
     # a cold import subuniform.cli is the start-up every command pays: the
     # array layers load inside the commands that use them
     code = ("import sys, subuniform.cli; print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] in ('subuniform', 'numpy')))")
+            "if m.split('.')[0] in ('subuniform', 'numpy', 'dataclasses')))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "['subuniform', 'subuniform.bounds', 'subuniform.cli']"
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--model", "lasso", "--n", "1000", "--seed", "1"],
+    ["simulate", "--model", "lasso", "--estimator", "r_hat", "--M", "2", "--n", "1000",
+     "--seed", "1"],
+    ["construct", "--target", "{beta22}", "--n", "1000", "--seed", "1"],
+], ids=["exact", "r_hat", "construct"])
+def test_drawing_commands_map_no_openssl(argv, tmp_path):
+    # numpy.random imports secrets for unseeded entropy, which the package
+    # never takes; with _hashlib hidden for that import, hashlib and hmac
+    # use their builtin code and OpenSSL's libcrypto (3.5 MB) stays unmapped,
+    # and hashlib logs no missing algorithm to stderr
+    target = tmp_path / "beta22.json"
+    target.write_text('{"variant": "beta22"}')
+    proc, report = _cold_main([a.format(beta22=target) for a in argv], tmp_path)
+    assert "numpy.random" in report["modules"] and "_hashlib" not in report["modules"]
+    assert report["libcrypto"] in (False, None)
+    assert proc.stderr == ""
+
+
+def test_idf_figure_loads_no_numpy_random(tmp_path):
+    # the figure draws nothing
+    _, report = _cold_main(["curves", "--figure", "idf", "--points", "8"], tmp_path)
+    assert "numpy" in report["modules"] and "numpy.random" not in report["modules"]
+
+
+# main(argv), after importing _hashlib first if argv[1] is "1"; then the
+# hashes and whether they are OpenSSL's, as JSON on stderr (stdout is main's)
+_HASHES_AFTER_MAIN = """\
+import json, sys
+if sys.argv[1] == "1":
+    import _hashlib
+from subuniform.cli import main
+rc = main(sys.argv[2:])
+import _hashlib, hashlib, hmac
+json.dump({"sha256": hashlib.sha256(b"").hexdigest(),
+           "hmac": hmac.new(b"k", b"m", "sha256").hexdigest(),
+           "openssl": hashlib.sha256.__module__ == "_hashlib"}, sys.stderr)
+sys.exit(rc)
+"""
+
+
+def test_hidden_hashlib_leaves_no_trace():
+    # after a cold simulate, _hashlib imports and the hashes work, on their
+    # builtin code; a caller that loaded _hashlib first keeps OpenSSL's, and
+    # stdout is the same bytes either way
+    pytest.importorskip("_hashlib")
+    import hmac
+
+    def run(preload):
+        proc = subprocess.run([sys.executable, "-c", _HASHES_AFTER_MAIN, preload,
+                               *_COLD_SIMULATE], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout, json.loads(proc.stderr)
+
+    hmac_km = hmac.new(b"k", b"m", "sha256").hexdigest()
+    sha256_empty = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+    cold_out, cold = run("0")
+    warm_out, warm = run("1")
+    assert cold == {"sha256": sha256_empty, "hmac": hmac_km, "openssl": False}
+    assert warm == {"sha256": sha256_empty, "hmac": hmac_km, "openssl": True}
+    assert cold_out == warm_out and json.loads(cold_out)["n"] == 1000
 
 
 def test_only_numerics_imports_scipy():
@@ -386,6 +457,61 @@ def test_fisher_missing_file_is_io_error(command):
                                            f"No such file or directory: {path!r}")
 
 
+# one p-value a line; blank lines skipped, whitespace around a value ignored
+_PVALS_FILES = {
+    "blank_start": ("\n0.1\n0.2\n", [0.1, 0.2]),
+    "blank_middle": ("0.1\n\n0.2\n", [0.1, 0.2]),
+    "blank_end": ("0.1\n0.2\n\n\n", [0.1, 0.2]),
+    "crlf": ("0.1\r\n0.2\r\n", [0.1, 0.2]),
+    "spaces_tabs": (" 0.1\t\n\t0.2  \n", [0.1, 0.2]),
+    "no_final_newline": ("0.1\n0.2", [0.1, 0.2]),
+    "two_on_a_line": ("0.3\n0.1 0.2\n",
+                      "non-numeric entry in {path!r}: could not convert string to float: "
+                      "'0.1 0.2'"),
+    "word_in_spaces": ("0.3\n  abc \t\n",
+                       "non-numeric entry in {path!r}: could not convert string to float: 'abc'"),
+    "nan": ("0.1\nnan\n", "p-values must lie in [0, 1]"),
+    "outside": ("0.1\n1.5\n", "p-values must lie in [0, 1]"),
+    "empty": ("", "{path!r} contains no p-values"),
+    "whitespace_only": (" \n\t\n\n", "{path!r} contains no p-values"),
+}
+
+
+@pytest.mark.parametrize("command", ["minp", "fisher"])
+@pytest.mark.parametrize("name", sorted(_PVALS_FILES))
+def test_pvals_files_parse_or_fail_as_before(name, command, tmp_path, capsys):
+    # exit code and stderr of each edge case; a file read is one float pass
+    # over its lines unless a line is blank or no number, and that pass and
+    # the line-by-line fallback give the same list
+    text, expected = _PVALS_FILES[name]
+    path = tmp_path / "p.csv"
+    path.write_bytes(text.encode())
+    rc = main([command, "--pvals", str(path)])
+    out, err = capsys.readouterr()
+    if isinstance(expected, str):
+        assert (rc, out, err) == (1, "", f"error: {expected.format(path=str(path))}\n")
+        return
+    assert rc == 0 and err == ""
+    vals, read = _read_pvals(str(path)), path.read_text()  # CRLF reads as LF
+    assert vals == expected == [float(ln.strip()) for ln in read.split("\n") if ln.strip()]
+    if not name.startswith("blank"):  # these take the one float pass
+        assert vals == list(map(float, read.removesuffix("\n").split("\n")))
+
+
+def test_pvals_fast_path_equals_the_fallback(tmp_path):
+    # the same values in every format numpy and repr write, as one float
+    # pass (no blank line) and through the fallback (one blank line added)
+    vals = np.random.default_rng(3).random(2000) ** 8
+    vals[::97] = 0.0
+    vals[::89] = 1.0
+    for fmt in ("%.17g", "%.18e", "%r"):
+        body = "".join(fmt % v + "\n" for v in vals.tolist())
+        fast, slow = tmp_path / "fast.csv", tmp_path / "slow.csv"
+        fast.write_text(body)
+        slow.write_text("\n" + body)
+        assert _read_pvals(str(fast)) == _read_pvals(str(slow)) == vals.tolist()
+
+
 # ------------------------------------------------------------------ minp
 
 def test_minp_inline():
@@ -453,6 +579,21 @@ def test_fisher_critical_values_past_double_resolution_fail_cleanly(m):
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr.startswith(f"error: no Fisher critical value for m = {m}: ")
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
+def test_fisher_curve_takes_each_tail_once(monkeypatch, capsys):
+    # a row takes chi2_sf twice: at the critical value, whose tail is the
+    # nominal p, and at the shifted score
+    from subuniform import bounds
+
+    calls = []
+    sf = bounds.chi2_sf
+    monkeypatch.setattr(bounds, "chi2_sf", lambda x, k: calls.append(x) or sf(x, k))
+    assert main(["curves", "--figure", "fisher", "--m", "20", "--points", "16"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert len(calls) == 2 * len(rows) == 32
+    for alpha, score, nominal, *_ in rows:
+        assert nominal == sf(score, 40.0) and math.isclose(nominal, alpha, rel_tol=1e-6)
 
 
 def test_fisher_critical_checks_its_tail():
