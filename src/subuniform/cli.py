@@ -5,9 +5,11 @@ min-p combination, frequency simulation of the built-in models and
 estimators, synthesis of a p-value with a prescribed law, and curve-data
 export.  Payload goes to stdout as JSON (or CSV with --format csv);
 diagnostics go to stderr.  Exit codes: 0 success, 1 domain or validation
-error or out of memory, 2 I/O error.  Identical flags and seed give
-byte-identical stdout; PPP_THREADS sets the threads of an estimator
-simulate (exact-model runs use one) and changes speed only.
+error or out of memory, 2 I/O error or a usage error (argparse's, with a
+"usage: ppp ..." line: a flag of the wrong type, an unknown choice or a
+missing required flag).  Identical flags and seed give byte-identical
+stdout.  simulate draws on one thread, and no command reads an environment
+variable of its own (numpy's BLAS reads three, see _import_numpy).
 
 calibrate, fisher, minp and the fisher figure are scalar math code; only
 simulate, construct and the idf figure import numpy and the array layers,
@@ -232,10 +234,9 @@ def _cmd_simulate(args) -> None:
     from .distributions import _binned_ks, as_p2alpha
     from .estimators import EstimatorScheme, PosteriorSampler
     from .idf import _binned_sub_uniformity
-    from .models import _fold, _model_blocks, _ruschendorf_blocks, _thread_count
+    from .models import _fold, _model_blocks, _ruschendorf_blocks
     from .numerics import EmpiricalSample, RngStream, _BinSummary, _write_values
 
-    _thread_count(None)  # a malformed PPP_THREADS is an error for every model
     if args.n < 1:
         raise ValueError("--n must be >= 1")
     if args.estimator == "exact":
@@ -256,15 +257,12 @@ def _cmd_simulate(args) -> None:
             raise ValueError(f"--alpha must lie in (0, 0.5] for ruschendorf, got {args.alpha!r}")
         if args.estimator != "exact":
             raise ValueError("ruschendorf is a direct construction; only --estimator exact applies")
-        blocks, workers = _ruschendorf_blocks(args.alpha, rng), 1
+        blocks = _ruschendorf_blocks(args.alpha, rng)
     else:
         model = _build_model(args)
-        if args.estimator == "exact":
-            workers = 1  # a second thread costs an exact-model run time and memory (README)
-        else:
+        if args.estimator != "exact":
             model = EstimatorScheme(model, args.estimator, args.m_draws,
                                     PosteriorSampler(kind=args.sampler, rho=args.rho))
-            workers = _thread_count(None)
         blocks = _model_blocks(model, rng)
     # the law the model states for its values, if it is p2alpha(a) with
     # a < 1/2 (p2alpha(1/2) is a point mass): its atom is at a
@@ -273,7 +271,7 @@ def _cmd_simulate(args) -> None:
     summary = None if args.format == "csv" else _BinSummary(
         (*_TAIL_GRID, *(() if ref is None else (ref,))))
     keep = args.out is not None or args.format == "csv"
-    values = _fold(blocks.draw, args.n, workers, summary and summary.add, keep)
+    values = _fold(blocks.draw, args.n, summary and summary.add, keep)
     if keep:
         sample = EmpiricalSample(values, _owned=True)
         if args.out is not None:

@@ -560,9 +560,14 @@ def _binned_sub_uniformity(summary: _BinSummary) -> tuple[DominanceResult, float
     gap alone, both laws have the sample's mean, and the mean gap is both
     ends.
     """
-    gap = _gap_walk(_spread_blocks(summary), "uniform01", 1.0)
+    edge_maxima = []
+
+    def blocks():  # the spread law's blocks, each block's edge maximum taken as it goes by
+        for block in _spread_blocks(summary):
+            x, _, _, phi = block
+            edge_maxima.append(float(np.max(phi - _analytic_phi("uniform01", x))))
+            yield block
+
+    gap = _gap_walk(blocks(), "uniform01", 1.0)
     res = _verdict((*gap, 0.5), 1.0 + 1.0 / _BINS, _sample_tol(summary.n))
-    if gap[0] <= res.tol < res.max_violation:
-        return res, res.max_violation
-    return res, max(float(np.max(phi - _analytic_phi("uniform01", x)))
-                    for x, _, _, phi in _spread_blocks(summary))
+    return res, res.max_violation if gap[0] <= res.tol < res.max_violation else max(edge_maxima)

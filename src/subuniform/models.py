@@ -21,7 +21,6 @@ without inner Monte Carlo.  The built-ins realize the extreme behaviours:
 from __future__ import annotations
 
 import os
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -386,7 +385,7 @@ def ruschendorf_sample(alpha: float, rng: RngStream | np.random.Generator, n: in
     blocks = _ruschendorf_blocks(alpha, rng)
     if n <= 0:
         raise ValueError("n must be positive")
-    return EmpiricalSample(_fold(blocks.draw, n, 1), _owned=True)
+    return EmpiricalSample(_fold(blocks.draw, n), _owned=True)
 
 
 def _ruschendorf_blocks(alpha: float, rng: RngStream | np.random.Generator) -> _Blocks:
@@ -421,23 +420,16 @@ class FrequencyRun:
             _write_values(fh, self.pvalues.values)
 
 
-def _thread_count(threads: int | None) -> int:
-    """threads if given, else PPP_THREADS (1 when unset or empty), at most the
-    CPUs the process may run on: a larger pool would only hold more blocks'
-    temporaries at once."""
-    name, value = (("threads", threads) if threads is not None
-                   else ("PPP_THREADS", os.environ.get("PPP_THREADS") or "1"))
-    try:
-        count = int(value)
-    except ValueError:
-        count = 0
-    if count < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+def _thread_count(threads: int) -> int:
+    """threads, checked to be a positive integer, at most the CPUs the process
+    may run on: a larger pool would only hold more blocks' temporaries at once."""
+    if threads < 1:
+        raise ValueError(f"threads must be a positive integer, got {threads!r}")
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return min(count, cpus or 1)
+    return min(threads, cpus or 1)
 
 
-def frequency_run(model, n: int, rng: RngStream, threads: int | None = None) -> FrequencyRun:
+def frequency_run(model, n: int, rng: RngStream, threads: int = 1) -> FrequencyRun:
     """n independent replicates of (theta ~ prior, D ~ model, P = exact p-value).
 
     Work is split into fixed-size blocks, each with its own derived RNG
@@ -451,7 +443,8 @@ def frequency_run(model, n: int, rng: RngStream, threads: int | None = None) -> 
     blocks = _model_blocks(model, rng)
     return FrequencyRun(
         model_id=blocks.model_id, n=n, seed=rng.seed, stream_id=rng.stream_id,
-        pvalues=EmpiricalSample(_fold(blocks.draw, n, _thread_count(threads)), _owned=True),
+        pvalues=EmpiricalSample(_fold(blocks.draw, n, workers=_thread_count(threads)),
+                                _owned=True),
     )
 
 
@@ -472,46 +465,36 @@ def _model_blocks(model, rng: RngStream) -> _Blocks:
                    getattr(model, "_law", None))
 
 
-def _fold(draw: Callable[[int, np.ndarray], object], n: int, workers: int,
-          sink: Callable[[np.ndarray], object] | None = None,
-          keep: bool = True) -> np.ndarray | None:
+def _fold(draw: Callable[[int, np.ndarray], object], n: int,
+          sink: Callable[[np.ndarray], object] | None = None, keep: bool = True,
+          workers: int = 1) -> np.ndarray | None:
     """Draw n values block by block and hand each block to sink, in block order;
     return them, in one n-array, if keep.
 
     Block b holds values b * _BLOCK to min((b + 1) * _BLOCK, n) - 1, and
     draw(b, out) fills out with them: a slice of the n-array, or without keep
-    a buffer that sink must be done with when it returns.  On workers > 1,
-    blocks are drawn on that many threads, at most 2 * workers at a time: block
-    b is handed out once block b - 2 * workers went to sink, so a ring of
-    2 * workers buffers serves them all.
+    one buffer, reused for every block, that sink must be done with when it
+    returns.  Blocks are drawn and handed to sink on this thread.  Only
+    frequency_run's pool (workers > 1, with keep and no sink) draws them on
+    that many threads, each into its own slice of the n-array.
     """
     n_blocks = -(-n // _BLOCK)
-    workers = 1 if n_blocks == 1 else workers
-    if keep:
-        values = np.empty(n)
-    else:
-        ring = [np.empty(min(n, _BLOCK)) for _ in range(1 if workers == 1 else 2 * workers)]
+    values = np.empty(n if keep else min(n, _BLOCK))
 
     def block(b: int) -> np.ndarray:
         lo, hi = b * _BLOCK, min((b + 1) * _BLOCK, n)
-        out = values[lo:hi] if keep else ring[b % len(ring)][:hi - lo]
+        out = values[lo:hi] if keep else values[:hi - lo]
         draw(b, out)
         return out
 
-    take = sink or (lambda out: None)
-    if workers == 1:
-        for b in range(n_blocks):
-            take(block(b))
-    else:
+    if workers > 1 and n_blocks > 1:
         # imported here: it loads logging, a cost the one-thread default skips
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            pending = deque()
-            for b in range(n_blocks):
-                if len(pending) == 2 * workers:
-                    take(pending.popleft().result())  # re-raises the block's error
-                pending.append(pool.submit(block, b))
-            for future in pending:
-                take(future.result())
+            list(pool.map(block, range(n_blocks)))  # re-raises a block's error
+    else:
+        take = sink or (lambda out: None)
+        for b in range(n_blocks):
+            take(block(b))
     return values if keep else None

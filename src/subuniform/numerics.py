@@ -140,16 +140,21 @@ class EmpiricalSample:
 def _snap_edges(loc: float) -> tuple[float, float]:
     """The least and the greatest double v with abs(v - loc) <= _ATOM_TOL, in
     float arithmetic.  v - loc rounds monotonically in v, so the values on the
-    atom are those between the two, and each is found by stepping from
-    loc -+ _ATOM_TOL to the last double on its side that passes."""
+    atom are those between the two, and each is found by bisection between
+    loc, which passes, and a point 2 * _ATOM_TOL and one ulp of loc away on its
+    side, which fails: a bounded search, also for a loc near _ATOM_TOL, whose
+    edge lies by 0 among the tiny and subnormal doubles."""
+    if not math.isfinite(loc):
+        return loc, loc
     edges = []
     for side in (-1.0, 1.0):
-        x = loc + side * _ATOM_TOL
-        while abs(x - loc) > _ATOM_TOL:
-            x = math.nextafter(x, loc)
-        while abs((y := math.nextafter(x, side * math.inf)) - loc) <= _ATOM_TOL:
-            x = y
-        edges.append(x)
+        inside, outside = loc, loc + side * (2.0 * _ATOM_TOL + math.ulp(loc))
+        while (mid := (inside + outside) / 2.0) not in (inside, outside):
+            if abs(mid - loc) <= _ATOM_TOL:
+                inside = mid
+            else:
+                outside = mid
+        edges.append(inside)
     return edges[0], edges[1]
 
 

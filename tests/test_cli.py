@@ -17,13 +17,11 @@ from subuniform import (RngStream, SubUniformDist, SyntheticPPPModel, fisher_bou
 from subuniform.cli import _alpha_grid, _read_pvals, main
 
 
-def run_cli(*argv, env_extra=None):
-    env = os.environ.copy()
-    env.pop("PPP_THREADS", None)
-    if env_extra:
-        env.update(env_extra)
+def run_cli(*argv, env_extra=None, timeout=None):
+    """Run ppp argv; a run past timeout seconds fails the test, not hangs it."""
     return subprocess.run([sys.executable, "-m", "subuniform.cli", *argv],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, timeout=timeout,
+                          env={**os.environ, **(env_extra or {})})
 
 
 def payload(proc):
@@ -71,9 +69,9 @@ sys.exit(rc)
 
 
 def _cold_main(argv, tmp_path, env_extra=None, gc_off=False):
-    """Run main(argv) in a cold interpreter, with PPP_THREADS and the BLAS
-    thread variables unset unless env_extra sets them, and the cyclic GC
-    disabled before main if gc_off.  Return its process and what it held when
+    """Run main(argv) in a cold interpreter, with the BLAS thread variables
+    unset unless env_extra sets them, and the cyclic GC disabled before main
+    if gc_off.  Return its process and what it held when
     main returned (written to a file: stdout is main's): "modules", the scipy
     modules, numpy, numpy.ma, numpy.random, concurrent.futures, dataclasses,
     inspect and _hashlib, if loaded; "threads", its thread count, or None without
@@ -83,7 +81,7 @@ def _cold_main(argv, tmp_path, env_extra=None, gc_off=False):
     variables; "gc_enabled", gc.isenabled(); and "gc_frozen",
     gc.get_freeze_count()."""
     report = tmp_path / "report.json"
-    env = {k: v for k, v in os.environ.items() if k not in ("PPP_THREADS", *_BLAS_THREAD_VARS)}
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_THREAD_VARS}
     env.update(env_extra or {})
     proc = subprocess.run([sys.executable, "-c", _COLD_MAIN,
                            json.dumps([argv, str(report), _BLAS_THREAD_VARS, gc_off])],
@@ -105,10 +103,10 @@ def _cold_main(argv, tmp_path, env_extra=None, gc_off=False):
 ])
 def test_cli_loads_scipy_only_where_used(argv, tmp_path):
     # no command loads scipy, the chi-square tails included; none needs
-    # numpy.ma, which np.unique imports (about 18 ms of a cold start); at one
-    # PPP_THREADS worker none loads concurrent.futures, which loads logging
-    # (about 7 ms); and none loads _hashlib.  numpy.random, and the array
-    # layers' dataclasses (with the inspect it imports), are theirs to load
+    # numpy.ma, which np.unique imports (about 18 ms of a cold start); none
+    # loads concurrent.futures, which loads logging (about 7 ms); and none
+    # loads _hashlib.  numpy.random, and the array layers' dataclasses (with
+    # the inspect it imports), are theirs to load
     target = tmp_path / "beta22.json"
     target.write_text('{"variant": "beta22"}')
     _, report = _cold_main([a.format(beta22=target) for a in argv], tmp_path)
@@ -143,9 +141,8 @@ def test_scalar_commands_load_no_numpy(argv, tmp_path):
 ])
 def test_array_commands_start_no_threads(argv, tmp_path):
     # the package calls no BLAS routine, so numpy loads its BLAS on one
-    # thread (OpenBLAS would start one per CPU), and one PPP_THREADS worker
-    # starts no pool; the variables set for the import are gone when main
-    # returns
+    # thread (OpenBLAS would start one per CPU), and simulate starts no
+    # pool; the variables set for the import are gone when main returns
     target = tmp_path / "beta22.json"
     target.write_text('{"variant": "beta22"}')
     _, report = _cold_main([a.format(beta22=target) for a in argv], tmp_path)
@@ -156,19 +153,17 @@ def test_array_commands_start_no_threads(argv, tmp_path):
     assert report["threads"] == 1
 
 
-@pytest.mark.parametrize("argv, pool", [
-    (["simulate", "--model", "lasso", "--n", "70000", "--seed", "1"], False),
-    (["simulate", "--model", "lasso", "--estimator", "r_hat", "--M", "2", "--n", "70000",
-      "--seed", "1"], True),
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--model", "lasso", "--n", "70000", "--seed", "1"],
+    ["simulate", "--model", "lasso", "--estimator", "r_hat", "--M", "2", "--n", "70000",
+     "--seed", "1"],
 ], ids=["exact", "r_hat"])
-def test_simulate_pool_serves_only_estimator_runs(argv, pool, tmp_path):
-    # n = 70000 is two RNG blocks.  At PPP_THREADS 2 an exact-model run still
-    # takes them on one thread, so it loads no concurrent.futures; an
-    # estimator run takes them on the pool, if the process may use two CPUs
-    from subuniform.models import _thread_count
-
+def test_simulate_starts_no_pool(argv, tmp_path):
+    # n = 70000 is two RNG blocks.  Every simulate, an estimator run too, takes
+    # them on one thread, so it loads no concurrent.futures, whatever
+    # PPP_THREADS says
     _, report = _cold_main(argv, tmp_path, env_extra={"PPP_THREADS": "2"})
-    assert ("concurrent.futures" in report["modules"]) == (pool and _thread_count(2) == 2)
+    assert "concurrent.futures" not in report["modules"]
 
 
 def test_array_commands_keep_the_users_blas_threads(tmp_path):
@@ -340,10 +335,8 @@ sys.exit(main(sys.argv[1:]))
 
 def test_fisher_commands_run_without_scipy(tmp_path):
     def run(*argv):
-        env = os.environ.copy()
-        env.pop("PPP_THREADS", None)
         proc = subprocess.run([sys.executable, "-c", _NO_SCIPY, *argv],
-                              capture_output=True, text=True, env=env)
+                              capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         return proc.stdout
 
@@ -455,6 +448,23 @@ def test_fisher_missing_file_is_io_error(command):
     assert proc.returncode == 2
     assert proc.stderr.splitlines()[0] == (f"error: cannot read {path!r}: [Errno 2] "
                                            f"No such file or directory: {path!r}")
+
+
+@pytest.mark.parametrize("argv, usage", [
+    (("curves", "--figure", "fisher", "--m", "1.5"), "curves"),
+    (("simulate", "--model", "lasso", "--n", "abc", "--seed", "1"), "simulate"),
+    (("simulate", "--model", "normal", "--n", "10", "--seed", "1"), "simulate"),
+    (("calibrate",), "calibrate"),
+], ids=["wrong_type", "wrong_type.simulate", "unknown_choice", "missing_flag"])
+def test_usage_error_exits_2_with_usage(argv, usage):
+    # argparse rejects a flag of the wrong type, an unknown choice and a
+    # missing required flag before any command runs: exit code 2 (as for an
+    # I/O error), the command's usage line, and argparse's error line
+    proc = run_cli(*argv)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith(f"usage: ppp {usage} [-h] ")
+    assert proc.stderr.splitlines()[-1].startswith(f"ppp {usage}: error: ")
+    assert "Traceback" not in proc.stderr
 
 
 # one p-value a line; blank lines skipped, whitespace around a value ignored
@@ -679,15 +689,6 @@ def test_simulate_stdout_is_the_same_with_and_without_out(argv, tmp_path):
     assert (tmp_path / "pvals.csv").read_text().count("\n") == 70000
 
 
-def test_simulate_estimator_summary_is_the_same_on_two_threads():
-    # blocks go to the summary in block order whatever thread drew them
-    args = ("simulate", "--model", "lasso", "--estimator", "r_hat", "--M", "2", "--n", "200000",
-            "--seed", "510")
-    one = run_cli(*args, env_extra={"PPP_THREADS": "1"})
-    two = run_cli(*args, env_extra={"PPP_THREADS": "2"})
-    assert one.returncode == 0 and one.stdout == two.stdout
-
-
 def test_simulate_port_default_pmfs():
     doc = payload(run_cli("simulate", "--model", "port", "--n", "5000", "--seed", "502"))
     assert doc["model"].startswith("port")
@@ -719,6 +720,20 @@ def test_simulate_port_nan_pmf_is_domain_error(tmp_path):
                    "--seed", "1")
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr == "error: pmf row 0, column 0 is not finite: nan\n"
+
+
+@pytest.mark.parametrize("text, cause", [
+    ("0.7,0.2,0.1\n0.1,abc,0.7\n", "could not convert string 'abc' to float64"),
+    ("0.7,0.2,0.1\n0.5,0.5\n", "the number of columns changed from 3 to 2"),
+], ids=["non_numeric", "ragged"])
+def test_simulate_port_malformed_pmfs_is_domain_error(tmp_path, text, cause):
+    path = tmp_path / "pmfs.csv"
+    path.write_text(text)
+    proc = run_cli("simulate", "--model", "port", "--pmfs", str(path), "--n", "1000",
+                   "--seed", "1")
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith(f"error: malformed pmf CSV {str(path)!r}: ")
+    assert cause in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_simulate_estimator_flags():
@@ -764,39 +779,46 @@ def test_simulate_rejects_flags_it_would_ignore(extra, flag):
     assert proc.stderr.startswith(f"error: {flag} applies only to --")
 
 
-def test_simulate_thread_count_does_not_change_output(tmp_path):
-    args = ("simulate", "--model", "simplex", "--alpha", "0.1", "--n", "20000",
-            "--seed", "504", "--estimator", "p_hat", "--M", "2")
-    one = run_cli(*args, env_extra={"PPP_THREADS": "1"})
-    four = run_cli(*args, env_extra={"PPP_THREADS": "4"})
-    assert one.returncode == 0 and one.stdout == four.stdout
-
-
 @pytest.mark.parametrize("model", [
     ("--model", "simplex"),
     ("--model", "ruschendorf"),
     ("--model", "simplex", "--estimator", "r_hat", "--M", "2"),
 ], ids=["simplex", "ruschendorf", "r_hat"])
-@pytest.mark.parametrize("value", ["abc", "0", "-2"])
-def test_simulate_rejects_bad_thread_count(value, model):
-    # every simulate reads PPP_THREADS, also one that runs on one thread
-    proc = run_cli("simulate", *model, "--n", "1000", "--seed", "507",
-                   env_extra={"PPP_THREADS": value})
-    assert proc.returncode == 1
-    assert proc.stderr.startswith("error: ")
-    assert "PPP_THREADS" in proc.stderr and repr(value) in proc.stderr
-
-
-def test_simulate_empty_thread_count_means_one():
-    args = ("simulate", "--model", "simplex", "--n", "1000", "--seed", "507")
-    empty, unset = run_cli(*args, env_extra={"PPP_THREADS": ""}), run_cli(*args)
-    assert empty.returncode == 0 and empty.stdout == unset.stdout
+def test_simulate_ignores_ppp_threads(model):
+    # simulate runs on one thread and reads no PPP_THREADS, a thread count
+    # that scripts may still set: at any value, a malformed one too, it
+    # prints the stdout of a run without it.  n = 70000 is two RNG blocks
+    args = ("simulate", *model, "--n", "70000", "--seed", "507")
+    unset = run_cli(*args)
+    assert unset.returncode == 0, unset.stderr
+    for value in ("", "1", "2", "abc", "-2"):
+        proc = run_cli(*args, env_extra={"PPP_THREADS": value})
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, unset.stdout, ""), value
 
 
 def test_simulate_rejects_bad_alpha():
     proc = run_cli("simulate", "--model", "simplex", "--alpha", "0.6",
                    "--n", "100", "--seed", "505")
     assert proc.returncode == 1
+
+
+@pytest.mark.parametrize("model", ["ruschendorf", "lasso"])
+def test_simulate_atom_at_the_snap_tolerance(model):
+    # the reference atom at _ATOM_TOL = 1e-9 puts its window's left edge by 0,
+    # among the tiny and subnormal doubles, where a search one double at a
+    # time would take about 2**62 steps
+    doc = payload(run_cli("simulate", "--model", model, "--alpha", "1e-9", "--n", "1000",
+                          "--seed", "1", timeout=60))
+    assert doc["p2alpha_alpha"] == 1e-9 and doc["sub_uniformity"]["holds"] is True
+
+
+def test_simulate_point_mass_law_has_no_ks_keys():
+    # ruschendorf at alpha 0.5 states p2alpha(0.5), a point mass at 1/2 (the
+    # point-mass branch of as_p2alpha): simulate reports no KS against it
+    doc = payload(run_cli("simulate", "--model", "ruschendorf", "--alpha", "0.5", "--n", "1000",
+                          "--seed", "1"))
+    assert not doc.keys() & {"ks_vs_p2alpha", "ks_vs_p2alpha_upper", "p2alpha_alpha"}
+    assert (doc["mean"], doc["variance"]) == (0.5, 0.0)
 
 
 def test_simulate_ruschendorf_rejects_estimators():
@@ -819,13 +841,10 @@ def _limit_address_space():
 def test_simulate_out_of_memory_is_a_domain_error(model, tmp_path):
     # --out writes the sample, so the run holds all n values; a summary-only
     # run of this n holds none and would run for hours
-    env = os.environ.copy()
-    env.pop("PPP_THREADS", None)
     out = tmp_path / "pvals.csv"
     proc = subprocess.run([sys.executable, "-m", "subuniform.cli", "simulate", "--model", model,
                            "--n", "100000000000", "--seed", "1", "--out", str(out)],
-                          capture_output=True, text=True, env=env,
-                          preexec_fn=_limit_address_space)
+                          capture_output=True, text=True, preexec_fn=_limit_address_space)
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr.startswith("error: out of memory: ")
     assert "Traceback" not in proc.stderr and proc.stdout == "" and not out.exists()
@@ -847,10 +866,8 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 
 
 def _peak_rss_kb(*argv):
-    env = os.environ.copy()
-    env.pop("PPP_THREADS", None)
     proc = subprocess.run([sys.executable, "-c", _PEAK_RSS, *argv], capture_output=True,
-                          text=True, env=env)
+                          text=True)
     code, peak = map(int, proc.stdout.split())
     assert proc.returncode == 0 and code == 0, proc.stderr
     return peak
@@ -906,8 +923,9 @@ _PINNED = {
     "lasso.csv": (("simulate", "--model", "lasso", "--n", _N_PIN, "--seed", "11",
                    "--format", "csv"),
                   "221e6b3928ce0a6a7ac5be21a6df43431a026196fd08f18ef95f7209aaec756a"),
-    # the bytes --out writes, and PPP_THREADS=2 runs: any reordering of the
-    # draws, or a block drawn by another generator, moves these
+    # the bytes --out writes, and runs with PPP_THREADS=2, which simulate
+    # ignores: any reordering of the draws, or a block drawn by another
+    # generator, moves these
     "lasso.out": (("simulate", "--model", "lasso", "--n", _N_PIN, "--seed", "1",
                    "--out", "out.csv"),
                   "0a19017779f33f9add2ffd29c526c89f81b3e6c7549b1978c153b70bad53d42d"),
@@ -1062,6 +1080,22 @@ def test_construct_malformed_target_names_its_field(tmp_path, spec, field):
     assert proc.returncode == 1
     assert f"error: invalid target spec: malformed {field}:" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("alpha, path, frequencies", [
+    (0.5, "left-curtain", {"0.5": 1.0}),
+    (1e-9, "explicit-p2alpha", {"1e-09": 0.0}),
+], ids=["point_mass", "atom_at_snap_tolerance"])
+def test_construct_p2alpha_at_the_ends(tmp_path, alpha, path, frequencies):
+    # p2alpha(0.5) is a point mass at 1/2, which as_p2alpha names and the
+    # left curtain realizes; an atom at 1e-9 = _ATOM_TOL has a snap window
+    # whose left edge lies by 0, about 2**62 doubles from 1e-9 - 1e-9
+    target = tmp_path / "target.json"
+    target.write_text(json.dumps({"variant": "p2alpha", "alpha": alpha}))
+    doc = payload(run_cli("construct", "--target", str(target), "--n", "1000", "--seed", "1",
+                          timeout=60))
+    assert doc["path"] == path
+    assert doc["comparison"]["atom_frequencies"] == frequencies
 
 
 def test_construct_missing_target_is_io_error():

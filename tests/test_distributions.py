@@ -53,6 +53,13 @@ def test_as_p2alpha_recognizes_family():
     assert as_p2alpha(SubUniformDist("beta22")) is None
 
 
+def test_as_p2alpha_recognizes_the_point_mass():
+    # p2alpha(0.5) has no uniform piece: the atom at 1/2 carries all the mass
+    point = p2alpha(0.5)
+    assert (point.atoms, point.pieces) == (((0.5, 1.0),), ())
+    assert as_p2alpha(point) == 0.5
+
+
 # ------------------------------------------------------------------ cdf
 
 def test_cdf_values():

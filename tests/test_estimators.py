@@ -274,17 +274,13 @@ def test_estimator_block_holds_one_table():
 
 # ------------------------------------------------------------------ plumbing
 
-def test_marginal_run_metadata_and_determinism(monkeypatch):
+def test_marginal_run_metadata_and_determinism():
     run = marginal_estimator_run(lasso_model(0.1), "r_hat", 4, 50_000,
                                  RngStream(seed=79), sampler=PosteriorSampler("markov", 0.5))
     assert "r_hat" in run.model_id and "M=4" in run.model_id and "markov" in run.model_id
     again = marginal_estimator_run(lasso_model(0.1), "r_hat", 4, 50_000,
                                    RngStream(seed=79), sampler=PosteriorSampler("markov", 0.5))
     assert np.array_equal(run.pvalues.values, again.pvalues.values)
-    monkeypatch.setenv("PPP_THREADS", "4")
-    threaded = marginal_estimator_run(lasso_model(0.1), "r_hat", 4, 50_000,
-                                      RngStream(seed=79), sampler=PosteriorSampler("markov", 0.5))
-    assert np.array_equal(run.pvalues.values, threaded.pvalues.values)
 
 
 def test_marginal_run_rejects_unknown_scheme():

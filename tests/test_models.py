@@ -411,25 +411,13 @@ def test_frequency_run_runs_no_more_blocks_at_once_than_cpus(monkeypatch):
 
 
 def test_frequency_run_rejects_nonpositive_threads():
-    # the same rule as PPP_THREADS: no silent clamp to one thread
+    # no silent clamp to one thread
     for threads in (0, -2):
         with pytest.raises(ValueError, match="threads must be a positive integer"):
             frequency_run(lasso_model(0.1), 1_000, RngStream(seed=42), threads=threads)
 
 
-def test_frequency_run_env_thread_override(monkeypatch):
-    # the blocks are sorted in place in the array they were written to; the
-    # bits must not depend on which thread wrote which block
-    for model in (simplex_model(0.1), lasso_model(0.1)):
-        monkeypatch.delenv("PPP_THREADS", raising=False)
-        base = frequency_run(model, 80_000, RngStream(seed=43))
-        for threads in ("1", "2", "3"):
-            monkeypatch.setenv("PPP_THREADS", threads)
-            again = frequency_run(model, 80_000, RngStream(seed=43))
-            assert again.pvalues.values.tobytes() == base.pvalues.values.tobytes()
-
-
-def test_frequency_run_holds_one_n_array(monkeypatch):
+def test_frequency_run_holds_one_n_array():
     # the p-values are written, sorted and summarized in one n-array: sorting
     # a copy and squaring deviations into another took 2 * 8n.  The rest is
     # one RNG block's prior indices and one piece's temporaries: 1.058 * 8n
@@ -438,7 +426,6 @@ def test_frequency_run_holds_one_n_array(monkeypatch):
     # measure one thread.
     import tracemalloc
 
-    monkeypatch.delenv("PPP_THREADS", raising=False)
     n = 1_000_000
     frequency_run(lasso_model(0.1), 10, RngStream(1))  # numpy imports numpy.random on first use
     tracemalloc.start()
@@ -450,7 +437,7 @@ def test_frequency_run_holds_one_n_array(monkeypatch):
     assert peak < 1.15 * 8 * n
 
 
-def test_frequency_run_streams_each_block(monkeypatch):
+def test_frequency_run_streams_each_block():
     # a block's draws are its prior indices (one byte each here), then one
     # piece of data and p-values at a time: above the n-array, the peak is
     # one piece's temporaries, under one block of float64 (8 * 65536 bytes).
@@ -460,7 +447,6 @@ def test_frequency_run_streams_each_block(monkeypatch):
 
     from subuniform.models import _BLOCK
 
-    monkeypatch.delenv("PPP_THREADS", raising=False)
     n = 4 * _BLOCK
     for model in (lasso_model(0.1), simplex_model(0.1), port_model(WORKED_PMFS)):
         frequency_run(model, 10, RngStream(1))  # first-use imports
@@ -473,7 +459,7 @@ def test_frequency_run_streams_each_block(monkeypatch):
         assert peak - 8 * n < 8 * _BLOCK, model.model_id
 
 
-def test_frequency_run_writes_each_block_in_place(monkeypatch):
+def test_frequency_run_writes_each_block_in_place():
     # every draw_pvalues writes its block into the block's slice of the
     # n-array: a returned block array, copied in, would add one block
     # (8 * 65536 bytes) to the peak.  Above the n-array, measured in blocks at
@@ -485,7 +471,6 @@ def test_frequency_run_writes_each_block_in_place(monkeypatch):
     from subuniform import EstimatorScheme, PosteriorSampler, synthesize_ppp
     from subuniform.models import _BLOCK
 
-    monkeypatch.delenv("PPP_THREADS", raising=False)
     n = 4 * _BLOCK
     cases = ((EstimatorScheme(lasso_model(0.1), "r_hat", 2, PosteriorSampler()), 5.5),
              (synthesize_ppp(p2alpha(0.2), rng=RngStream(seed=3)), 3.4),

@@ -379,6 +379,35 @@ def test_atom_queries_use_the_walks_rule_at_the_window_edges():
     assert EmpiricalSample([0.250000001]).atom_frequency(0.25) == 0.0
 
 
+def test_snap_edges_are_found_at_any_location():
+    # each edge passes the rule and the next double outward fails it.  For a
+    # loc within about 1e-17 of _ATOM_TOL the left edge lies by 0, among the
+    # tiny and subnormal doubles, about 2**62 of them from loc - _ATOM_TOL; an
+    # alarm turns a search that walks them into a failure, not a hang
+    import signal
+
+    from subuniform.numerics import _ATOM_TOL, _snap_edges
+
+    def hang(signum, frame):
+        raise TimeoutError("_snap_edges did not return")
+
+    tol = _ATOM_TOL
+    locs = [0.0, 5e-324, 1e-300, 5e-10, tol, math.nextafter(tol, 0.0), math.nextafter(tol, 1.0),
+            tol - 1e-18, tol + 1e-18, 2e-9, 0.1, 1.0,
+            *np.random.default_rng(31).uniform(0.0, 3e-9, 300).tolist()]
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(20)
+    try:
+        for loc in locs:
+            for edge, outward in zip(_snap_edges(loc), (-math.inf, math.inf)):
+                assert abs(edge - loc) <= tol, loc
+                assert abs(math.nextafter(edge, outward) - loc) > tol, loc
+        assert EmpiricalSample([0.0, tol, 2 * tol, 3 * tol]).atom_frequency(tol) == 0.75
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 # ------------------------------------------------------------------ the sample writer
 
 def test_write_values_matches_savetxt(tmp_path):

@@ -67,3 +67,29 @@ def test_every_module_level_name_is_public_or_used_in_the_package():
     listed.add(("cli.py", "main"))
     assert [f"{module}: {name}" for module, name in defined
             if name not in used and (module, name) not in listed] == []
+
+
+def test_no_environment_variable_picks_a_code_path():
+    # the package has no environment knob: what changes a run is a flag or a
+    # parameter.  The one reader of the environment is cli._import_numpy,
+    # which sets the BLAS thread variables (cli._BLAS_THREAD_VARS) the user
+    # left unset for numpy's import and removes them again
+    import ast
+    from pathlib import Path
+
+    access = {"environ", "environb", "getenv", "getenvb", "putenv", "unsetenv"}
+    found = []
+    for path in sorted(Path(subuniform.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = set()
+        if path.name == "cli.py":
+            (setter,) = [f for f in tree.body
+                         if isinstance(f, ast.FunctionDef) and f.name == "_import_numpy"]
+            allowed = {id(node) for node in ast.walk(setter)}
+        for node in ast.walk(tree):
+            name = (node.attr if isinstance(node, ast.Attribute)
+                    else node.id if isinstance(node, ast.Name)
+                    else node.name if isinstance(node, ast.alias) else None)
+            if name in access and id(node) not in allowed:
+                found.append(f"{path.name}:{node.lineno}: {name}")
+    assert found == []

@@ -10,9 +10,8 @@ import pytest
 
 from _oracles import exact_max_gap_uniform, exact_phi
 from subuniform import (EmpiricalSample, IntegratedDF, RngStream, SubUniformDist, dominates_cx,
-                        ks_distance, lasso_model, p2alpha, simplex_model, uniform_idf)
+                        ks_distance, lasso_model, p2alpha, uniform_idf)
 from subuniform.distributions import _binned_ks
-from subuniform.estimators import EstimatorScheme, PosteriorSampler
 from subuniform.idf import _binned_sub_uniformity, _spread_blocks
 from subuniform.models import _BLOCK, _fold, _model_blocks
 from subuniform.numerics import _ATOM_TOL, _BINS, _BinSummary, _snap_window
@@ -212,57 +211,27 @@ def test_summary_counts_past_int32():
 
 # ------------------------------------------------------------------ drawing blocks (_fold)
 
-@pytest.mark.parametrize("workers", [1, 2, 3])
-def test_fold_hands_blocks_to_the_sink_in_block_order(workers):
-    # with a ring of buffers the sink must take block b before block
-    # b + 2 * workers is drawn into the same buffer, and get its own values;
-    # threads switch every 10 us, so a block drawn too early shows
-    import sys
-    import threading
-
-    n, lock, drawn, taken = 9 * _BLOCK + 5, threading.Lock(), [], []
-    switch = sys.getswitchinterval()
+def test_fold_hands_blocks_to_the_sink_in_block_order():
+    # without keep one buffer serves every block: the sink takes block b
+    # before block b + 1 is drawn into it, and gets block b's own values
+    n, drawn, taken = 9 * _BLOCK + 5, [], []
 
     def draw(b, out):
+        assert len(drawn) == len(taken)
         out[...] = b
-        with lock:
-            drawn.append(b)
-            assert len(drawn) - len(taken) <= 2 * workers
+        drawn.append(b)
 
     def sink(out):
-        with lock:
-            taken.append(int(out[0]))
+        taken.append(int(out[0]))
         assert np.all(out == taken[-1]) and out.size == min(_BLOCK, n - taken[-1] * _BLOCK)
 
-    sys.setswitchinterval(1e-5)
-    try:
-        assert _fold(draw, n, workers, sink, keep=False) is None
-    finally:
-        sys.setswitchinterval(switch)
-    assert taken == list(range(10)) and sorted(drawn) == taken
-
-
-@pytest.mark.parametrize("model", [
-    simplex_model(0.1),
-    EstimatorScheme(lasso_model(0.1), "r_hat", 3, PosteriorSampler("markov", 0.5)),
-], ids=["exact", "r_hat"])
-def test_summary_is_the_same_at_any_worker_count(model):
-    n = 5 * _BLOCK + 3
-    runs = []
-    for workers in (1, 2, 4):
-        summary = _BinSummary(_TAILS)
-        _fold(_model_blocks(model, RngStream(16)).draw, n, workers, summary.add, keep=False)
-        runs.append(summary)
-    for other in runs[1:]:
-        assert np.array_equal(runs[0].counts, other.counts)
-        assert runs[0].shifts.tobytes() == other.shifts.tobytes()
-        assert runs[0].windows == other.windows
-        assert (runs[0].mean(), runs[0].variance()) == (other.mean(), other.variance())
+    assert _fold(draw, n, sink, keep=False) is None
+    assert taken == drawn == list(range(10))
 
 
 def test_fold_keeps_the_draws_of_the_frequency_run():
     from subuniform import frequency_run
 
     model, n = lasso_model(0.1), 2 * _BLOCK + 9
-    kept = _fold(_model_blocks(model, RngStream(17)).draw, n, 1)
+    kept = _fold(_model_blocks(model, RngStream(17)).draw, n)
     assert np.array_equal(np.sort(kept), frequency_run(model, n, RngStream(17)).pvalues.values)
