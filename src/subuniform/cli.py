@@ -316,10 +316,14 @@ def _cmd_construct(args) -> None:
     sample = EmpiricalSample(pvals, _owned=True)
     s_sample = EmpiricalSample(svals, _owned=True)
     uniform = SubUniformDist("uniform01")
+    # keyed by repr, so atoms share a key only at one location (their masses add)
+    expected = {}
+    for loc, m in target.atoms:
+        expected[repr(loc)] = expected.get(repr(loc), 0.0) + m
     comparison = {
         "ks_vs_target": ks_distance(target, sample),
-        "atom_frequencies": {f"{loc:g}": sample.atom_frequency(loc) for loc, _m in target.atoms},
-        "atom_expected": {f"{loc:g}": m for loc, m in target.atoms},
+        "atom_frequencies": {repr(loc): sample.atom_frequency(loc) for loc, _m in target.atoms},
+        "atom_expected": expected,
         "s_marginal_ks": ks_distance(uniform, s_sample),
         "martingale_residual": model.coupling.martingale_residual(),
     }

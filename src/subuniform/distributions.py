@@ -17,6 +17,7 @@ Built-in variants:
 
 from __future__ import annotations
 
+import bisect
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -220,24 +221,47 @@ def ks_distance(dist: SubUniformDist, samp: EmpiricalSample) -> float:
 
 def _step_cdf_gap(dist: SubUniformDist, locs: np.ndarray,
                   level: Callable[[np.ndarray], np.ndarray]) -> float:
-    """Exact sup_x |E(x) - F(x)| for the step CDF E(x) = level(number of locs
-    <= x) of the sorted locs and dist's CDF F.  level must not decrease.
+    """Exact sup_x |E(x) - F(x)| for dist's CDF F and the step CDF
+    E(x) = level(number of locs <= x) of the sorted locs: the closed bracket
+    of their runs."""
+    return _ks_bracket(dist, _run_points(dist, locs, level))[0]
 
-    Locs within _ATOM_TOL of an atom are snapped onto it, atom by atom in
-    dist's order.  Atoms more than 2 * _ATOM_TOL apart snap disjoint windows
-    of locs (numerics._snap_window) and keep them sorted, so no copy is made:
-    the runs inside a window are skipped, and the window is taken at its atom
-    with the other points.  Closer atoms can move a value on from one window
-    to the next, so then a copy is snapped, and each window is the values
-    equal to its atom.
 
-    Between consecutive locs, atoms and piece ends, E is constant and F
-    monotone, so the sup is attained in the left or right limits at those
-    points.  At a run of equal locs from index i to j (exclusive) those
-    limits of E are level(i) and level(j).  A run outside every window lies
-    on no atom, so F is continuous there.  The runs are walked one piece of
-    locs at a time, in O(_WALK) extra memory.
-    """
+def _binned_ks(dist: SubUniformDist, summary: _BinSummary) -> tuple[float, float]:
+    """ks_distance(dist, sample), bracketed from the bins of summary."""
+    return _ks_bracket(dist, _bin_points(dist, summary))
+
+
+def _ks_bracket(dist: SubUniformDist, blocks) -> tuple[float, float]:
+    """(lower, upper) around sup_x |E(x) - F(x)| for dist's CDF F and a step
+    CDF E, from blocks of sorted points (p, E(p-), E(p)); E(p) may be given
+    as E(p-) at a point that holds no atom of dist.  lower is the largest
+    |E - F| at both limits.  On [p, q) between consecutive points F has no
+    atom and both rise, so |E - F| <= max(E(q-) - F(p), F(q-) - E(p)), and
+    upper takes these too.  Where E(q-) = E(p), as between runs of a sample,
+    they are limits that lower took, and the bracket closes."""
+    lower = upper = 0.0
+    last = 0.0, 0.0  # E(p) and F(p) at the last point before; at first, both 0 at -inf
+    for points, left, right in blocks:
+        f, f_left = _cdf_limits(dist, points)
+        a, b = left - f_left, right - f
+        lower = max(lower, a.max(), -a.min(), b.max(), -b.min())
+        upper = max(upper, left[0] - last[1], f_left[0] - last[0])
+        if points.size > 1:
+            upper = max(upper, (left[1:] - f[:-1]).max(), (f_left[1:] - right[:-1]).max())
+        last = right[-1], f[-1]
+    return float(lower), float(max(lower, upper))
+
+
+def _run_points(dist: SubUniformDist, locs: np.ndarray, level: Callable[[np.ndarray], np.ndarray]):
+    """_ks_bracket's blocks for E(x) = level(number of locs <= x), locs sorted
+    and level not decreasing: the runs of equal locs one piece of locs at a
+    time (numerics._run_blocks), with dist's atoms, piece ends, 0 and 1
+    merged in.  Locs within _ATOM_TOL of an atom are snapped onto it, atom by
+    atom in dist's order.  Atoms more than 2 * _ATOM_TOL apart snap disjoint
+    windows of locs (numerics._snap_window): the runs inside a window are left
+    out for its atom, and no copy is made.  Closer atoms can move a value on
+    from one window to the next, so then a copy is snapped."""
     atoms = [loc for loc, _ in dist.atoms]
     if np.any(np.diff(np.sort(atoms)) <= 2.0 * _ATOM_TOL):
         locs = locs.copy()
@@ -248,102 +272,58 @@ def _step_cdf_gap(dist: SubUniformDist, locs: np.ndarray,
                     int(np.searchsorted(locs, loc, side="right")), loc) for loc in atoms}
     else:
         windows = [(*_snap_window(locs, loc), loc) for loc in atoms]
-    windows = sorted(windows)
-    bounds = np.array([w[:2] for w in windows], dtype=np.intp).ravel()
-    d = 0.0
-    for run in _run_blocks(locs):
-        d = max(d, _runs_gap(dist, level, bounds, *run))
-    points = _sorted_unique(np.concatenate([
-        np.array(atoms, dtype=float),
-        np.array([e for lo, hi, _ in dist.pieces for e in (lo, hi)], dtype=float),
-        np.array([0.0, 1.0]),
-    ]))
-    # the snapped locs <= each point, and < it: the locs of a window count up
-    # to its hi or lo, by the side of the point its atom is on, wherever the
-    # point falls in the window; at an atom these are the window's bounds
-    for side, f in zip(("right", "left"), _cdf_limits(dist, points)):
-        k = np.searchsorted(locs, points, side=side)
-        n = k + sum(np.where(np.searchsorted([loc], points, side=side), hi, lo) - np.clip(k, lo, hi)
-                    for lo, hi, loc in windows)
-        d = max(d, float(np.max(np.abs(level(n) - f))))
-    return d
+    extra = _sorted_unique(np.array(atoms + [e for lo, hi, _ in dist.pieces for e in (lo, hi)]
+                                    + [0.0, 1.0], dtype=float))
+    # the snapped locs <= each extra point: a window's locs count up to its hi
+    # or lo, by the side of the point its atom is on; at the atom, hi
+    k = np.searchsorted(locs, extra, side="right")
+    upto = k + sum(np.where(loc <= extra, hi, lo) - np.clip(k, lo, hi) for lo, hi, loc in windows)
+    cuts = extra.tolist()
+    done = below = 0  # extra points merged, and snapped locs below the next point
+    for starts, ends, vals in _run_blocks(locs):
+        stop = extra.size if ends[-1] == locs.size else bisect.bisect_right(cuts, vals[-1])
+        for lo, hi, _ in windows:
+            if starts.size and lo < min(hi, ends[-1]) and hi > starts[0]:
+                out = (starts < lo) | (starts >= hi)
+                starts, ends, vals = starts[out], ends[out], vals[out]
+        if stop > done:
+            x, xk, done = extra[done:stop], upto[done:stop], stop
+            at = np.searchsorted(vals, x)
+            new = np.searchsorted(vals, x, side="right") == at  # on no run
+            vals, ends = np.insert(vals, at[new], x[new]), np.insert(ends, at[new], xk[new])
+        if vals.size:
+            e = level(np.concatenate([[below], ends]))
+            below = ends[-1]
+            yield vals, e[:-1], e[1:]
 
 
-def _binned_ks(dist: SubUniformDist, summary: _BinSummary) -> tuple[float, float]:
-    """ks_distance(dist, sample), bracketed from the bins of summary: an
-    attained lower end and an upper end.  summary must count the snap window
-    of each atom of dist, and the atoms lie more than 2 * _ATOM_TOL apart.
-
-    The points are the bin edges and the atoms, less the edges inside an
-    atom's window, taken one block of edges at a time
-    (_BinSummary.edge_blocks).  At a point p the snapped empirical CDF E has
-    the exact left limit E(p-): the count below the edge, or below the window,
-    over n; at an atom E(p) is exact too.  |E - F| at those limits is
-    attained, and the largest is the lower end.  On [p, q) between two points
-    F has no atom and both E and F rise, so there
-    |E - F| <= max(E(q-) - F(p), F(q-) - E(p)), with E(p) taken as E(p-) at
-    an edge; the largest of these is the upper end.  Each is within F(q-) - F(p) of a limit taken at p or q, so the two
-    ends differ by at most the mass F puts on one bin outside its atoms
-    (widened by an atom's window where it holds an edge).
-    """
+def _bin_points(dist: SubUniformDist, summary: _BinSummary):
+    """_ks_bracket's blocks from the bins of summary, which counts the snap
+    window of each atom of dist, for atoms more than 2 * _ATOM_TOL apart: the
+    bin edges outside the windows, and the atoms, one block of edges at a time
+    (_BinSummary.edge_blocks).  E(p-) is exact at each, and E(p) at an atom.
+    So the two ends differ by at most the mass F puts on one bin outside its
+    atoms (widened by an atom's window where it holds an edge)."""
     atoms = sorted(loc for loc, _ in dist.atoms)
     if np.any(np.diff(atoms) <= 2.0 * _ATOM_TOL):
         raise ValueError("atoms closer than 2 * _ATOM_TOL share snap windows")
     windows = [_snap_edges(loc) for loc in atoms]
-    lower = upper = 0.0
-    last = None  # E and F at the last point of the block before
     for edges, below, _, _ in summary.edge_blocks():
         keep = np.ones(edges.size, dtype=bool)
         for lo, hi in windows:
             keep &= (edges < lo) | (edges > hi)
-        start, stop = edges[0], edges[-1] + 1.0 / _BINS
-        mine = [loc for loc in atoms if start <= loc < stop]
+        mine = [loc for loc in atoms if edges[0] <= loc < edges[-1] + 1.0 / _BINS]
         counts = np.array([summary.windows[loc] for loc in mine], dtype=float).reshape(-1, 2)
         at = np.searchsorted(edges[keep], mine)
-        points = np.insert(edges[keep], at, mine)
-        left = np.insert(below[keep], at, counts[:, 0]) / summary.n  # E(p-)
-        right = np.insert(below[keep], at, counts[:, 1]) / summary.n  # E(p), or E(p-) at an edge
-        f, f_left = _cdf_limits(dist, points)
-        atom = np.isin(points, mine)
-        lower = max(lower, float(np.max(np.abs(left - f_left))),
-                    float(np.max(np.abs(right - f)[atom], initial=0.0)))
-        if last is not None:
-            upper = max(upper, left[0] - last[1], f_left[0] - last[0])
-        between = np.maximum(left[1:] - f[:-1], f_left[1:] - right[:-1])
-        upper = max(upper, float(np.max(between, initial=0.0)))
-        last = right[-1], f[-1]
-    return lower, max(lower, upper)
-
-
-def _runs_gap(dist: SubUniformDist, level: Callable[[np.ndarray], np.ndarray], bounds: np.ndarray,
-              starts: np.ndarray, ends: np.ndarray, vals: np.ndarray) -> float:
-    """_step_cdf_gap's sup over one piece's runs (starts, ends, vals) outside
-    the windows, whose index bounds are lo, hi, lo, hi, ...  Only the scalar
-    outlives the call."""
-    d = 0.0
-    cut = np.searchsorted(starts, bounds, side="left")
-    for a, b in zip([0, *cut[1::2]], [*cut[0::2], starts.size]):
-        if b > a:
-            f = np.asarray(dist.cdf(vals[a:b]), dtype=float)
-            # E at each run's start, then at each end: a run starts where the
-            # one before it ends.  As E(start) <= E(end), the larger of
-            # |E(end) - F| and |E(start) - F| is the larger of E(end) - F and
-            # F - E(start)
-            e = level(np.concatenate([starts[a:a + 1], ends[a:b]]))
-            gap = np.subtract(e[1:], f)
-            above = np.max(gap)
-            np.subtract(f, e[:-1], out=gap)
-            d = max(d, float(above), float(np.max(gap)))
-    return d
+        yield (np.insert(edges[keep], at, mine), np.insert(below[keep], at, counts[:, 0]) / summary.n,
+               np.insert(below[keep], at, counts[:, 1]) / summary.n)  # E(p), or E(p-) at an edge
 
 
 def _cdf_limits(dist: SubUniformDist, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """dist's CDF at x and its left limits there."""
+    """dist's CDF at the sorted x and its left limits there."""
     f = np.atleast_1d(np.asarray(dist.cdf(x), dtype=float))
-    atom_mass = np.zeros_like(f)
-    for loc, mass in dist.atoms:
-        atom_mass[x == loc] += mass
-    return f, f - atom_mass
+    inside = [(loc, mass) for loc, mass in dist.atoms if x[0] <= loc <= x[-1]]
+    return f, f - sum(mass * (x == loc) for loc, mass in inside) if inside else f
 
 
 def continuous_part_ks(dist: SubUniformDist, samp: EmpiricalSample) -> float:

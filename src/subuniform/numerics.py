@@ -143,8 +143,11 @@ def _snap_edges(loc: float) -> tuple[float, float]:
     atom are those between the two, and each is found by bisection between
     loc, which passes, and a point 2 * _ATOM_TOL and one ulp of loc away on its
     side, which fails: a bounded search, also for a loc near _ATOM_TOL, whose
-    edge lies by 0 among the tiny and subnormal doubles."""
-    if not math.isfinite(loc):
+    edge lies by 0 among the tiny and subnormal doubles.  An infinite loc is
+    its own window; a NaN one has none, and is refused."""
+    if math.isnan(loc):
+        raise ValueError("a snap location must not be NaN")
+    if math.isinf(loc):
         return loc, loc
     edges = []
     for side in (-1.0, 1.0):

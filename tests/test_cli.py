@@ -1044,6 +1044,22 @@ def test_construct_beta22_reports_discretization_ks(tmp_path):
     assert comp["martingale_residual"] <= 1e-12
 
 
+@pytest.mark.parametrize("atoms, want", [
+    # 100 snap windows apart, but one string at 6 significant digits
+    (((0.4999999, 0.05), (0.5000001, 0.05)), {"0.4999999": 0.05, "0.5000001": 0.05}),
+    (((0.5, 0.05), (0.5, 0.05)), {"0.5": 0.1}),  # one location, both masses
+])
+def test_construct_reports_every_atom(tmp_path, atoms, want):
+    target = tmp_path / "target.json"
+    target.write_text(SubUniformDist("mixture", atoms=atoms, pieces=((0.0, 1.0, 0.9),)).to_json())
+    comp = payload(run_cli("construct", "--target", str(target), "--n", "20000",
+                           "--seed", "512"))["comparison"]
+    assert comp["atom_expected"] == pytest.approx(want, abs=1e-15)
+    assert comp["atom_frequencies"].keys() == want.keys()
+    for key, mass in want.items():
+        assert comp["atom_frequencies"][key] == pytest.approx(mass, abs=0.01)
+
+
 def test_construct_rejects_super_uniform_target(tmp_path):
     target = tmp_path / "target.json"
     bad = SubUniformDist("mixture", atoms=((0.9, 1.0),), pieces=())

@@ -408,6 +408,17 @@ def test_snap_edges_are_found_at_any_location():
         signal.signal(signal.SIGALRM, previous)
 
 
+def test_snap_rule_refuses_a_nan_location():
+    # a NaN location has no snap window: tail_prob and atom_frequency refuse
+    # it rather than read 1 or 0; an infinite one is its own window
+    e = EmpiricalSample([0.1, 0.5, 0.9])
+    for query in (e.tail_prob, e.atom_frequency):
+        with pytest.raises(ValueError, match="NaN"):
+            query(math.nan)
+    assert e.tail_prob(math.inf) == 1.0 and e.tail_prob(-math.inf) == 0.0
+    assert e.atom_frequency(math.inf) == 0.0
+
+
 # ------------------------------------------------------------------ the sample writer
 
 def test_write_values_matches_savetxt(tmp_path):

@@ -194,6 +194,16 @@ def test_summary_rejects_values_outside_the_unit_interval(bad):
     assert summary.n == 0 and not summary.counts.any()
 
 
+def test_summary_refuses_a_nan_location_as_the_sample_does():
+    with pytest.raises(ValueError, match="NaN"):
+        _BinSummary((0.1, math.nan))
+    values = np.array([0.1, 0.5, 0.9])
+    summary, samp = _fold_blocks(values, locations=(math.inf, -math.inf)), EmpiricalSample(values)
+    for loc in (math.inf, -math.inf):
+        assert summary.tail_prob(loc) == samp.tail_prob(loc)
+    assert summary.tail_prob(math.inf) == 1.0 and summary.tail_prob(-math.inf) == 0.0
+
+
 def test_summary_takes_a_value_rounded_past_one_into_the_top_bin():
     # the top bin [1, 1 + 2**-16) holds 1 and 1 + 2**-52, to which an r_hat
     # average of conditional p-values of 1 can round

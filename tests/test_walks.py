@@ -11,7 +11,7 @@ import pytest
 from _oracles import max_gap, max_gap_every_segment, step_cdf_gap_whole_array
 from subuniform import (EmpiricalSample, IntegratedDF, SubUniformDist, beta22_idf, dominates_cx,
                         ks_distance, p2alpha, uniform_idf)
-from subuniform.distributions import _step_cdf_gap
+from subuniform.distributions import _ks_bracket, _run_points, _step_cdf_gap
 from subuniform.idf import _max_gap
 from subuniform.numerics import _ATOM_TOL, _WALK
 
@@ -146,3 +146,19 @@ def test_step_gap_with_a_level_table_matches_the_snapped_copy():
     for dist in _DISTS:
         assert (_bits(_step_cdf_gap(dist, locs, lambda k: cum[k]))
                 == _bits(step_cdf_gap_whole_array(dist, locs, lambda k: cum[k])))
+
+
+@pytest.mark.parametrize("name", [*sorted(_SAMPLES), "level_table"])
+def test_run_points_close_the_ks_bracket(name):
+    # between consecutive runs the step CDF is constant, so every term of the
+    # upper end is a limit the lower end takes: the two are the same float
+    if name == "level_table":  # the locs of the level-table test above
+        locs = np.array([0.1 - _ATOM_TOL, 0.1, 0.2, 0.3 + _ATOM_TOL / 2, 0.5, 0.5 + 1e-9, 0.9])
+        cum = np.linspace(0.0, 1.0, locs.size + 1)
+        level = lambda k: cum[k]  # noqa: E731
+    else:
+        locs = EmpiricalSample(_SAMPLES[name]()).values
+        level = lambda k: k / locs.size  # noqa: E731
+    for dist in _DISTS:
+        lower, upper = _ks_bracket(dist, _run_points(dist, locs, level))
+        assert _bits(lower) == _bits(upper), dist
