@@ -282,7 +282,8 @@ def left_curtain_coupling(values, masses) -> ConditionalLaw:
     Its row is uniform on the window's slabs, so every row is absolutely
     continuous and the rows tile [0, 1]: the S-marginal is exactly uniform.
     Raises TransportInfeasible with the witness when the atoms are not below
-    the uniform law in the convex order.
+    the uniform law in the convex order, or when a row's mean misses its atom
+    by more than that check's tolerance 1e-9 (the atom missed most).
     """
     values = np.asarray(values, dtype=float)
     masses = np.asarray(masses, dtype=float)
@@ -313,6 +314,10 @@ def left_curtain_coupling(values, masses) -> ConditionalLaw:
         hi = np.stack([np.where(take, cut_lo, hi), hi], axis=1).ravel()
         keep = hi > lo
         lo, hi = lo[keep], hi[keep]
+    miss, witness = max((abs(row.mean() - v), v) for v, _, row in rows)
+    if miss > 1e-9:
+        raise TransportInfeasible(f"the coupling is not a martingale: the row of the atom "
+                                  f"at x={witness!r} misses it by {miss:.3g}", witness=witness)
     return ConditionalLaw(atom_rows=tuple(rows))
 
 

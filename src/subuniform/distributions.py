@@ -334,17 +334,22 @@ def continuous_part_ks(dist: SubUniformDist, samp: EmpiricalSample) -> float:
         return ks_distance(dist, samp)
     if not dist.pieces:
         raise ValueError("distribution has no continuous part")
-    keep, start = [], 0
+    windows, top = [], 0  # the atoms' snap windows of the sorted sample, made disjoint
     for lo, hi in sorted(_snap_window(samp.values, loc) for loc, _ in dist.atoms):
-        keep.append(samp.values[start:lo])  # empty where windows overlap
-        start = max(start, hi)
-    keep.append(samp.values[start:])
-    values = np.concatenate(keep)
-    if not values.size:
+        windows.append((max(lo, top), max(hi, top)))
+        top = max(top, hi)
+    kept = samp.n - sum(hi - lo for lo, hi in windows)
+    if not kept:
         raise ValueError("sample has no values outside the atoms")
     total = sum(m for _, _, m in dist.pieces)
     part = SubUniformDist("mixture", pieces=tuple((lo, hi, m / total) for lo, hi, m in dist.pieces))
-    return ks_distance(part, EmpiricalSample(values, _owned=True))
+
+    def level(k: np.ndarray) -> np.ndarray:  # the kept values among the first k, over kept
+        return (k - sum(np.clip(k, lo, hi) - lo for lo, hi in windows)) / kept
+
+    # part has no atoms: at a run inside a window E is flat and F between its
+    # values at the kept runs either side, so no such run beats their |E - F|
+    return _step_cdf_gap(part, samp.values, level)
 
 
 # ------------------------------------------------------------------ discretization

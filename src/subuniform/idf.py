@@ -26,10 +26,11 @@ piecewise IDFs and uniform01, cubic for beta22), so the convex-order check is
 exact: the gap of two IDFs peaks at a node or where their CDFs cross, each
 crossing has a closed form, and float rounding is the only error.  Against
 an analytic law the check loops over the other side's nodes a block at a
-time (_gap_walk): an empirical IDF's come from _node_blocks, one block per
-piece of numerics._WALK sample values, and other nodes form one block.  So
-an empirical IDF from n samples is checked against either analytic law, on
-either side, in O(_WALK) memory beyond its sorted sample.
+time (_gap_walk): an empirical IDF's come from _walk_nodes, one block per
+piece of numerics._WALK sample values, with the CDF k / n rounded once and
+phi from exact counts, and other nodes form one block.  So an empirical IDF
+from n samples is checked against either analytic law, on either side, in
+O(_WALK) memory beyond its sorted sample.
 """
 
 from __future__ import annotations
@@ -120,9 +121,9 @@ class IntegratedDF:
         """Empirical IDF: phi(x) = (1/n) * sum_i max(0, x - v_i).
 
         The CDF is the usual right-continuous step function, encoded as a jump
-        (repeated breakpoint) at each distinct sample value.  The node arrays
-        are those of from_atoms(distinct values, counts / n), built on first
-        use.
+        (repeated breakpoint) at each distinct sample value, from k / n to
+        k' / n.  The node arrays are those of the walk (_walk_nodes), built on
+        first use.
         """
         sample = values if isinstance(values, EmpiricalSample) else EmpiricalSample(values)
         out = object.__new__(cls)
@@ -158,12 +159,11 @@ class IntegratedDF:
 
     def _node_arrays(self) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
         """(breakpoints, cdf, phi at each breakpoint); an empirical IDF builds them here."""
-        if self._nodes is None:
-            counts, vals = zip(*((ends - starts, vals)
-                                 for starts, ends, vals in _run_blocks(self._sample.values)))
-            atoms = IntegratedDF.from_atoms(np.concatenate(vals),
-                                            np.concatenate(counts) / self._sample.n)
-            object.__setattr__(self, "_nodes", atoms._nodes)
+        if self._nodes is None:  # each distinct value twice: the CDF before and after its jump
+            x, left, right, phi = (np.concatenate(part) for part in zip(
+                *((x[1:], f[:-1], f[1:], phi[1:]) for x, f, _, phi in _run_nodes(self._sample))))
+            nodes = np.repeat(x, 2), np.stack([left, right], axis=1).ravel(), np.repeat(phi, 2)
+            object.__setattr__(self, "_nodes", nodes)
         return self._nodes
 
     @property
@@ -226,7 +226,7 @@ class IntegratedDF:
             return 0.5  # both built-in families have mean 1/2
         if self._nodes is not None:
             return _tail_mean(*self._nodes)
-        for x, f, _, phi in _node_blocks(self._sample):
+        for x, f, _, phi in _run_nodes(self._sample):
             pass  # the last block's nodes hold the right end
         return _tail_mean(x, f, phi)
 
@@ -236,35 +236,44 @@ def _node_integrals(x: np.ndarray, f: np.ndarray) -> np.ndarray:
     return np.concatenate([[0.0], np.cumsum(seg)])
 
 
-def _node_blocks(sample: EmpiricalSample):
-    """The nodes of an empirical IDF, one block per piece of its sorted sample.
-
-    Block k holds the nodes (x, f, f_end, phi) of the distinct values whose
-    runs end in piece k (numerics._run_blocks), with the previous block's
-    last node in front (for the first block, the node just before the first
-    jump): each node, the CDF at it, and phi there, and for each segment the
-    CDF at its right end.  The CDF is constant between nodes, so
-    f_end = f[:-1].  The floats are those of from_atoms(distinct, counts / n):
-    f is the running sum of counts / n capped at 1.0, with its last value set
-    to 1.0, and phi the running sum of (x[k+1] - x[k]) * f[k] (the trapezoid
-    (f[k] + f[k]) / 2 is f[k] exactly), each carried from block to block.
+def _walk_nodes(blocks, n: int):
+    """The nodes (x, f, f_end, phi) of an atom law, block by block, from blocks
+    of (x, K, t): the nodes, an exact count K at each as floats, and summed
+    offsets t or None.  Each block is led by the one before's last node (the
+    first by its first node, with the CDF 0), and f_end = f[:-1].  The CDF is
+    f = (K - t) / n, and phi is (sum of w * K - sum of w * t) / n over the
+    segments left of a node, w each one's width and K, t its left node's:
+    both sums carry from block to block, and no running sum of masses rounds.
     """
-    n = sample.n
-    x_last, f_last, phi_last = sample.values[0], 0.0, 0.0
-    for starts, ends, vals in _run_blocks(sample.values):
-        x, f, phi = np.empty((3, vals.size + 1))
-        x[0], f[0], phi[0] = x_last, f_last, phi_last
-        x[1:] = vals
-        np.subtract(ends, starts, out=f[1:])  # the counts, exact as floats
-        f[1:] /= n
-        np.minimum(np.add.accumulate(f, out=f), 1.0, out=f)
-        if ends[-1] == n:
-            f[-1] = 1.0
-        np.subtract(x[1:], x[:-1], out=phi[1:])
-        phi[1:] *= f[:-1]
+    x_last = None
+    k_last = t_last = sum_k = sum_t = 0.0  # K and t at the last node, and the sums up to it
+    for nodes, k, t in blocks:
+        x, f, phi = (np.empty(nodes.size + 1) for _ in range(3))
+        x[0], x[1:] = nodes[0] if x_last is None else x_last, nodes
+        f[0], f[1:] = k_last, k
+        w = np.diff(x)  # the segment widths
+        phi[0] = sum_k
+        np.multiply(w, f[:-1], out=phi[1:])
         np.add.accumulate(phi, out=phi)
-        x_last, f_last, phi_last = x[-1], f[-1], phi[-1]
+        x_last, k_last, sum_k = x[-1], f[-1], phi[-1]
+        if t is not None:
+            run = np.empty_like(x)
+            run[0], run[1:] = t_last, t
+            f -= run
+            w *= run[:-1]
+            t_last, run[0], run[1:] = run[-1], sum_t, w
+            sum_t = np.add.accumulate(run, out=run)[-1]
+            phi -= run
+        phi /= n
+        f /= n
         yield x, f, f[:-1], phi
+
+
+def _run_nodes(sample: EmpiricalSample):
+    """_walk_nodes of an empirical IDF: each distinct value of the sorted
+    sample and the count up to it, a piece at a time (numerics._run_blocks)."""
+    return _walk_nodes(((vals, ends, None) for _, ends, vals in _run_blocks(sample.values)),
+                       sample.n)
 
 
 def _eval_nodes(nodes, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -402,7 +411,7 @@ def _max_gap(lower: IntegratedDF, upper: IntegratedDF) -> tuple[float, float, fl
     else:
         line, family, sign = upper, lower.family, -1.0
     if line._nodes is None:
-        blocks = _node_blocks(line._sample)
+        blocks = _run_nodes(line._sample)
     else:
         ends = np.array([0.0, 1.0])  # uniform01's nodes
         bx, f, phi = line._nodes if line.kind == "piecewise" else (ends, ends, ends / 2.0)
@@ -507,41 +516,18 @@ def _verdict(gap: tuple[float, float, float, float], hi: float, tol: float) -> D
 
 
 def _spread_blocks(summary: _BinSummary):
-    """The nodes (x, f, f_end, phi) of the spread law of summary's bins, one
-    block of edges at a time (_BinSummary.edge_blocks), in the form of
-    _node_blocks.
+    """_walk_nodes of the spread law of summary's bins, one block of edges at
+    a time (_BinSummary.edge_blocks).
 
     The spread law takes each bin's values to the bin's two edges, keeping
     the bin's mass and mean: an atom law on the edges, and every edge is a
-    node, one without mass too.  The CDF at an edge is (N + c - t) / n, with N
-    the count of the values below it and c and t the count and the summed
-    offsets of the bin that starts there, so no running sum of masses rounds.
-    phi at edge k is 2**-16 / n times the sum over the bins j < k of
-    N_j + c_j - t_j.  The sum of the integers N_j + c_j is exact in floats
-    while (_BINS + 2) * n < 2**53, so only the running sum of the offsets
-    rounds, not a running sum of phi's increments.  Both sums are carried
-    from block to block.
+    node, one without mass too.  At an edge K counts the values below it and
+    in the bin that starts there, and t sums that bin's offsets.  The sum of
+    2**-16 * K is exact while (_BINS + 2) * n < 2**53: only that of the
+    offsets rounds.
     """
-    x_last = f_last = phi_last = 0.0
-    ints = offs = 0.0  # the two sums over the bins before the block
-    for edges, below, counts, shifts in summary.edge_blocks():
-        x, f, phi, run = (np.empty(edges.size + 1) for _ in range(4))
-        x[0], f[0], phi[0] = x_last, f_last, phi_last
-        x[1:] = edges
-        np.add(below, counts, out=f[1:])
-        run[0], run[1:] = ints, f[1:]
-        np.add.accumulate(run, out=run)
-        ints, phi[1:] = run[-1], run[:-1]
-        run[0], run[1:] = offs, shifts
-        np.add.accumulate(run, out=run)
-        offs = run[-1]
-        phi[1:] -= run[:-1]
-        phi[1:] *= 1.0 / _BINS
-        phi[1:] /= summary.n
-        f[1:] -= shifts
-        f[1:] /= summary.n
-        x_last, f_last, phi_last = x[-1], f[-1], phi[-1]
-        yield x, f, f[:-1], phi
+    return _walk_nodes(((x, below + counts, shifts)
+                        for x, below, counts, shifts in summary.edge_blocks()), summary.n)
 
 
 def _binned_sub_uniformity(summary: _BinSummary) -> tuple[DominanceResult, float]:

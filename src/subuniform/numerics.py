@@ -190,10 +190,11 @@ class _BinSummary:
     v * _BINS and its offset t = v * _BINS - j in [0, 1) are exact.  counts[j]
     is the bin's count and shifts[j] the sum of its offsets, in float
     arithmetic: the mass and mean of spreading the bin over its two edges
-    (idf._spread_blocks).  The arrays have _BINS + 2 entries, one per edge
-    k / _BINS with k = 0 to _BINS + 1, that of the last always 0.  For each
-    location given, windows holds the exact counts of the values below its snap
-    window and up to the window's top (the _snap_edges rule).  The mean and the
+    (idf._spread_blocks, walked by idf._walk_nodes as a sorted sample's runs
+    are).  The arrays have _BINS + 2 entries, one per edge k / _BINS with
+    k = 0 to _BINS + 1, that of the last always 0.  For each location given,
+    windows holds the exact counts of the values below its snap window and
+    up to the window's top (the _snap_edges rule).  The mean and the
     variance are merged block by block, each block's from its own two-pass
     sums (Chan, Golub & LeVeque 1979), so they may differ from those of the
     whole sorted sample in the last bits.

@@ -68,18 +68,22 @@ def run_blocks(values, walk=None):
 
 def node_blocks(sample, walk=None):
     """The nodes (x, f, f_end, phi) of the empirical IDF of an EmpiricalSample,
-    one block per piece of its runs, each block led by the one before's last
-    node."""
+    built on whole arrays and cut into one block per piece of its runs, each
+    block led by the one before's last node: at each distinct value x_i with
+    K_i values up to it, f = K_i / n and phi the running sum of
+    (x_{i+1} - x_i) * K_i, divided by n."""
     n = sample.n
-    x_last, f_last, phi_last = sample.values[0], 0.0, 0.0
-    for starts, ends, vals in run_blocks(sample.values, walk=walk):
-        x = np.concatenate([[x_last], vals])
-        f = np.minimum(np.cumsum(np.concatenate([[f_last], (ends - starts) / n])), 1.0)
-        if ends[-1] == n:
-            f[-1] = 1.0
-        phi = np.cumsum(np.concatenate([[phi_last], np.diff(x) * (f[:-1] + f[:-1]) / 2.0]))
-        x_last, f_last, phi_last = x[-1], f[-1], phi[-1]
-        yield x, f, f[:-1], phi
+    runs = list(run_blocks(sample.values, walk=walk))
+    _, ends, vals = (np.concatenate(part) for part in zip(*runs))
+    x = np.concatenate([[vals[0]], vals])
+    k = np.concatenate([[0.0], ends])
+    phi = np.cumsum(np.concatenate([[0.0], np.diff(x) * k[:-1]])) / n
+    f = k / n
+    lo = 0
+    for _, piece_ends, _ in runs:
+        block = slice(lo, lo + piece_ends.size + 1)
+        yield x[block], f[block], f[block][:-1], phi[block]
+        lo += piece_ends.size
 
 
 def max_gap(sample, family, sign, walk=None):

@@ -1069,6 +1069,18 @@ def test_construct_rejects_super_uniform_target(tmp_path):
     assert "not sub-uniform" in proc.stderr
 
 
+def test_construct_refuses_a_coupling_that_is_not_a_martingale(tmp_path):
+    # atoms of mass 3e-9 at both ends pass the convex-order check at its 1e-9
+    # tolerance, but the last row of the left-curtain coupling then misses
+    # its atom by 1.9e-7: no model is printed
+    target = tmp_path / "target.json"
+    target.write_text('{"variant": "mixture", "atoms": [[0.0, 3e-9], [1.0, 3e-9]], '
+                      '"pieces": [[0.0, 1.0, 0.999999994]]}')
+    proc = run_cli("construct", "--target", str(target), "--n", "100", "--seed", "1")
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "not a martingale" in proc.stderr
+
+
 @pytest.mark.parametrize("spec", ['{"variant": "mixture", "atoms": 5}',
                                   '{"variant": "mixture", "atoms": [[0.5, null]]}',
                                   '{"variant": "p2alpha", "alpha": null}',

@@ -7,8 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from subuniform import (EmpiricalSample, IntegratedDF, RngStream, SubUniformDist, beta22_idf,
-                        dominates_cx, ks_distance, p2alpha, uniform_idf)
+                        continuous_part_ks, dominates_cx, ks_distance, p2alpha, uniform_idf)
 from subuniform.idf import _analytic_quantile
+from test_summary import _rounding
 
 GRID = np.linspace(0.0, 1.0, 2049)
 
@@ -331,7 +332,8 @@ def _sample_for(seed: int, n: int, kind: int) -> np.ndarray:
 def test_empirical_dominance_equals_atom_walk(seed, n, kind):
     # dominates_cx walks the sample's runs in blocks; from_atoms over the
     # distinct values is the node-array walk it replaces, against either
-    # analytic law on either side
+    # analytic law on either side.  from_atoms sums the masses counts / n,
+    # the walk takes the exact counts, so the two agree to rounding
     samp = EmpiricalSample(_sample_for(seed, n, kind))
     uniq, counts = np.unique(samp.values, return_counts=True)
     atoms = IntegratedDF.from_atoms(uniq, counts / samp.n)
@@ -339,15 +341,19 @@ def test_empirical_dominance_equals_atom_walk(seed, n, kind):
     for law in (uniform_idf(), beta22_idf()):
         for pair, atom_pair in (((emp, law), (atoms, law)), ((law, emp), (law, atoms))):
             default = dominates_cx(*pair)
-            assert default == dominates_cx(*atom_pair, tol=3.0 / np.sqrt(samp.n))
+            assert default.holds == dominates_cx(*atom_pair, tol=3.0 / np.sqrt(samp.n)).holds
             # tol = -1 fails every check, so it exposes the raw maximum gap and witness
             raw = dominates_cx(*pair, tol=-1.0)
-            assert raw == dominates_cx(*atom_pair, tol=-1.0)
+            assert raw.max_violation == pytest.approx(
+                dominates_cx(*atom_pair, tol=-1.0).max_violation, abs=_rounding(samp.n))
             assert type(raw.max_violation) is float and type(raw.witness) is float
-    assert IntegratedDF.from_samples(samp).mean() == atoms.mean()
-    # the node arrays, when asked for, are from_atoms's
+    assert IntegratedDF.from_samples(samp).mean() == pytest.approx(atoms.mean(),
+                                                                   abs=_rounding(samp.n))
+    # the node arrays, when asked for, are from_atoms's breakpoints, with the
+    # CDF k / n before and after each jump
     assert np.array_equal(emp.breakpoints, atoms.breakpoints)
-    assert np.array_equal(emp.cdf, atoms.cdf)
+    k = np.cumsum(counts)
+    assert np.array_equal(emp.cdf, np.stack([k - counts, k], axis=1).ravel() / samp.n)
 
 
 def test_empirical_summaries_stay_within_three_sample_sizes():
@@ -398,3 +404,24 @@ def test_uniform_check_and_ks_distance_memory_does_not_grow_with_n(n):
         finally:
             tracemalloc.stop()
         assert peak < 16 * 8 * _WALK
+
+
+@pytest.mark.parametrize("n", [1_000_000, 3_000_000])
+def test_continuous_part_ks_memory_does_not_grow_with_n(n):
+    # it walks the sorted sample in place, its atom's window left flat: below
+    # 16 * 8 * _WALK bytes at any n, as ks_distance (a copy of the values
+    # outside the window, sorted again, took 7.1 MB at n = 1e6)
+    import tracemalloc
+
+    from subuniform.numerics import _WALK
+
+    gen = RngStream(seed=5).generator()
+    samp = EmpiricalSample(np.where(gen.random(n) < 0.2, 0.1, gen.uniform(0.2, 1.0, n)),
+                           _owned=True)
+    tracemalloc.start()
+    try:
+        continuous_part_ks(p2alpha(0.1), samp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 8 * _WALK

@@ -1,18 +1,20 @@
 """The per-piece walks over a sorted sample: the convex-order walk against
-the node walk it replaced, and the step-CDF gap against its whole-array
-form, bit for bit; and the walk's crossing rule against every segment's
-crossings."""
+the whole-array node walk, and the step-CDF gap against its whole-array
+form, bit for bit; the walk's nodes against the exact CDF and phi; and the
+walk's crossing rule against every segment's crossings."""
 
 import math
 
 import numpy as np
 import pytest
 
-from _oracles import max_gap, max_gap_every_segment, step_cdf_gap_whole_array
-from subuniform import (EmpiricalSample, IntegratedDF, SubUniformDist, beta22_idf, dominates_cx,
-                        ks_distance, p2alpha, uniform_idf)
+from _oracles import (exact_max_gap_uniform, exact_phi, max_gap, max_gap_every_segment,
+                      step_cdf_gap_whole_array)
+from subuniform import (EmpiricalSample, IntegratedDF, RngStream, SubUniformDist, beta22_idf,
+                        dominates_cx, frequency_run, ks_distance, lasso_model, p2alpha,
+                        uniform_idf)
 from subuniform.distributions import _ks_bracket, _run_points, _step_cdf_gap
-from subuniform.idf import _max_gap
+from subuniform.idf import _max_gap, _run_nodes
 from subuniform.numerics import _ATOM_TOL, _WALK
 
 _OVERLAP = SubUniformDist("mixture", atoms=((0.5, 0.5), (0.5 + 1e-9, 0.5)))
@@ -93,14 +95,53 @@ def test_gap_walk_matches_the_node_walk(name):
         assert not res.holds and res.witness == max_gap(samp, "uniform01", 1.0)[1]
 
 
+def _exactness_samples():
+    """42 samples of at most 5000 values: uniform, p2alpha(0.1) with ties at
+    its atom, Beta(2,2), a 2-decimal lattice and values in [-0.25, 1.25],
+    two of them of _WALK - 1 and _WALK + 1 values."""
+    gen = np.random.default_rng(16)
+    makers = (lambda n: gen.random(n),
+              lambda n: p2alpha(0.1).sample(gen, n).values,
+              lambda n: SubUniformDist("beta22").sample(gen, n).values,
+              lambda n: gen.integers(0, 101, n) / 100.0,
+              lambda n: gen.uniform(-0.25, 1.25, n))
+    for i in range(42):
+        n = (_WALK - 1, _WALK + 1)[i - 40] if i >= 40 else int(gen.integers(1, 5001))
+        yield EmpiricalSample(makers[i % len(makers)](n))
+
+
+def test_walk_nodes_hold_the_exact_cdf_and_phi():
+    # the CDF at each distinct value is the count up to it over n, rounded
+    # once, and phi is within 2**-49 of the exact rational phi there
+    for samp in _exactness_samples():
+        uniq, counts = np.unique(samp.values, return_counts=True)
+        x, f, phi = (np.concatenate(part) for part in
+                     zip(*((x[1:], f[1:], phi[1:]) for x, f, _, phi in _run_nodes(samp))))
+        assert np.array_equal(x, uniq)
+        assert _bits(f) == np.asarray(np.cumsum(counts) / samp.n).tobytes()
+        exact = np.array([float(e) for e in exact_phi(samp.values, uniq)])
+        assert np.max(np.abs(phi - exact)) <= 2.0**-49
+        # the node arrays an empirical IDF builds read the same walk
+        emp = IntegratedDF.from_samples(samp)
+        assert _bits(emp.cdf[1::2]) == _bits(f) and _bits(emp.evaluate(uniq)) == _bits(phi)
+
+
+def test_walk_on_the_lasso_digest_sample_reads_the_exact_sup():
+    # simulate's lasso digest sample; a running sum of phi's increments read
+    # 3.3e-13 above the exact sup here
+    samp = frequency_run(lasso_model(0.1), 2 * 65536 + 17, RngStream(1)).pvalues
+    res = dominates_cx(IntegratedDF.from_samples(samp), uniform_idf(), tol=-1.0)
+    assert abs(res.max_violation - float(exact_max_gap_uniform(samp.values))) <= 1e-15
+
+
 def _walked_laws():
     """(an IDF the walk takes, the same law as node arrays): the samples above,
-    random atom lists, some of them on a lattice where the CDF meets x at
-    nodes, and random mixtures of atoms and uniform pieces."""
+    each as a second empirical IDF that builds its own node arrays, random
+    atom lists, some of them on a lattice where the CDF meets x at nodes, and
+    random mixtures of atoms and uniform pieces."""
     for make in _SAMPLES.values():
         samp = EmpiricalSample(make())
-        uniq, counts = np.unique(samp.values, return_counts=True)
-        yield IntegratedDF.from_samples(samp), IntegratedDF.from_atoms(uniq, counts / samp.n)
+        yield IntegratedDF.from_samples(samp), IntegratedDF.from_samples(samp)
     gen = np.random.default_rng(9)
     for _ in range(20):
         values = np.unique(gen.uniform(-0.25, 1.25, int(gen.integers(1, 30))))
